@@ -1,40 +1,66 @@
 """Exact counting of commuting matrix tuples in GL_n over finite fields.
 
-The counts are polynomials in the field size q, built from two memoized
-weight recursions over factorization types.  A commuting tuple of semisimple
-invertible matrices decomposes the space into blocks indexed by the type of
-the first matrix's characteristic polynomial: a (degree i, size r) pair
-contributes a block that behaves like GL_r over the degree-i extension
-field.  Each recursion level therefore substitutes q^(i*m) for q^m in the
-type counts and recurses on smaller block sizes.
+The counts are polynomials in the field size q with integer coefficients,
+built by one memoized recursion over factorization types that stays in
+*count space*: every value it produces is itself an integer polynomial, so
+it needs no denominators and no polynomial GCDs.
 
-``ss_weight(level, r, m)`` is the per-block weight when every matrix in the
-tuple is semisimple; its leaf is 1/|GL_r(q^m)|, and the full count of
-commuting all-semisimple k-tuples is |GL_n(q)| * ss_weight(k, n, 1).
+A commuting tuple whose first matrix is semisimple of type t (the
+factorization type of its characteristic polynomial) decomposes the space
+into blocks, one per (degree d, size s) pair of t; on such a block the rest
+of the tuple commutes inside GL_s over the degree-d extension field.  The
+first matrix's centralizer is C_t = prod GL_s(F_{q^d}), and its index
 
-``mixed_weight`` drops the semisimplicity constraint on the final matrix:
-its leaf (q^m - 1) * q^(m*(r-1)) counts the possible characteristic
-polynomials with nonzero constant term of the unconstrained commuting
-matrix on an r-dimensional block over the q^m-element field.  Mixed k-tuples
-(k - 1 semisimple plus one free) number |GL_n(q)| * mixed_weight(k-2, n, 1),
-and simultaneous-conjugation classes of all-semisimple k-tuples number
-mixed_weight(k-1, n, 1) with no group-order prefactor.
+    [GL_r : C_t] = |GL_r(q)| / prod |GL_s(q^d)|
 
-Every public count certifies integrality by exact division before returning;
-a failure raises instead of rounding, since it would mean the recursion or
-the type combinatorics is wrong.
+is a polynomial with integer coefficients, because the divisor is monic.
+With N_t the number of characteristic polynomials of type t, the recursion
+is
+
+    V(j, r) = sum over types t of weight r of
+              F(t) * prod over pairs (d, s) of t of V(j - 1, s)(q^d)
+
+in two kinds that differ only in the leaf and the type factor F(t):
+
+- ``"ss"``: leaf V(0, r) = 1 and F(t) = N_t * [GL_r : C_t].  V(j, r) counts
+  commuting j-tuples of semisimple elements of GL_r(F_q), so the
+  all-semisimple count is V_ss(k, n).
+- ``"mixed"``: leaf V(0, r) = (q - 1) q^(r-1), the number of candidate
+  characteristic polynomials of one free commuting matrix on the block, and
+  F(t) = N_t.  Mixed k-tuples (k - 1 semisimple plus one free) number
+  |GL_n(q)| * V_mixed(k - 2, n), and simultaneous-conjugation classes of
+  commuting semisimple k-tuples number V_mixed(k - 1, n).
+
+The memo is keyed by (kind, level, r) and holds the value at q; a child
+needed at q^d is the stored value with q^d substituted, so the field power
+is not part of the key.
+
+Integrality is certified inside the recursion.  The type counts N_t have
+rational coefficients, so each level sum is accumulated with every N_t
+scaled by the lcm of the denominators for that weight and divided back
+exactly; the centralizer index is an exact division by a monic polynomial.
+Either division leaving a remainder raises IntegralityViolation instead of
+rounding, since it would mean the recursion or the type combinatorics is
+wrong.  Results become ``UnivariatePoly`` only at the ``CountingPolynomial``
+boundary, which checks once more that every coefficient is an integer.
+
+``ss_weight`` and ``mixed_weight`` present the same values in the older
+per-block weight form, as rational functions at a field power q^m; they are
+views for callers, not part of the counting path.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, NamedTuple, Optional
 
-from .exactpoly import (
+from .exactpoly import (  # noqa: F401  (to_laurent: perfbench/spans.py looks up engine.to_laurent)
     LaurentPoly,
-    NotDivisible,
     NotLaurent,
     RationalFunction,
     UnivariatePoly,
@@ -46,6 +72,11 @@ MODE_SEMISIMPLE = "all-semisimple"
 MODE_MIXED = "mixed"
 MODE_CONJUGACY = "conjugacy-classes"
 Mode = Literal["all-semisimple", "mixed", "conjugacy-classes"]
+
+#: Integer polynomial: ascending coefficients with no trailing zeros.
+IntPoly = tuple[int, ...]
+
+CACHE_VERSION = 2
 
 
 class IntegralityViolation(ArithmeticError):
@@ -68,28 +99,32 @@ class NonIntegerCoefficient(ArithmeticError):
     """Laurent quotient by the group order must have integer coefficients."""
 
 
+class CacheFormatError(ValueError):
+    """A weight-cache document has an unknown version or the wrong shape."""
+
+
 class CountKey(NamedTuple):
-    """Memoization key: recursion level, block size, field-power exponent."""
+    """Memoization key within one kind: recursion level and block size."""
 
     level: int
     r: int
-    m: int
 
 
 class WeightCache:
-    """Memo tables for the two weight recursions, optionally JSON-persisted.
+    """Memo tables for the two kinds of the recursion, optionally JSON-persisted.
 
-    Shared use is benign: values are keyed deterministically, so a duplicated
+    Values are integer polynomials at q, keyed by ``CountKey``.  Shared use
+    is benign: values are keyed deterministically, so a duplicated
     computation under concurrent access inserts the same value twice.
     """
 
     def __init__(self) -> None:
-        self._tables: dict[str, dict[CountKey, RationalFunction]] = {"ss": {}, "mixed": {}}
+        self._tables: dict[str, dict[CountKey, IntPoly]] = {"ss": {}, "mixed": {}}
 
-    def get(self, kind: str, key: CountKey) -> Optional[RationalFunction]:
+    def get(self, kind: str, key: CountKey) -> Optional[IntPoly]:
         return self._tables[kind].get(key)
 
-    def put(self, kind: str, key: CountKey, value: RationalFunction) -> None:
+    def put(self, kind: str, key: CountKey, value: IntPoly) -> None:
         self._tables[kind][key] = value
 
     def __len__(self) -> int:
@@ -97,29 +132,41 @@ class WeightCache:
 
     def to_json(self) -> dict:
         return {
-            "version": 1,
+            "version": CACHE_VERSION,
             **{
-                kind: {
-                    f"{k.level}:{k.r}:{k.m}": value.to_json()
-                    for k, value in sorted(table.items())
-                }
+                kind: {f"{k.level}:{k.r}": {"coeffs": list(value)} for k, value in sorted(table.items())}
                 for kind, table in self._tables.items()
             },
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "WeightCache":
+    def from_json(cls, doc) -> "WeightCache":
+        """Rebuild a cache from ``to_json`` output; anything else raises CacheFormatError."""
+        if not isinstance(doc, dict):
+            raise CacheFormatError("weight cache must be a JSON object")
+        version = doc.get("version")
+        if type(version) is not int or version != CACHE_VERSION:
+            raise CacheFormatError(f"weight cache version {version!r} is not {CACHE_VERSION}")
         cache = cls()
         for kind in ("ss", "mixed"):
-            for key, value in doc.get(kind, {}).items():
-                level, r, m = (int(part) for part in key.split(":"))
-                cache.put(kind, CountKey(level, r, m), RationalFunction.from_json(value))
+            table = doc.get(kind, {})
+            if not isinstance(table, dict):
+                raise CacheFormatError(f"weight cache table {kind!r} must be an object")
+            for key, value in table.items():
+                cache.put(kind, _parse_cache_key(key), _parse_cache_value(key, value))
         return cache
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, sort_keys=True)
-            handle.write("\n")
+        """Write the cache as JSON; a temp file and a rename keep ``path`` whole."""
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(self.to_json(), handle, sort_keys=True)
+                handle.write("\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     @classmethod
     def load(cls, path: str) -> "WeightCache":
@@ -127,17 +174,110 @@ class WeightCache:
             return cls.from_json(json.load(handle))
 
 
+def _parse_cache_key(key: str) -> CountKey:
+    parts = key.split(":")
+    try:
+        level, r = (int(part) for part in parts)
+    except ValueError:
+        raise CacheFormatError(f"weight cache key {key!r} is not 'level:r'") from None
+    if level < 0 or r < 1:
+        raise CacheFormatError(f"weight cache key {key!r} is out of range")
+    return CountKey(level, r)
+
+
+def _parse_cache_value(key: str, value) -> IntPoly:
+    coeffs = value.get("coeffs") if isinstance(value, dict) else None
+    if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs) or (coeffs and coeffs[-1] == 0):
+        raise CacheFormatError(f"weight cache entry {key!r} needs 'coeffs': integers, top one nonzero")
+    return tuple(coeffs)
+
+
 class NullCache(WeightCache):
     """Cache that never stores anything; for memoization-transparency checks."""
 
-    def get(self, kind: str, key: CountKey) -> Optional[RationalFunction]:
+    def get(self, kind: str, key: CountKey) -> Optional[IntPoly]:
         return None
 
-    def put(self, kind: str, key: CountKey, value: RationalFunction) -> None:
+    def put(self, kind: str, key: CountKey, value: IntPoly) -> None:
         pass
 
 
-_shared_cache = WeightCache()
+# ---------------------------------------------------------------------------
+# integer polynomial arithmetic for the recursion
+
+
+def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)  # the top coefficient is a product of nonzeros
+
+
+def _add_into(acc: list[int], term: IntPoly) -> None:
+    if len(acc) < len(term):
+        acc.extend([0] * (len(term) - len(acc)))
+    for i, c in enumerate(term):
+        acc[i] += c
+
+
+def _strip(coeffs: list[int]) -> IntPoly:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _compose(a: IntPoly, d: int) -> IntPoly:
+    """Substitute q^d for q."""
+    if d == 1 or len(a) <= 1:
+        return a
+    out = [0] * ((len(a) - 1) * d + 1)
+    out[::d] = a
+    return tuple(out)
+
+
+def _exact_div(num: IntPoly, den: IntPoly) -> Optional[IntPoly]:
+    """num / den in Z[q], or None when the quotient is not an integer polynomial."""
+    rem = list(num)
+    top = den[-1]
+    width = len(den) - 1
+    terms = [(i, c) for i, c in enumerate(den) if c]
+    quo = [0] * max(len(num) - width, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        factor, residue = divmod(rem[shift + width], top)
+        if residue:
+            return None
+        if factor:
+            quo[shift] = factor
+            for i, c in terms:
+                rem[shift + i] -= factor * c
+    if any(rem):
+        return None
+    return tuple(quo)
+
+
+def _certified_quotient(numerator: IntPoly, denominator: IntPoly) -> IntPoly:
+    """Exact division in Z[q] that reports failure as IntegralityViolation."""
+    quotient = _exact_div(numerator, denominator)
+    if quotient is None:
+        raise IntegralityViolation(f"{numerator} is not divisible by {denominator} over the integers")
+    return quotient
+
+
+# ---------------------------------------------------------------------------
+# the recursion
+
+
+@lru_cache(maxsize=None)
+def _gl_order_int(n: int) -> IntPoly:
+    """|GL_n(q)| = q^(n(n-1)/2) * prod (q^i - 1) for i <= n."""
+    result: IntPoly = (0,) * (n * (n - 1) // 2) + (1,)
+    for i in range(1, n + 1):
+        result = _mul((-1,) + (0,) * (i - 1) + (1,), result)
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -145,75 +285,92 @@ def gl_order(n: int) -> UnivariatePoly:
     """|GL_n(F_q)| as a polynomial in q: product of (q^n - q^j) for j < n."""
     if n < 1:
         raise ValueError("gl_order needs n >= 1")
-    qn = UnivariatePoly.monomial(1, n)
-    result = UnivariatePoly.one()
-    for j in range(n):
-        result = result * (qn - UnivariatePoly.monomial(1, j))
-    return result
+    return UnivariatePoly(_gl_order_int(n))
 
 
 @lru_cache(maxsize=None)
 def _type_count_at_power(t: FactorizationType, m: int) -> UnivariatePoly:
+    """N_t at q^m (perfbench/spans.py looks this name up)."""
     return count_monic_with_type(t).compose_monomial(m)
 
 
-def ss_weight(level: int, r: int, m: int, cache: WeightCache | None = None) -> RationalFunction:
-    """Block weight for all-semisimple commuting tuples.
+def _centralizer_index(r: int, pairs: tuple[tuple[int, int], ...]) -> IntPoly:
+    """[GL_r : prod GL_s(F_{q^d})] over the (d, s) pairs of a type."""
+    centralizer: IntPoly = (1,)
+    for d, s in pairs:
+        centralizer = _mul(_compose(_gl_order_int(s), d), centralizer)
+    return _certified_quotient(_gl_order_int(r), centralizer)
 
-    Level 0 is 1/|GL_r(q^m)|; level j sums, over the factorization types of
-    r evaluated at q^m, the type count times the product of level j-1 child
-    weights, one child per (degree, size) pair with the exponent multiplied
-    by the pair's degree.
+
+@lru_cache(maxsize=None)
+def _type_table(kind: str, r: int) -> tuple[int, tuple[tuple[IntPoly, tuple[tuple[int, int], ...]], ...]]:
+    """The factors F(t) of every type of weight r, scaled by ``scale`` into Z[q].
+
+    Returns ``(scale, rows)`` with one ``(scale * F(t), type_pairs(t))`` row
+    per type; ``scale`` is the lcm of the denominators of the N_t.
     """
-    if level < 0 or r < 1 or m < 1:
-        raise ValueError("ss_weight needs level >= 0, r >= 1, m >= 1")
-    if cache is None:
-        cache = _shared_cache
-    key = CountKey(level, r, m)
-    hit = cache.get("ss", key)
-    if hit is not None:
-        return hit
+    types = enumerate_types(r)
+    counts = [count_monic_with_type(t).coeffs for t in types]
+    scale = math.lcm(*(c.denominator for coeffs in counts for c in coeffs))
+    rows = []
+    for t, coeffs in zip(types, counts):
+        pairs = type_pairs(t)
+        factor = tuple((c * scale).numerator for c in coeffs)
+        if kind == "ss":
+            factor = _mul(factor, _centralizer_index(r, pairs))
+        rows.append((factor, pairs))
+    return scale, tuple(rows)
+
+
+def _weight(kind: str, level: int, r: int, cache: WeightCache) -> IntPoly:
+    """V_kind(level, r) at q, memoized in ``cache``."""
+    key = CountKey(level, r)
+    value = cache.get(kind, key)
+    if value is not None:
+        return value
     if level == 0:
-        value = RationalFunction(UnivariatePoly.one(), gl_order(r).compose_monomial(m))
+        value = (1,) if kind == "ss" else (0,) * (r - 1) + (-1, 1)
     else:
-        value = RationalFunction.zero()
-        for t in enumerate_types(r):
-            term = RationalFunction.from_poly(_type_count_at_power(t, m))
-            for degree, size in type_pairs(t):
-                term = term * ss_weight(level - 1, size, m * degree, cache)
-            value = value + term
-    cache.put("ss", key, value)
+        scale, rows = _type_table(kind, r)
+        total: list[int] = []
+        for factor, pairs in rows:
+            term = factor
+            for d, s in pairs:
+                term = _mul(term, _compose(_weight(kind, level - 1, s, cache), d))
+            _add_into(total, term)
+        value = _certified_quotient(_strip(total), (scale,))
+    cache.put(kind, key, value)
     return value
+
+
+def _memo(cache: WeightCache | None) -> WeightCache:
+    return WeightCache() if cache is None else cache
+
+
+def _check_weight_args(name: str, level: int, r: int, m: int) -> None:
+    if level < 0 or r < 1 or m < 1:
+        raise ValueError(f"{name} needs level >= 0, r >= 1, m >= 1")
+
+
+def ss_weight(level: int, r: int, m: int, cache: WeightCache | None = None) -> RationalFunction:
+    """Block weight for all-semisimple commuting tuples: V_ss(level, r) / |GL_r|, at q^m.
+
+    Level 0 is 1/|GL_r(q^m)|; the all-semisimple count of k-tuples is
+    |GL_n(q)| * ss_weight(k, n, 1).
+    """
+    _check_weight_args("ss_weight", level, r, m)
+    value = _weight("ss", level, r, _memo(cache))
+    return RationalFunction(UnivariatePoly(_compose(value, m)), gl_order(r).compose_monomial(m))
 
 
 def mixed_weight(level: int, r: int, m: int, cache: WeightCache | None = None) -> RationalFunction:
-    """Block weight when the last matrix is merely invertible and commuting.
+    """Block weight when the last matrix is merely invertible: V_mixed(level, r) at q^m.
 
-    Same recursion shape as ``ss_weight`` but the leaf counts the candidate
-    characteristic polynomials of the free matrix on the block:
-    (q^m - 1) * q^(m*(r-1)).
+    Level 0 counts the candidate characteristic polynomials of the free
+    matrix on the block: (q^m - 1) * q^(m*(r-1)).
     """
-    if level < 0 or r < 1 or m < 1:
-        raise ValueError("mixed_weight needs level >= 0, r >= 1, m >= 1")
-    if cache is None:
-        cache = _shared_cache
-    key = CountKey(level, r, m)
-    hit = cache.get("mixed", key)
-    if hit is not None:
-        return hit
-    if level == 0:
-        qm = UnivariatePoly.monomial(1, m)
-        leaf = (qm - 1) * UnivariatePoly.monomial(1, m * (r - 1))
-        value = RationalFunction.from_poly(leaf)
-    else:
-        value = RationalFunction.zero()
-        for t in enumerate_types(r):
-            term = RationalFunction.from_poly(_type_count_at_power(t, m))
-            for degree, size in type_pairs(t):
-                term = term * mixed_weight(level - 1, size, m * degree, cache)
-            value = value + term
-    cache.put("mixed", key, value)
-    return value
+    _check_weight_args("mixed_weight", level, r, m)
+    return RationalFunction.from_poly(UnivariatePoly(_compose(_weight("mixed", level, r, _memo(cache)), m)))
 
 
 @dataclass(frozen=True)
@@ -239,17 +396,6 @@ class CountingPolynomial:
         return {"n": self.n, "k": self.k, "mode": self.mode, "poly": self.poly.to_json()}
 
 
-def _certified_quotient(numerator: UnivariatePoly, denominator: UnivariatePoly) -> UnivariatePoly:
-    """Exact division that upgrades failures to IntegralityViolation."""
-    try:
-        poly = numerator.exact_div(denominator)
-    except NotDivisible as exc:
-        raise IntegralityViolation(str(exc)) from exc
-    if not poly.is_integer():
-        raise IntegralityViolation(f"fractional coefficients in {poly}")
-    return poly
-
-
 def count_semisimple_tuples(n: int, k: int, cache: WeightCache | None = None) -> CountingPolynomial:
     """Commuting k-tuples of semisimple elements of GL_n(F_q), as a polynomial.
 
@@ -261,9 +407,8 @@ def count_semisimple_tuples(n: int, k: int, cache: WeightCache | None = None) ->
         raise InvalidArity("tuple length k must be >= 0")
     if k == 0:
         return CountingPolynomial(UnivariatePoly.one(), n, 0, MODE_SEMISIMPLE)
-    w = ss_weight(k, n, 1, cache)
-    poly = _certified_quotient(gl_order(n) * w.num, w.den)
-    return CountingPolynomial(poly, n, k, MODE_SEMISIMPLE)
+    poly = _weight("ss", k, n, _memo(cache))
+    return CountingPolynomial(UnivariatePoly(poly), n, k, MODE_SEMISIMPLE)
 
 
 def count_mixed_tuples(n: int, k: int, cache: WeightCache | None = None) -> CountingPolynomial:
@@ -275,9 +420,8 @@ def count_mixed_tuples(n: int, k: int, cache: WeightCache | None = None) -> Coun
         raise InvalidArity("matrix size n must be >= 1")
     if k < 2:
         raise InvalidArity("mixed tuples need k >= 2")
-    w = mixed_weight(k - 2, n, 1, cache)
-    poly = _certified_quotient(gl_order(n) * w.num, w.den)
-    return CountingPolynomial(poly, n, k, MODE_MIXED)
+    poly = _mul(_gl_order_int(n), _weight("mixed", k - 2, n, _memo(cache)))
+    return CountingPolynomial(UnivariatePoly(poly), n, k, MODE_MIXED)
 
 
 def count_conjugacy_classes(n: int, k: int, cache: WeightCache | None = None) -> CountingPolynomial:
@@ -286,9 +430,8 @@ def count_conjugacy_classes(n: int, k: int, cache: WeightCache | None = None) ->
         raise InvalidArity("matrix size n must be >= 1")
     if k < 1:
         raise InvalidArity("conjugacy classes need k >= 1")
-    w = mixed_weight(k - 1, n, 1, cache)
-    poly = _certified_quotient(w.num, w.den)
-    return CountingPolynomial(poly, n, k, MODE_CONJUGACY)
+    poly = _weight("mixed", k - 1, n, _memo(cache))
+    return CountingPolynomial(UnivariatePoly(poly), n, k, MODE_CONJUGACY)
 
 
 def hom_count(n: int, g: int, prank: int, cache: WeightCache | None = None) -> CountingPolynomial:
@@ -371,13 +514,15 @@ def check_degree_monic(cp: CountingPolynomial) -> DegreeReport:
 def check_laurent_quotient(cp: CountingPolynomial) -> LaurentPoly:
     """The count divided by |GL_n(q)|, certified an integer Laurent polynomial.
 
+    |GL_n(q)| is q^(n(n-1)/2) times prod (q^i - 1) for i <= n, so the
+    quotient is an exact division by that monic product followed by a shift.
     Applies to all-semisimple and mixed counts.  A NotLaurent escape means
-    the computed count was wrong, so it propagates; fractional coefficients
-    raise NonIntegerCoefficient.
+    the computed count was wrong, so it propagates.
     """
     if cp.mode not in (MODE_SEMISIMPLE, MODE_MIXED):
         raise ValueError("Laurent quotient applies to tuple counts, not class counts")
-    quotient = to_laurent(cp.poly, gl_order(cp.n))
-    if not quotient.is_integer():
-        raise NonIntegerCoefficient(f"quotient {quotient} has fractional coefficients")
-    return quotient
+    shift = cp.n * (cp.n - 1) // 2
+    quotient = _exact_div(tuple(c.numerator for c in cp.poly.coeffs), _gl_order_int(cp.n)[shift:])
+    if quotient is None:
+        raise NotLaurent(f"{cp.poly} is not divisible by prod (q^i - 1) for i <= {cp.n}")
+    return LaurentPoly(-shift, quotient)

@@ -192,6 +192,34 @@ def test_corrupt_cache_exit_two(capsys, tmp_path):
     assert status == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"version": 1, "ss": {"0:2:1": {"num": {"var": "q", "coeffs": [[1, 1]]},
+                                        "den": {"var": "q", "coeffs": [[1, 1]]}}}, "mixed": {}},
+        [],
+        {"version": 2, "ss": {"0:2": {"var": "q"}}, "mixed": {}},
+    ],
+    ids=["version-1", "list", "missing-coeffs"],
+)
+def test_malformed_cache_exit_two(capsys, tmp_path, doc):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    status, out, err = run(capsys, "poly", "--n", "2", "--k", "2", "--cache", str(path))
+    assert status == 2
+    assert out == "" and err.startswith("error: weight cache")
+
+
+def test_poly_n9_beyond_ceiling(capsys):
+    status, out, _ = run(capsys, "poly", "--n", "9", "--k", "2", "--budget-override", "--format", "json")
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["degree"] == 90
+    assert doc["poly"]["coeffs"][-1] == [1, 1]
+    assert doc["checks"]["degree"]["isMonic"] and doc["checks"]["degree"]["degreeExact"]
+    assert all(den == 1 for _, den in doc["checks"]["laurentQuotient"]["coeffs"])
+
+
 def test_entry_raises_system_exit(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["monodromy", "poly", "--n", "1", "--k", "1"])
     with pytest.raises(SystemExit) as exc:

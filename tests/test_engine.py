@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from monodromy import engine
 from monodromy.engine import (
     MODE_CONJUGACY,
     MODE_MIXED,
     MODE_SEMISIMPLE,
+    CacheFormatError,
     CountingPolynomial,
     CountKey,
     DegreeViolation,
@@ -27,6 +29,7 @@ from monodromy.engine import (
     ss_weight,
 )
 from monodromy.exactpoly import LaurentPoly, RationalFunction, UnivariatePoly
+from monodromy.typecomb import count_monic_with_type, enumerate_types, type_pairs
 
 Q = UnivariatePoly.variable()
 
@@ -187,7 +190,9 @@ def test_weight_cache_round_trip(tmp_path):
     cache.save(str(path))
     loaded = WeightCache.load(str(path))
     assert len(loaded) == len(cache)
-    assert loaded.get("ss", CountKey(0, 2, 1)) == ss_weight(0, 2, 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["weights.json"]  # no temp file left behind
+    stored = UnivariatePoly(loaded.get("ss", CountKey(1, 2)))
+    assert RationalFunction(stored, gl_order(2)) == ss_weight(1, 2, 1)
     # a preloaded cache reproduces the same polynomial
     assert count_semisimple_tuples(2, 2, loaded).poly == count_semisimple_tuples(2, 2).poly
     # and the file is deterministic
@@ -195,6 +200,101 @@ def test_weight_cache_round_trip(tmp_path):
     first = path.read_bytes()
     cache.save(str(path))
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"version": 1, "ss": {"0:2:1": {"num": {"var": "q", "coeffs": [[1, 1]]}}}},
+        {"version": "2"},
+        {"version": 2, "ss": []},
+        {"version": 2, "ss": {"0:2": {"var": "q"}}},
+        {"version": 2, "ss": {"0:2": {"coeffs": [1.5]}}},
+        {"version": 2, "ss": {"0:2": {"coeffs": [1, 0]}}},
+        {"version": 2, "mixed": {"0:2:1": {"coeffs": [1]}}},
+        {"version": 2, "mixed": {"0:0": {"coeffs": [1]}}},
+    ],
+)
+def test_weight_cache_rejects_bad_documents(doc):
+    with pytest.raises(CacheFormatError):
+        WeightCache.from_json(doc)
+
+
+# Reference: the per-block weight recursion over GCD-reduced rational
+# functions (leaf 1/|GL_r| for the semisimple kind, every field power q^m
+# kept apart), an independent formulation of what the engine's integer
+# recursion computes.
+
+
+def _reference_weight(kind, level, r, m, memo):
+    key = (kind, level, r, m)
+    if key in memo:
+        return memo[key]
+    if level == 0:
+        if kind == "ss":
+            value = RationalFunction(UnivariatePoly.one(), gl_order(r).compose_monomial(m))
+        else:
+            qm = UnivariatePoly.monomial(1, m)
+            value = RationalFunction.from_poly((qm - 1) * UnivariatePoly.monomial(1, m * (r - 1)))
+    else:
+        value = RationalFunction.zero()
+        for t in enumerate_types(r):
+            term = RationalFunction.from_poly(count_monic_with_type(t).compose_monomial(m))
+            for degree, size in type_pairs(t):
+                term = term * _reference_weight(kind, level - 1, size, m * degree, memo)
+            value = value + term
+    memo[key] = value
+    return value
+
+
+def _reference_count(n, k, mode, memo):
+    if mode == MODE_SEMISIMPLE:
+        w, prefix = _reference_weight("ss", k, n, 1, memo), gl_order(n)
+    elif mode == MODE_MIXED:
+        w, prefix = _reference_weight("mixed", k - 2, n, 1, memo), gl_order(n)
+    else:
+        w, prefix = _reference_weight("mixed", k - 1, n, 1, memo), UnivariatePoly.one()
+    return (prefix * w.num).exact_div(w.den)
+
+
+_REFERENCE_MEMO: dict = {}
+
+
+@pytest.mark.parametrize(
+    "mode,count",
+    [(MODE_SEMISIMPLE, count_semisimple_tuples), (MODE_MIXED, count_mixed_tuples),
+     (MODE_CONJUGACY, count_conjugacy_classes)],
+)
+def test_matches_rational_function_reference(mode, count):
+    for n in range(1, 6):
+        for k in range(2 if mode == MODE_MIXED else 1, 5):
+            assert count(n, k).poly == _reference_count(n, k, mode, _REFERENCE_MEMO), (n, k)
+
+
+@pytest.fixture
+def fresh_type_tables():
+    engine._type_table.cache_clear()
+    yield
+    engine._type_table.cache_clear()
+
+
+def test_fractional_type_count_fails_level_sum(monkeypatch, fresh_type_tables):
+    real = engine.count_monic_with_type
+    poisoned = enumerate_types(2)[0]
+    monkeypatch.setattr(
+        engine, "count_monic_with_type", lambda t: real(t) + Fraction(1, 3) if t == poisoned else real(t)
+    )
+    with pytest.raises(IntegralityViolation):
+        count_conjugacy_classes(2, 2)
+
+
+def test_non_exact_centralizer_index(monkeypatch, fresh_type_tables):
+    # one block too many: (q - 1)^3 does not divide |GL_2(q)| = q (q - 1)^2 (q + 1)
+    real = engine.type_pairs
+    monkeypatch.setattr(engine, "type_pairs", lambda t: real(t) + ((1, 1),) if t.weight == 2 else real(t))
+    with pytest.raises(IntegralityViolation):
+        count_semisimple_tuples(2, 1)
 
 
 def test_degree_check_even_k():
