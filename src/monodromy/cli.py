@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import engine, exactpoly, fforacle, groupdiv
@@ -38,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="table")
-    common.add_argument("--cache", metavar="PATH", default=None,
-                        help="JSON memo cache (the MONODROMY_CACHE env var overrides this)")
     common.add_argument("--budget-override", action="store_true",
                         help="lift enumeration and size ceilings")
 
@@ -92,8 +89,8 @@ def _resolve_shape(args) -> tuple[int, int, str]:
         return args.n, 2 * args.g, engine.MODE_MIXED if prank else engine.MODE_SEMISIMPLE
     if args.prank is not None:
         raise UsageError("--prank goes with --g; with --k use --mode")
-    if args.k < 0:
-        raise UsageError("--k must be >= 0")
+    if args.k < 1:
+        raise UsageError("--k must be >= 1")
     mode_flag = args.mode if args.mode is not None else "ss"
     return args.n, args.k, _MODE_BY_FLAG[mode_flag]
 
@@ -126,12 +123,12 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-def _count_for(n: int, k: int, mode: str, cache) -> engine.CountingPolynomial:
+def _count_for(n: int, k: int, mode: str) -> engine.CountingPolynomial:
     if mode == engine.MODE_SEMISIMPLE:
-        return engine.count_semisimple_tuples(n, k, cache)
+        return engine.count_semisimple_tuples(n, k)
     if mode == engine.MODE_MIXED:
-        return engine.count_mixed_tuples(n, k, cache)
-    return engine.count_conjugacy_classes(n, k, cache)
+        return engine.count_mixed_tuples(n, k)
+    return engine.count_conjugacy_classes(n, k)
 
 
 def _emit(doc: dict, fmt: str, table_lines) -> None:
@@ -146,10 +143,10 @@ def _emit(doc: dict, fmt: str, table_lines) -> None:
 # subcommands
 
 
-def _cmd_poly(args, cache) -> int:
+def _cmd_poly(args) -> int:
     n, k, mode = _resolve_shape(args)
     _check_size_ceiling(n, k, args.budget_override)
-    cp = _count_for(n, k, mode, cache)
+    cp = _count_for(n, k, mode)
     doc = {
         "command": "poly",
         "n": n,
@@ -185,12 +182,10 @@ def _cmd_poly(args, cache) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, cache) -> int:
+def _cmd_verify(args) -> int:
     n, k, mode = _resolve_shape(args)
-    if k < 1:
-        raise UsageError("verification needs k >= 1")
     _check_size_ceiling(n, k, args.budget_override)
-    cp = _count_for(n, k, mode, cache)
+    cp = _count_for(n, k, mode)
     rows = []
     all_match = True
     for q in _parse_q_list(args.q):
@@ -227,7 +222,7 @@ def _cmd_verify(args, cache) -> int:
     return EXIT_OK if all_match else EXIT_MISMATCH
 
 
-def _cmd_census(args, cache) -> int:
+def _cmd_census(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     from .typecomb import count_monic_with_type
@@ -274,7 +269,7 @@ def _parse_prime_sets(text: str | None) -> list[tuple[int, ...]]:
     return [primes]
 
 
-def _cmd_divisibility(args, cache) -> int:
+def _cmd_divisibility(args) -> int:
     groups = groupdiv.load_corpus(args.corpus)
     if args.group is not None:
         groups = tuple(g for g in groups if g.name == args.group)
@@ -341,25 +336,16 @@ def _cmd_divisibility(args, cache) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_path = os.environ.get("MONODROMY_CACHE") or args.cache
+    handler = {
+        "poly": _cmd_poly,
+        "verify": _cmd_verify,
+        "census": _cmd_census,
+        "divisibility": _cmd_divisibility,
+    }[args.command]
     try:
-        if cache_path and os.path.exists(cache_path):
-            cache = engine.WeightCache.load(cache_path)
-        else:
-            cache = engine.WeightCache()
-        handler = {
-            "poly": _cmd_poly,
-            "verify": _cmd_verify,
-            "census": _cmd_census,
-            "divisibility": _cmd_divisibility,
-        }[args.command]
-        status = handler(args, cache)
-        if cache_path and args.command in ("poly", "verify") and len(cache):
-            cache.save(cache_path)
-        return status
+        return handler(args)
     except (UsageError, engine.InvalidArity, fforacle.UnsupportedField, fforacle.BudgetExceeded,
-            groupdiv.BudgetExceeded, groupdiv.ClosureBudgetExceeded, groupdiv.PreconditionViolated,
-            ValueError, OSError, json.JSONDecodeError) as exc:
+            groupdiv.ClosureBudgetExceeded, groupdiv.PreconditionViolated, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (engine.IntegralityViolation, engine.DegreeViolation, engine.MonicViolation,

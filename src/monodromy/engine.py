@@ -51,10 +51,7 @@ views for callers, not part of the counting path.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, NamedTuple, Optional
@@ -75,8 +72,6 @@ Mode = Literal["all-semisimple", "mixed", "conjugacy-classes"]
 
 #: Integer polynomial: ascending coefficients with no trailing zeros.
 IntPoly = tuple[int, ...]
-
-CACHE_VERSION = 2
 
 
 class IntegralityViolation(ArithmeticError):
@@ -99,10 +94,6 @@ class NonIntegerCoefficient(ArithmeticError):
     """Laurent quotient by the group order must have integer coefficients."""
 
 
-class CacheFormatError(ValueError):
-    """A weight-cache document has an unknown version or the wrong shape."""
-
-
 class CountKey(NamedTuple):
     """Memoization key within one kind: recursion level and block size."""
 
@@ -111,7 +102,7 @@ class CountKey(NamedTuple):
 
 
 class WeightCache:
-    """Memo tables for the two kinds of the recursion, optionally JSON-persisted.
+    """In-memory memo tables for the two kinds of the recursion.
 
     Values are integer polynomials at q, keyed by ``CountKey``.  Shared use
     is benign: values are keyed deterministically, so a duplicated
@@ -129,67 +120,6 @@ class WeightCache:
 
     def __len__(self) -> int:
         return sum(len(t) for t in self._tables.values())
-
-    def to_json(self) -> dict:
-        return {
-            "version": CACHE_VERSION,
-            **{
-                kind: {f"{k.level}:{k.r}": {"coeffs": list(value)} for k, value in sorted(table.items())}
-                for kind, table in self._tables.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, doc) -> "WeightCache":
-        """Rebuild a cache from ``to_json`` output; anything else raises CacheFormatError."""
-        if not isinstance(doc, dict):
-            raise CacheFormatError("weight cache must be a JSON object")
-        version = doc.get("version")
-        if type(version) is not int or version != CACHE_VERSION:
-            raise CacheFormatError(f"weight cache version {version!r} is not {CACHE_VERSION}")
-        cache = cls()
-        for kind in ("ss", "mixed"):
-            table = doc.get(kind, {})
-            if not isinstance(table, dict):
-                raise CacheFormatError(f"weight cache table {kind!r} must be an object")
-            for key, value in table.items():
-                cache.put(kind, _parse_cache_key(key), _parse_cache_value(key, value))
-        return cache
-
-    def save(self, path: str) -> None:
-        """Write the cache as JSON; a temp file and a rename keep ``path`` whole."""
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.to_json(), handle, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-
-    @classmethod
-    def load(cls, path: str) -> "WeightCache":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
-
-
-def _parse_cache_key(key: str) -> CountKey:
-    parts = key.split(":")
-    try:
-        level, r = (int(part) for part in parts)
-    except ValueError:
-        raise CacheFormatError(f"weight cache key {key!r} is not 'level:r'") from None
-    if level < 0 or r < 1:
-        raise CacheFormatError(f"weight cache key {key!r} is out of range")
-    return CountKey(level, r)
-
-
-def _parse_cache_value(key: str, value) -> IntPoly:
-    coeffs = value.get("coeffs") if isinstance(value, dict) else None
-    if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs) or (coeffs and coeffs[-1] == 0):
-        raise CacheFormatError(f"weight cache entry {key!r} needs 'coeffs': integers, top one nonzero")
-    return tuple(coeffs)
 
 
 class NullCache(WeightCache):

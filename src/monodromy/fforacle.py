@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 
 from .typecomb import FactorizationType, enumerate_types
@@ -466,6 +466,42 @@ MODE_ALL_SEMISIMPLE = "all-semisimple"
 MODE_LAST_FREE = "last-free"
 
 
+def centralizer_sets(elements, product) -> tuple[frozenset[int], ...]:
+    """For each index, the indices of the elements commuting with it, itself included.
+
+    One scan over the pairs i < j, testing ``product(a, b) == product(b, a)``;
+    it serves matrix groups here and permutation groups in ``groupdiv``.
+    """
+    size = len(elements)
+    sets = [{i} for i in range(size)]
+    for i in range(size):
+        a = elements[i]
+        for j in range(i + 1, size):
+            b = elements[j]
+            if product(a, b) == product(b, a):
+                sets[i].add(j)
+                sets[j].add(i)
+    return tuple(frozenset(s) for s in sets)
+
+
+def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | None = None) -> int:
+    """Commuting k-tuples drawn from ``allowed``, followed by one from ``free`` if given.
+
+    ``cents`` is the output of ``centralizer_sets``.  Partial tuples are
+    extended through intersections of centralizer sets, never by raw
+    enumeration of every candidate tuple.
+    """
+    if k == 0:
+        return 1 if free is None else len(free)
+    if k == 1 and free is None:
+        return len(allowed)
+    total = 0
+    for x in allowed:
+        c = cents[x]
+        total += count_commuting_tuples(cents, allowed & c, k - 1, None if free is None else free & c)
+    return total
+
+
 class _GroupContext:
     """Everything enumerated once per (field, n): elements, flags, centralizers."""
 
@@ -484,18 +520,8 @@ class _GroupContext:
     @property
     def centralizers(self) -> tuple[frozenset, ...]:
         if self._centralizers is None:
-            add_t, mul_t = self.field.add_table, self.field.mul_table
-            size = len(self.mats)
-            sets: list[set[int]] = [set() for _ in range(size)]
-            for i in range(size):
-                sets[i].add(i)
-                a = self.mats[i]
-                for j in range(i + 1, size):
-                    b = self.mats[j]
-                    if _mat_mul_raw(add_t, mul_t, a, b) == _mat_mul_raw(add_t, mul_t, b, a):
-                        sets[i].add(j)
-                        sets[j].add(i)
-            self._centralizers = tuple(frozenset(s) for s in sets)
+            product = partial(_mat_mul_raw, self.field.add_table, self.field.mul_table)
+            self._centralizers = centralizer_sets(self.mats, product)
         return self._centralizers
 
     def conjugate(self, g: int, x: int) -> int:
@@ -529,9 +555,7 @@ def brute_hom_count(n: int, f: FieldSpec, k: int, mode: str, override_budget: bo
     """Count commuting k-tuples of invertible matrices by direct scan.
 
     Mode ``all-semisimple`` constrains every entry; ``last-free`` leaves the
-    final entry merely invertible-and-commuting.  Partial tuples are extended
-    through intersections of centralizer sets, never by raw enumeration of
-    q^(k n^2) candidates.
+    final entry merely invertible-and-commuting.
     """
     if k < 1:
         raise ValueError("tuple length must be >= 1")
@@ -539,25 +563,11 @@ def brute_hom_count(n: int, f: FieldSpec, k: int, mode: str, override_budget: bo
         raise ValueError(f"unknown mode {mode!r}")
     _check_scan_budget(f, n, override_budget)
     ctx = _group_context(f, n)
-    everything = frozenset(range(len(ctx.mats)))
-    if mode == MODE_LAST_FREE and k == 1:
-        return len(everything)
-    cents = ctx.centralizers
-    last_free = mode == MODE_LAST_FREE
-    ss_slots = k - 1 if last_free else k
-
-    def extend(allowed_ss: frozenset, allowed_all: frozenset, slots_left: int) -> int:
-        if slots_left == 0:
-            return len(allowed_all) if last_free else 1
-        if slots_left == 1 and not last_free:
-            return len(allowed_ss)
-        total = 0
-        for x in allowed_ss:
-            c = cents[x]
-            total += extend(allowed_ss & c, allowed_all & c if last_free else allowed_all, slots_left - 1)
-        return total
-
-    return extend(ctx.ss_set, everything, ss_slots)
+    if mode == MODE_ALL_SEMISIMPLE:
+        return count_commuting_tuples(ctx.centralizers, ctx.ss_set, k)
+    if k == 1:  # one free element: every matrix, no centralizer scan needed
+        return len(ctx.mats)
+    return count_commuting_tuples(ctx.centralizers, ctx.ss_set, k - 1, free=frozenset(range(len(ctx.mats))))
 
 
 def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False) -> int:

@@ -20,7 +20,14 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
-from .fforacle import FieldSpec, enumerate_invertible, mat_vec
+from .fforacle import (
+    BudgetExceeded,
+    FieldSpec,
+    centralizer_sets,
+    count_commuting_tuples,
+    enumerate_invertible,
+    mat_vec,
+)
 
 CLOSURE_BUDGET = 10_000
 HOM_GROUP_BUDGET = 2_000
@@ -33,10 +40,6 @@ class ClosureBudgetExceeded(RuntimeError):
 
 class PreconditionViolated(ValueError):
     """Input fails a stated hypothesis (normalization or element order)."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Group too large for the requested scan."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +119,7 @@ class FiniteGroupTable:
         self.identity_index = self._index[identity]
         self._orders: Optional[tuple[int, ...]] = None
         self._inverses: Optional[tuple[int, ...]] = None
+        self._centralizers: Optional[tuple[frozenset[int], ...]] = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -137,6 +141,13 @@ class FiniteGroupTable:
                 self._index[tuple(_invert(p))] for p in self.elements
             )
         return self._inverses
+
+    @property
+    def centralizers(self) -> tuple[frozenset[int], ...]:
+        """For each element, the indices of the elements commuting with it."""
+        if self._centralizers is None:
+            self._centralizers = centralizer_sets(self.elements, compose_perms)
+        return self._centralizers
 
     def power_idx(self, i: int, t: int) -> int:
         """i-th element to the t-th power, by repeated squaring."""
@@ -314,18 +325,6 @@ def coset_p_power_count(
     return count, count % required == 0
 
 
-def _centralizer_sets(table: FiniteGroupTable) -> tuple[frozenset[int], ...]:
-    size = len(table)
-    sets: list[set[int]] = [set() for _ in range(size)]
-    for i in range(size):
-        sets[i].add(i)
-        for j in range(i + 1, size):
-            if table.compose_idx(i, j) == table.compose_idx(j, i):
-                sets[i].add(j)
-                sets[j].add(i)
-    return tuple(frozenset(s) for s in sets)
-
-
 def hom_count_profinite_abelian(table: FiniteGroupTable, k: int, primes: Iterable[int]) -> int:
     """Commuting k-tuples whose element orders avoid every prime in the set.
 
@@ -342,16 +341,7 @@ def hom_count_profinite_abelian(table: FiniteGroupTable, k: int, primes: Iterabl
     eligible = frozenset(
         i for i, order in enumerate(table.orders) if all(order % p for p in prime_set)
     )
-    cents = _centralizer_sets(table)
-
-    def extend(allowed: frozenset[int], slots_left: int) -> int:
-        if slots_left == 0:
-            return 1
-        if slots_left == 1:
-            return len(allowed)
-        return sum(extend(allowed & cents[x], slots_left - 1) for x in allowed)
-
-    return extend(eligible, k)
+    return count_commuting_tuples(table.centralizers, eligible, k)
 
 
 @dataclass(frozen=True)

@@ -162,52 +162,11 @@ def test_unsupported_field_exit_two(capsys):
     assert status == 2
 
 
-def test_cache_file_round_trip(capsys, tmp_path):
-    path = tmp_path / "weights.json"
-    status, first, _ = run(capsys, "poly", "--n", "2", "--k", "3", "--cache", str(path), "--format", "json")
-    assert status == 0
-    assert path.exists()
-    status, second, _ = run(capsys, "poly", "--n", "2", "--k", "3", "--cache", str(path), "--format", "json")
-    assert status == 0
-    assert first == second
-    # and identical to a cacheless run
-    _, bare, _ = run(capsys, "poly", "--n", "2", "--k", "3", "--format", "json")
-    assert bare == first
-
-
-def test_cache_env_override(capsys, tmp_path, monkeypatch):
-    env_path = tmp_path / "env-cache.json"
-    flag_path = tmp_path / "flag-cache.json"
-    monkeypatch.setenv("MONODROMY_CACHE", str(env_path))
-    status, _, _ = run(capsys, "poly", "--n", "2", "--k", "2", "--cache", str(flag_path))
-    assert status == 0
-    assert env_path.exists()
-    assert not flag_path.exists()
-
-
-def test_corrupt_cache_exit_two(capsys, tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    status, _, err = run(capsys, "poly", "--n", "2", "--k", "2", "--cache", str(path))
+@pytest.mark.parametrize("command", ["poly", "verify"])
+def test_k_zero_exit_two(capsys, command):
+    status, out, err = run(capsys, command, "--n", "3", "--k", "0", "--q", "2")
     assert status == 2
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"version": 1, "ss": {"0:2:1": {"num": {"var": "q", "coeffs": [[1, 1]]},
-                                        "den": {"var": "q", "coeffs": [[1, 1]]}}}, "mixed": {}},
-        [],
-        {"version": 2, "ss": {"0:2": {"var": "q"}}, "mixed": {}},
-    ],
-    ids=["version-1", "list", "missing-coeffs"],
-)
-def test_malformed_cache_exit_two(capsys, tmp_path, doc):
-    path = tmp_path / "weights.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    status, out, err = run(capsys, "poly", "--n", "2", "--k", "2", "--cache", str(path))
-    assert status == 2
-    assert out == "" and err.startswith("error: weight cache")
+    assert out == "" and "--k must be >= 1" in err
 
 
 def test_poly_n9_beyond_ceiling(capsys):

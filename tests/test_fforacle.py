@@ -1,9 +1,11 @@
 """Brute-force oracle: field tables, matrix scans, and the polynomial census."""
 
+import itertools
 import random
 
 import pytest
 
+from monodromy import fforacle
 from monodromy.fforacle import (
     MODE_ALL_SEMISIMPLE,
     MODE_LAST_FREE,
@@ -13,6 +15,8 @@ from monodromy.fforacle import (
     UnsupportedField,
     brute_conj_count,
     brute_hom_count,
+    centralizer_sets,
+    count_commuting_tuples,
     count_semisimple_elements,
     enumerate_invertible,
     field_make,
@@ -26,6 +30,7 @@ from monodromy.fforacle import (
     min_poly,
     poly_type_census,
 )
+from monodromy.groupdiv import compose_perms, group_generate, parse_cycles
 from monodromy.typecomb import enumerate_types, total_monic_count
 
 
@@ -244,6 +249,49 @@ def test_brute_hom_validation():
         brute_hom_count(2, field_make(2, 1), 2, "sideways")
     with pytest.raises(BudgetExceeded):
         brute_hom_count(3, field_make(3, 1), 2, MODE_ALL_SEMISIMPLE)
+
+
+def _perm_group(domain, *cycle_texts):
+    table = group_generate([parse_cycles(t, domain) for t in cycle_texts])
+    odd = frozenset(i for i, order in enumerate(table.orders) if order % 2)
+    return table.elements, compose_perms, table.centralizers, odd
+
+
+def _gl2f2():
+    f = field_make(2, 1)
+    ctx = fforacle._group_context(f, 2)
+    return [FFMatrix(f, 2, m) for m in ctx.mats], mat_mul, ctx.centralizers, ctx.ss_set
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        lambda: _perm_group(3, "(1 2)", "(1 2 3)"),
+        lambda: _perm_group(4, "(1 2 3 4)", "(1 3)"),
+        lambda: _perm_group(8, "(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"),
+        _gl2f2,
+    ],
+    ids=["S3", "D4", "Q8", "GL2F2"],
+)
+def test_count_commuting_tuples_matches_naive(group):
+    elements, product, cents, restricted = group()
+    assert cents == centralizer_sets(elements, product)
+    everything = frozenset(range(len(elements)))
+
+    def commute(t):
+        return all(product(elements[a], elements[b]) == product(elements[b], elements[a])
+                   for a, b in itertools.combinations(t, 2))
+
+    for allowed in (everything, restricted):
+        for k in (1, 2, 3):
+            naive = sum(1 for t in itertools.product(sorted(allowed), repeat=k) if commute(t))
+            assert count_commuting_tuples(cents, allowed, k) == naive
+            for free in (everything, restricted):
+                naive_free = sum(
+                    1 for t in itertools.product(sorted(allowed), repeat=k)
+                    for x in free if commute(t + (x,))
+                )
+                assert count_commuting_tuples(cents, allowed, k, free=free) == naive_free
 
 
 def test_brute_conj_counts():
