@@ -271,6 +271,8 @@ def _parse_prime_sets(text: str | None) -> list[tuple[int, ...]]:
 
 def _cmd_divisibility(args) -> int:
     groups = groupdiv.load_corpus(args.corpus)
+    if not groups:
+        raise UsageError(f"corpus {args.corpus} defines no groups")
     if args.group is not None:
         groups = tuple(g for g in groups if g.name == args.group)
         if not groups:

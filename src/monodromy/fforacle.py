@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import prod
 
+from .exactpoly import NotDivisible
 from .typecomb import FactorizationType, enumerate_types
 
 GL_ORDER_BUDGET = 200_000   # largest |GL_n(F_q)| enumerated without override
@@ -48,12 +49,6 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 _SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 
-def _pp_trim(cs: list[int]) -> tuple[int, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def _pp_divmod(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Long division of base-p coefficient tuples over the prime field."""
     inv_lead = pow(b[-1], p - 2, p)
@@ -67,7 +62,7 @@ def _pp_divmod(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[in
             rem[shift + i] = (rem[shift + i] - factor * c) % p
         while rem and rem[-1] == 0:
             rem.pop()
-    return _pp_trim(quo), _pp_trim(rem)
+    return _fq_trim(quo), _fq_trim(rem)
 
 
 class FieldSpec:
@@ -122,7 +117,7 @@ class FieldSpec:
                     if x:
                         for j, y in enumerate(digits[b]):
                             conv[i + j] = (conv[i + j] + x * y) % p
-                _, rem = _pp_divmod(p, _pp_trim(conv), self.modulus)
+                _, rem = _pp_divmod(p, _fq_trim(conv), self.modulus)
                 row.append(self._undigits(list(rem) + [0] * (e - len(rem))))
             mul.append(tuple(row))
         self.add_table = tuple(add)
@@ -196,15 +191,6 @@ def _fq_trim(cs: list[int]) -> tuple[int, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def _fq_sub(f: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = f.sub(out[i], c)
-    return _fq_trim(out)
 
 
 def _fq_mul(f: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -503,19 +489,14 @@ def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | 
 
 
 class _GroupContext:
-    """Everything enumerated once per (field, n): elements, flags, centralizers."""
+    """Everything enumerated once per (field, n): elements, the semisimple set, centralizers."""
 
     def __init__(self, f: FieldSpec, n: int):
         self.field = f
-        self.n = n
-        mats = [m.entries for m in enumerate_invertible(n, f, override_budget=True)]
-        self.mats = tuple(mats)
-        self.index = {entries: i for i, entries in enumerate(mats)}
-        self.semisimple = tuple(is_semisimple(FFMatrix(f, n, entries)) for entries in mats)
-        self.ss_set = frozenset(i for i, flag in enumerate(self.semisimple) if flag)
-        self.inverse = tuple(self.index[mat_inv(FFMatrix(f, n, entries)).entries] for entries in mats)
+        mats = list(enumerate_invertible(n, f, override_budget=True))
+        self.mats = tuple(m.entries for m in mats)
+        self.ss_set = frozenset(i for i, m in enumerate(mats) if is_semisimple(m))
         self._centralizers: tuple[frozenset, ...] | None = None
-        self._conj_memo: dict[tuple[int, int], int] = {}
 
     @property
     def centralizers(self) -> tuple[frozenset, ...]:
@@ -523,17 +504,6 @@ class _GroupContext:
             product = partial(_mat_mul_raw, self.field.add_table, self.field.mul_table)
             self._centralizers = centralizer_sets(self.mats, product)
         return self._centralizers
-
-    def conjugate(self, g: int, x: int) -> int:
-        key = (g, x)
-        hit = self._conj_memo.get(key)
-        if hit is not None:
-            return hit
-        add_t, mul_t = self.field.add_table, self.field.mul_table
-        gx = _mat_mul_raw(add_t, mul_t, self.mats[g], self.mats[x])
-        result = self.index[_mat_mul_raw(add_t, mul_t, gx, self.mats[self.inverse[g]])]
-        self._conj_memo[key] = result
-        return result
 
 
 @lru_cache(maxsize=None)
@@ -563,44 +533,30 @@ def brute_hom_count(n: int, f: FieldSpec, k: int, mode: str, override_budget: bo
         raise ValueError(f"unknown mode {mode!r}")
     _check_scan_budget(f, n, override_budget)
     ctx = _group_context(f, n)
+    if k == 1:  # a single entry commutes with itself: no centralizer scan needed
+        return len(ctx.ss_set if mode == MODE_ALL_SEMISIMPLE else ctx.mats)
     if mode == MODE_ALL_SEMISIMPLE:
         return count_commuting_tuples(ctx.centralizers, ctx.ss_set, k)
-    if k == 1:  # one free element: every matrix, no centralizer scan needed
-        return len(ctx.mats)
     return count_commuting_tuples(ctx.centralizers, ctx.ss_set, k - 1, free=frozenset(range(len(ctx.mats))))
 
 
 def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False) -> int:
     """Orbit count of commuting all-semisimple k-tuples under conjugation.
 
-    Sweeps tuples in lexicographic order, marking each new orbit by
-    conjugating the representative with every group element.
+    The stabilizer of a tuple is the intersection of its entries'
+    centralizers, so counting each tuple with one more commuting element
+    from the whole group gives sum |Stab(t)| = |G| * #orbits
+    (orbit-stabilizer).  The division by |G| must be exact.
     """
     if k < 1:
         raise ValueError("tuple length must be >= 1")
     _check_scan_budget(f, n, override_budget)
     ctx = _group_context(f, n)
-    cents = ctx.centralizers
-    tuples: list[tuple[int, ...]] = []
-
-    def collect(prefix: list[int], allowed: frozenset) -> None:
-        if len(prefix) == k:
-            tuples.append(tuple(prefix))
-            return
-        for x in sorted(allowed):
-            prefix.append(x)
-            collect(prefix, allowed & cents[x])
-            prefix.pop()
-
-    collect([], ctx.ss_set)
-    visited: set[tuple[int, ...]] = set()
-    orbits = 0
-    for t in tuples:
-        if t in visited:
-            continue
-        orbits += 1
-        for g in range(len(ctx.mats)):
-            visited.add(tuple(ctx.conjugate(g, x) for x in t))
+    order = len(ctx.mats)
+    weighted = count_commuting_tuples(ctx.centralizers, ctx.ss_set, k, free=frozenset(range(order)))
+    orbits, remainder = divmod(weighted, order)
+    if remainder:
+        raise NotDivisible(f"stabilizer sum {weighted} is not a multiple of |GL_{n}(F_{f.size})| = {order}")
     return orbits
 
 

@@ -127,6 +127,15 @@ def test_divisibility_custom_corpus(capsys, tmp_path):
     assert [g["name"] for g in doc["groups"]] == ["C4"]
 
 
+def test_divisibility_empty_corpus_exit_two(capsys, tmp_path):
+    # a corpus of comments and blank lines checks nothing, so it must not pass
+    path = tmp_path / "corpus.txt"
+    path.write_text("# no groups here\n\n   \n", encoding="utf-8")
+    status, out, err = run(capsys, "divisibility", "--corpus", str(path))
+    assert status == 2 and "error:" in err and "no groups" in err
+    assert out == ""
+
+
 def test_usage_errors_exit_two(capsys):
     # both shapes at once
     status, _, err = run(capsys, "poly", "--n", "2", "--k", "2", "--g", "1")

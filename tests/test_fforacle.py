@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from monodromy import fforacle
+from monodromy import cli, fforacle
+from monodromy.exactpoly import NotDivisible
 from monodromy.fforacle import (
     MODE_ALL_SEMISIMPLE,
     MODE_LAST_FREE,
@@ -301,6 +302,51 @@ def test_brute_conj_counts():
     assert brute_conj_count(2, field_make(3, 1), 1) == 6
     with pytest.raises(ValueError):
         brute_conj_count(2, field_make(2, 1), 0)
+
+
+@pytest.mark.parametrize("n,p,ks", [(2, 2, (1, 2, 3)), (2, 3, (1, 2)), (3, 2, (1, 2))],
+                         ids=["GL2F2", "GL2F3", "GL3F2"])
+def test_brute_conj_matches_orbit_enumeration(n, p, ks):
+    # reference: sweep the commuting semisimple tuples, marking the whole orbit
+    # of each unseen one by conjugating it with every group element
+    f = field_make(p, 1)
+    mats = list(enumerate_invertible(n, f))
+    semisimple = [m for m in mats if is_semisimple(m)]
+    with_inverses = [(g, mat_inv(g)) for g in mats]
+    for k in ks:
+        seen = set()
+        orbits = 0
+        for t in itertools.product(semisimple, repeat=k):
+            if t in seen or any(mat_mul(a, b) != mat_mul(b, a) for a, b in itertools.combinations(t, 2)):
+                continue
+            orbits += 1
+            seen.update(tuple(mat_mul(mat_mul(g, x), g_inv) for x in t) for g, g_inv in with_inverses)
+        assert brute_conj_count(n, f, k) == orbits
+
+
+def test_brute_conj_certifies_the_division(monkeypatch):
+    # drop one commuting element from one centralizer set of a fresh context:
+    # the stabilizer sum stops being a multiple of |G| and the count refuses
+    f = field_make(2, 1)
+    ctx = fforacle._GroupContext(f, 2)
+    cents = list(ctx.centralizers)
+    x = min(i for i in ctx.ss_set if len(cents[i]) > 1)
+    cents[x] = cents[x] - {max(cents[x] - {x})}
+    ctx._centralizers = tuple(cents)
+    monkeypatch.setattr(fforacle, "_group_context", lambda field, n: ctx)
+    with pytest.raises(NotDivisible):
+        brute_conj_count(2, f, 1)
+    # the command line reports it as an internal invariant violation
+    assert cli.main(["verify", "--n", "2", "--k", "1", "--mode", "conj", "--q", "2"]) == 3
+
+
+def test_k_one_hom_counts_skip_the_centralizer_scan(monkeypatch):
+    f = field_make(3, 1)
+    ctx = fforacle._GroupContext(f, 2)
+    monkeypatch.setattr(fforacle, "_group_context", lambda field, n: ctx)
+    assert brute_hom_count(2, f, 1, MODE_ALL_SEMISIMPLE) == 32
+    assert brute_hom_count(2, f, 1, MODE_LAST_FREE) == 48
+    assert ctx._centralizers is None
 
 
 def test_commuting_pairs_are_conjugation_stable():
