@@ -51,7 +51,6 @@ from .fforacle import (
     enumerate_invertible,
     field_make,
     is_semisimple,
-    min_poly,
     poly_type_census,
 )
 from .groupdiv import (

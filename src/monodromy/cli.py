@@ -266,11 +266,16 @@ def _parse_prime_sets(text: str | None) -> list[tuple[int, ...]]:
         primes = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
     except ValueError as exc:
         raise UsageError(f"bad --S list {text!r}") from exc
+    if any(not groupdiv._is_prime(p) for p in primes):
+        raise UsageError(f"--S needs primes, got {text!r}")
     return [primes]
 
 
 def _cmd_divisibility(args) -> int:
-    groups = groupdiv.load_corpus(args.corpus)
+    try:  # a malformed line raises ValueError, and so does an undecodable file (UnicodeDecodeError)
+        groups = groupdiv.load_corpus(args.corpus)
+    except ValueError as exc:
+        raise UsageError(f"{args.corpus}: {exc}") from exc
     if not groups:
         raise UsageError(f"corpus {args.corpus} defines no groups")
     if args.group is not None:
@@ -347,11 +352,11 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (UsageError, engine.InvalidArity, fforacle.UnsupportedField, fforacle.BudgetExceeded,
-            groupdiv.ClosureBudgetExceeded, groupdiv.PreconditionViolated, ValueError, OSError) as exc:
+            groupdiv.ClosureBudgetExceeded, groupdiv.PreconditionViolated, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (engine.IntegralityViolation, engine.DegreeViolation, engine.MonicViolation,
-            engine.NonIntegerCoefficient, exactpoly.NotLaurent, exactpoly.NotDivisible) as exc:
+            engine.NonIntegerCoefficient, exactpoly.NotLaurent, exactpoly.NotDivisible, ValueError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

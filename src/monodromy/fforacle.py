@@ -5,6 +5,10 @@ matrix enumeration, centralizer scans.  The point is to be an independent
 check on the polynomial engine, so nothing is shared with it beyond the
 factorization-type vocabulary.
 
+A matrix is semisimple here when its order is prime to p, the
+characteristic: ``is_semisimple`` tests m^(r+1) == m, with r the part of
+|GL_n(F_q)| prime to p.
+
 Supported fields are F_{p^e} for p in {2, 3, 5, 7} and e <= 3, with a fixed
 modulus per (p, e) so element encodings are stable across runs.  Elements
 are encoded as integers 0 .. p^e - 1 whose base-p digits, little-endian, are
@@ -193,17 +197,6 @@ def _fq_trim(cs: list[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-def _fq_mul(f: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = f.add(out[i + j], f.mul(x, y))
-    return _fq_trim(out)
-
-
 def _fq_divmod(f: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -219,33 +212,6 @@ def _fq_divmod(f: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tu
         while rem and rem[-1] == 0:
             rem.pop()
     return _fq_trim(quo), _fq_trim(rem)
-
-
-def _fq_monic(f: FieldSpec, a: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or a[-1] == 1:
-        return a
-    inv_lead = f.inv(a[-1])
-    return tuple(f.mul(c, inv_lead) for c in a)
-
-
-def _fq_gcd(f: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    while b:
-        a, b = b, _fq_divmod(f, a, b)[1]
-    return _fq_monic(f, a)
-
-
-def _fq_lcm(f: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    g = _fq_gcd(f, a, b)
-    return _fq_monic(f, _fq_mul(f, a, _fq_divmod(f, b, g)[0]))
-
-
-def _fq_derivative(f: FieldSpec, a: tuple[int, ...]) -> tuple[int, ...]:
-    # d/dT: coefficient k of T^k becomes k*a_k at T^(k-1); k acts through k mod p,
-    # which is exactly the small-integer element encoding
-    out = []
-    for k in range(1, len(a)):
-        out.append(f.mul(a[k], k % f.p))
-    return _fq_trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -383,66 +349,26 @@ def enumerate_invertible(n: int, f: FieldSpec, override_budget: bool = False):
     return extend([], {(0,) * n})
 
 
-def min_poly(m: FFMatrix) -> tuple[int, ...]:
-    """Minimal polynomial of a matrix, ascending coefficients, monic.
-
-    Builds the Krylov chain of each standard basis vector not yet covered,
-    reads off that vector's monic annihilator from the first linear
-    dependence, and accumulates the least common multiple.
-    """
-    f, n = m.field, m.n
-    result = (1,)
-    covered: list[tuple[int, tuple[int, ...]]] = []  # echelonized (pivot, vector)
-
-    def reduce_against(rows, vec):
-        for pivot, row in rows:
-            c = vec[pivot]
-            if c != 0:
-                factor = f.mul(c, f.inv(row[pivot]))
-                vec = tuple(f.sub(x, f.mul(factor, y)) for x, y in zip(vec, row))
-        return vec
-
-    for i in range(n):
-        basis = tuple(1 if j == i else 0 for j in range(n))
-        if all(x == 0 for x in reduce_against(covered, basis)):
-            continue
-        chain: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []  # (pivot, vec, combo)
-        v = basis
-        while True:
-            r = v
-            combo = [0] * (len(chain) + 1)
-            combo[-1] = 1
-            for pivot, row, row_combo in chain:
-                c = r[pivot]
-                if c != 0:
-                    factor = f.mul(c, f.inv(row[pivot]))
-                    r = tuple(f.sub(x, f.mul(factor, y)) for x, y in zip(r, row))
-                    for t, u in enumerate(row_combo):
-                        combo[t] = f.sub(combo[t], f.mul(factor, u))
-            if all(x == 0 for x in r):
-                annihilator = tuple(combo)  # monic: the new vector's slot stayed 1
-                break
-            pivot = next(t for t, x in enumerate(r) if x != 0)
-            chain.append((pivot, r, tuple(combo)))
-            v = mat_vec(m, v)
-        result = _fq_lcm(f, result, annihilator)
-        for pivot, row, _ in chain:
-            reduced = reduce_against(covered, row)
-            if any(x != 0 for x in reduced):
-                covered.append((next(t for t, x in enumerate(reduced) if x != 0), reduced))
-        if len(covered) == n:
-            break
-    return result
-
-
 def is_semisimple(m: FFMatrix) -> bool:
-    """Squarefree minimal polynomial, detected by gcd with its derivative.
+    """Order prime to p, tested as m^(r+1) == m with r the p'-part of |GL_n(F_q)|.
 
-    A zero derivative (possible in characteristic p) falls out correctly:
-    gcd(mp, 0) is mp itself, which is not constant, so the test fails.
+    For invertible m the test says that the order of m divides r, and an
+    element of GL_n(F_q) has order prime to p exactly when it is semisimple.
+    A singular m splits into an invertible part and a nilpotent part (Fitting
+    decomposition); a nilpotent N has N^(r+1) == N only when N == 0, so the
+    test decides semisimplicity on every square matrix over the field.
     """
-    mp = min_poly(m)
-    return _fq_gcd(m.field, mp, _fq_derivative(m.field, mp)) == (1,)
+    f = m.field
+    add_t, mul_t = f.add_table, f.mul_table
+    r = prod(f.size**i - 1 for i in range(1, m.n + 1))
+    power = base = m.entries
+    while r:  # square-and-multiply: power runs from m^1 up to m^(r+1)
+        if r & 1:
+            power = _mat_mul_raw(add_t, mul_t, power, base)
+        r >>= 1
+        if r:
+            base = _mat_mul_raw(add_t, mul_t, base, base)
+    return power == m.entries
 
 
 # ---------------------------------------------------------------------------

@@ -318,11 +318,15 @@ def coset_p_power_count(
     for g in h_gens:
         if table.compose_idx(table.compose_idx(x, g), x_inv) not in subgroup:
             raise PreconditionViolated(f"element {x} does not normalize the subgroup")
-    required = p ** _valuation(len(subgroup), p)
-    count = sum(
-        1 for h in subgroup if _is_prime_power_or_one(table.orders[table.compose_idx(h, x)], p)
-    )
+    count, required = _coset_count(table, subgroup, x, p)
     return count, count % required == 0
+
+
+def _coset_count(table: FiniteGroupTable, subgroup: frozenset[int], x: int, p: int) -> tuple[int, int]:
+    """p-power-order elements of the coset Hx, and the p-part of |H| that should divide their number."""
+    orders = table.orders
+    count = sum(1 for h in subgroup if _is_prime_power_or_one(orders[table.compose_idx(h, x)], p))
+    return count, p ** _valuation(len(subgroup), p)
 
 
 def hom_count_profinite_abelian(table: FiniteGroupTable, k: int, primes: Iterable[int]) -> int:
@@ -476,15 +480,10 @@ def coset_lemma_sweep(table: FiniteGroupTable) -> tuple[CosetLemmaCheck, ...]:
             )
         ]
         for p in _prime_factors(len(table)):
-            required = p ** _valuation(len(subgroup), p)
             for x in normalizer:
                 if not _is_prime_power_or_one(orders[x], p):
                     continue
-                count = sum(
-                    1
-                    for h in members
-                    if _is_prime_power_or_one(orders[table.compose_idx(h, x)], p)
-                )
+                count, required = _coset_count(table, subgroup, x, p)
                 results.append(
                     CosetLemmaCheck(
                         subgroup_order=len(subgroup),

@@ -136,6 +136,35 @@ def test_divisibility_empty_corpus_exit_two(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "content", [b"C4 4 (1 2 3 4\n", b"\xff\xfe C4 4 (1 2 3 4)\n"], ids=["bad-line", "undecodable"]
+)
+def test_divisibility_bad_corpus_exit_two(capsys, tmp_path, content):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(content)
+    status, out, err = run(capsys, "divisibility", "--corpus", str(path))
+    assert status == 2 and err.startswith("error:") and str(path) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("primes", ["4", "0", "2,9"])
+def test_divisibility_non_prime_s_exit_two(capsys, primes):
+    status, out, err = run(capsys, "divisibility", "--group", "S3", "--S", primes)
+    assert status == 2 and err.startswith("error:") and "--S needs primes" in err
+    assert out == ""
+
+
+def test_internal_value_error_exits_three(capsys, monkeypatch):
+    # a ValueError that no input check turned into a usage error is a broken invariant
+    def broken(n, k):
+        raise ValueError("inconsistent memo entry")
+
+    monkeypatch.setattr(cli.engine, "count_semisimple_tuples", broken)
+    status, out, err = run(capsys, "poly", "--n", "2", "--k", "2")
+    assert status == 3 and "internal invariant violated: inconsistent memo entry" in err
+    assert out == ""
+
+
 def test_usage_errors_exit_two(capsys):
     # both shapes at once
     status, _, err = run(capsys, "poly", "--n", "2", "--k", "2", "--g", "1")

@@ -28,7 +28,6 @@ from monodromy.fforacle import (
     mat_inv,
     mat_mul,
     mat_vec,
-    min_poly,
     poly_type_census,
 )
 from monodromy.groupdiv import compose_perms, group_generate, parse_cycles
@@ -163,41 +162,6 @@ def test_mat_vec():
     assert mat_vec(identity_matrix(f, 2), (1, 0)) == (1, 0)
 
 
-def test_min_poly_cases():
-    f2 = field_make(2, 1)
-    # identity: x - 1, i.e. (1, 1) ascending over F_2
-    assert min_poly(identity_matrix(f2, 2)) == (1, 1)
-    # unipotent Jordan block: (x - 1)^2 = x^2 + 1 over F_2
-    jordan = FFMatrix(f2, 2, ((1, 1), (0, 1)))
-    assert min_poly(jordan) == (1, 0, 1)
-    # companion matrix of the irreducible x^2 + x + 1
-    companion = FFMatrix(f2, 2, ((0, 1), (1, 1)))
-    assert min_poly(companion) == (1, 1, 1)
-    f3 = field_make(3, 1)
-    scalar = FFMatrix(f3, 3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
-    assert min_poly(scalar) == (1, 1)  # x + 1 = x - 2 over F_3
-
-
-def test_min_poly_annihilates():
-    f = field_make(2, 2)
-    rng = random.Random(4)
-    zero = FFMatrix(f, 3, ((0,) * 3,) * 3).entries
-    for _ in range(12):
-        m = FFMatrix(f, 3, tuple(tuple(rng.randrange(f.size) for _ in range(3)) for _ in range(3)))
-        mp = min_poly(m)
-        assert mp[-1] == 1 and len(mp) <= 4
-        # evaluate the polynomial at the matrix by Horner
-        acc = FFMatrix(f, 3, zero)
-        for c in reversed(mp):
-            acc = mat_mul(acc, m)
-            diag = tuple(
-                tuple(f.add(acc.entries[i][j], c) if i == j else acc.entries[i][j] for j in range(3))
-                for i in range(3)
-            )
-            acc = FFMatrix(f, 3, diag)
-        assert acc.entries == zero
-
-
 def test_is_semisimple_cases():
     f2 = field_make(2, 1)
     assert is_semisimple(identity_matrix(f2, 2))
@@ -207,6 +171,30 @@ def test_is_semisimple_cases():
     # distinct eigenvalues 1, 2
     assert is_semisimple(FFMatrix(f3, 2, ((1, 0), (0, 2))))
     assert not is_semisimple(FFMatrix(f3, 2, ((1, 1), (0, 1))))
+    # singular 3x3 matrices: semisimple exactly when the nilpotent part is zero
+    for f in (f2, f3, field_make(2, 2), field_make(5, 1)):
+        assert is_semisimple(FFMatrix(f, 3, ((0, 0, 0), (0, 0, 0), (0, 0, 0))))
+        assert is_semisimple(FFMatrix(f, 3, ((1, 0, 0), (0, 0, 0), (0, 0, 0))))
+        assert not is_semisimple(FFMatrix(f, 3, ((0, 1, 0), (0, 0, 1), (0, 0, 0))))  # J_3(0)
+        assert not is_semisimple(FFMatrix(f, 3, ((0, 1, 0), (0, 0, 0), (0, 0, 1))))  # J_2(0) + (1)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_is_semisimple_matches_trace_determinant_2x2(p, e):
+    # a 2x2 matrix is semisimple iff it is scalar or its characteristic
+    # polynomial x^2 - tx + d is separable: t^2 != 4d for odd p, t != 0 for p = 2
+    f = field_make(p, e)
+    four = f.add(f.add(1, 1), f.add(1, 1))
+    for a, b, c, d in itertools.product(range(f.size), repeat=4):
+        t = f.add(a, d)
+        det = f.sub(f.mul(a, d), f.mul(b, c))
+        if b == c == 0 and a == d:
+            expected = True
+        elif p == 2:
+            expected = t != 0
+        else:
+            expected = f.mul(t, t) != f.mul(four, det)
+        assert is_semisimple(FFMatrix(f, 2, ((a, b), (c, d)))) == expected, (a, b, c, d)
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from monodromy.fforacle import field_make
+from monodromy.fforacle import MODE_ALL_SEMISIMPLE, brute_hom_count, field_make
 from monodromy.groupdiv import (
     BudgetExceeded,
     ClosureBudgetExceeded,
@@ -178,9 +178,13 @@ def test_coset_p_power_count_preconditions():
 
 
 def test_coset_lemma_sweep_s3():
-    checks = coset_lemma_sweep(s3())
+    g = s3()
+    checks = coset_lemma_sweep(g)
     assert len(checks) == 30
     assert all(c.ok for c in checks)
+    whole = {(c.prime, c.coset_rep): (c.count, c.required_divisor) for c in checks if c.subgroup_order == 6}
+    assert whole[(2, g.identity_index)] == (4, 2)  # the identity and the three transpositions
+    assert whole[(3, g.identity_index)] == (3, 3)  # the identity and the two 3-cycles
 
 
 @pytest.mark.parametrize("name", ["S4", "A4", "D4", "Q8", "C12", "GL2F3"])
@@ -283,6 +287,17 @@ def test_corpus_gl2f3_matches_matrix_group():
     corpus_gl = next(t for t in load_corpus() if t.name == "GL2F3")
     direct = matrix_group_table(field_make(3, 1), 2)
     assert set(corpus_gl.elements) == set(direct.elements)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)])
+def test_semisimple_hom_count_matches_prime_to_p_hom_count(p, e, n):
+    # p-rank 0: commuting semisimple tuples in GL_n(F_q) are exactly the
+    # commuting tuples of order prime to p, so the oracle's matrix-power test
+    # and the permutation table's element orders must give the same count
+    f = field_make(p, e)
+    table = matrix_group_table(f, n)
+    for k in (1, 2):
+        assert brute_hom_count(n, f, k, MODE_ALL_SEMISIMPLE) == hom_count_profinite_abelian(table, k, (p,))
 
 
 def test_hom_budget():
