@@ -1,8 +1,10 @@
 """Brute-force ground truth over small finite fields.
 
 Everything here is deliberately naive: explicit field tables, explicit
-matrix enumeration, centralizer scans.  The point is to be an independent
-check on the polynomial engine, so nothing is shared with it beyond the
+matrix enumeration, centralizers as the invertible elements of each
+commutant ker(Y -> XY - YX), solved by Gaussian elimination and enumerated
+once per distinct commutant.  The point is to be an independent check on
+the polynomial engine, so nothing is shared with it beyond the
 factorization-type vocabulary.
 
 A matrix is semisimple here when its order is prime to p, the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import prod
 
 from .exactpoly import NotDivisible
@@ -382,7 +384,8 @@ def centralizer_sets(elements, product) -> tuple[frozenset[int], ...]:
     """For each index, the indices of the elements commuting with it, itself included.
 
     One scan over the pairs i < j, testing ``product(a, b) == product(b, a)``;
-    it serves matrix groups here and permutation groups in ``groupdiv``.
+    it serves permutation groups in ``groupdiv`` (matrix groups solve for
+    their commutants instead, see ``_commutant_basis``).
     """
     size = len(elements)
     sets = [{i} for i in range(size)]
@@ -399,19 +402,84 @@ def centralizer_sets(elements, product) -> tuple[frozenset[int], ...]:
 def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | None = None) -> int:
     """Commuting k-tuples drawn from ``allowed``, followed by one from ``free`` if given.
 
-    ``cents`` is the output of ``centralizer_sets``.  Partial tuples are
-    extended through intersections of centralizer sets, never by raw
-    enumeration of every candidate tuple.
+    ``cents`` holds, per index, the indices of the elements commuting with
+    it.  Partial tuples are extended through intersections of centralizer
+    sets, never by raw enumeration of every candidate tuple, and each
+    (allowed, k, free) subproblem is counted once per call.
     """
+    return _count_tuples(cents, allowed, k, free, {})
+
+
+def _count_tuples(cents, allowed: frozenset, k: int, free: frozenset | None, memo: dict) -> int:
     if k == 0:
         return 1 if free is None else len(free)
     if k == 1 and free is None:
         return len(allowed)
-    total = 0
-    for x in allowed:
-        c = cents[x]
-        total += count_commuting_tuples(cents, allowed & c, k - 1, None if free is None else free & c)
+    key = (allowed, k, free)
+    total = memo.get(key)
+    if total is None:
+        total = 0
+        for x in allowed:
+            c = cents[x]
+            total += _count_tuples(cents, allowed & c, k - 1, None if free is None else free & c, memo)
+        memo[key] = total
     return total
+
+
+def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of ker(Y -> XY - YX) in M_n(F_q), matrices flattened row-major.
+
+    Gaussian elimination brings the n^2 x n^2 system to reduced row-echelon
+    form; each free coordinate gives one basis vector.  Equal kernels give
+    equal bases, so the result can key a memo.
+    """
+    add_t, mul_t, neg_t = f.add_table, f.mul_table, f.neg_table
+    n = len(x)
+    size = n * n
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            # (XY - YX)_ij = sum_a X_ia Y_aj - sum_b Y_ib X_bj
+            row = [0] * size
+            for a in range(n):
+                row[a * n + j] = x[i][a]
+            for b in range(n):
+                row[i * n + b] = add_t[row[i * n + b]][neg_t[x[b][j]]]
+            rows.append(row)
+    pivots = []
+    for col in range(size):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, size) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        scale = f.inv_table[rows[pivot][col]]
+        prow = [mul_t[scale][v] for v in rows[pivot]]
+        rows[pivot] = rows[rank]
+        rows[rank] = prow
+        for r in range(size):
+            lead = rows[r][col]
+            if lead and r != rank:
+                factor = mul_t[neg_t[lead]]
+                rows[r] = [add_t[v][factor[w]] for v, w in zip(rows[r], prow)]
+        pivots.append(col)
+    basis = []
+    for free_col in (c for c in range(size) if c not in pivots):
+        vec = [0] * size
+        vec[free_col] = 1
+        for row, col in zip(rows, pivots):
+            vec[col] = neg_t[row[free_col]]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def _span(f: FieldSpec, basis) -> list[tuple[int, ...]]:
+    """Every F_q-linear combination of the basis vectors."""
+    add_t, mul_t = f.add_table, f.mul_table
+    vectors = [(0,) * len(basis[0])]
+    for b in basis:
+        multiples = [tuple(mul_t[c][v] for v in b) for c in range(1, f.size)]
+        vectors += [tuple(add_t[v][w] for v, w in zip(u, m)) for u in vectors for m in multiples]
+    return vectors
 
 
 class _GroupContext:
@@ -426,9 +494,20 @@ class _GroupContext:
 
     @property
     def centralizers(self) -> tuple[frozenset, ...]:
+        """C(X) as the invertible part of X's commutant; each distinct commutant is enumerated once."""
         if self._centralizers is None:
-            product = partial(_mat_mul_raw, self.field.add_table, self.field.mul_table)
-            self._centralizers = centralizer_sets(self.mats, product)
+            index = {tuple(itertools.chain.from_iterable(m)): i for i, m in enumerate(self.mats)}
+            by_basis: dict[tuple, frozenset] = {}
+            cents = []
+            for m in self.mats:
+                basis = _commutant_basis(self.field, m)
+                cent = by_basis.get(basis)
+                if cent is None:
+                    cent = by_basis[basis] = frozenset(
+                        i for i in map(index.get, _span(self.field, basis)) if i is not None
+                    )
+                cents.append(cent)
+            self._centralizers = tuple(cents)
         return self._centralizers
 
 
@@ -532,7 +611,7 @@ def poly_type_census(f: FieldSpec, n: int, override_budget: bool = False) -> tup
         raise ValueError("census degree must be >= 1")
     if not override_budget and f.size**n > POWER_BUDGET:
         raise BudgetExceeded(f"census would scan {f.size ** n} polynomials; pass override to force")
-    irreducibles = _irreducibles_up_to(f, n)
+    irreducibles = _irreducibles_up_to(f, n // 2)
     tally: dict[FactorizationType, int] = {t: 0 for t in enumerate_types(n)}
     for low in itertools.product(range(f.size), repeat=n):
         if low[0] == 0:
@@ -540,7 +619,13 @@ def poly_type_census(f: FieldSpec, n: int, override_budget: bool = False) -> tup
         remaining = low + (1,)
         exponents: dict[int, list[int]] = {}
         for d in range(1, n + 1):
-            if len(remaining) - 1 < d:
+            degree = len(remaining) - 1
+            if degree < 2 * d:
+                # every factor of degree < d is divided out, so what is left
+                # is 1 or a single irreducible of its own degree
+                if degree:
+                    exponents[degree] = [1]
+                    remaining = (1,)
                 break
             for irr in irreducibles[d]:
                 mult = 0

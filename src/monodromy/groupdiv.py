@@ -514,6 +514,8 @@ def parse_corpus(text: str) -> tuple[FiniteGroupTable, ...]:
         try:
             name, domain_text, rest = line.split(None, 2)
             domain = int(domain_text)
+            if domain < 1:
+                raise ValueError(f"domain {domain} is not a positive number of points")
             gens = [parse_cycles(g, domain) for g in rest.split(";")]
         except (ValueError, IndexError) as exc:
             raise ValueError(f"corpus line {line_no}: {exc}") from exc

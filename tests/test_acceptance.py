@@ -78,15 +78,17 @@ def test_criterion_2_laurent_quotients():
 
 
 def test_criterion_3_semisimple_oracle_equivalence():
-    # the full budget-feasible grid; the (3, 2) row stops at q = 2 because
-    # the GL_3(F_3) centralizer scan exceeds the pairwise work ceiling
-    grid = [(2, 2, (2, 3, 4, 5)), (2, 3, (2, 3, 4, 5)), (2, 4, (2, 3, 4, 5)), (3, 2, (2,))]
+    # the budget-feasible grid plus GL_3(F_3): |GL_3(F_3)|^2 exceeds the
+    # pairwise work ceiling, so that row passes override_budget; the oracle
+    # builds its centralizers from commutant kernels, not a pair scan
+    grid = [(2, 2, (2, 3, 4, 5)), (2, 3, (2, 3, 4, 5)), (2, 4, (2, 3, 4, 5)), (3, 2, (2, 3))]
     with criterion(3, "all-semisimple oracle equivalence", 300):
         for n, k, qs in grid:
             cp = count_semisimple_tuples(n, k)
             for q in qs:
                 field = field_make(*FIELD_BY_Q[q])
-                assert cp.evaluate(q) == brute_hom_count(n, field, k, MODE_ALL_SEMISIMPLE)
+                override = (n, q) == (3, 3)
+                assert cp.evaluate(q) == brute_hom_count(n, field, k, MODE_ALL_SEMISIMPLE, override)
 
 
 def test_criterion_4_mixed_oracle_equivalence():

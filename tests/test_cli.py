@@ -147,6 +147,16 @@ def test_divisibility_bad_corpus_exit_two(capsys, tmp_path, content):
     assert out == ""
 
 
+@pytest.mark.parametrize("line", ["X -2 ()", "Z 0 ()"], ids=["negative", "zero"])
+def test_divisibility_domain_below_one_exit_two(capsys, tmp_path, line):
+    # a group on no points would pass every check as the trivial group
+    path = tmp_path / "corpus.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    status, out, err = run(capsys, "divisibility", "--corpus", str(path))
+    assert status == 2 and err.startswith("error:") and "corpus line 1" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("primes", ["4", "0", "2,9"])
 def test_divisibility_non_prime_s_exit_two(capsys, primes):
     status, out, err = run(capsys, "divisibility", "--group", "S3", "--S", primes)

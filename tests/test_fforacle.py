@@ -6,6 +6,7 @@ import random
 import pytest
 
 from monodromy import cli, fforacle
+from monodromy.engine import count_conjugacy_classes, count_mixed_tuples, count_semisimple_tuples
 from monodromy.exactpoly import NotDivisible
 from monodromy.fforacle import (
     MODE_ALL_SEMISIMPLE,
@@ -283,6 +284,33 @@ def test_count_commuting_tuples_matches_naive(group):
                 assert count_commuting_tuples(cents, allowed, k, free=free) == naive_free
 
 
+@pytest.mark.parametrize("p,e,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)],
+                         ids=["GL2F2", "GL2F3", "GL2F4", "GL3F2"])
+def test_kernel_centralizers_match_pairwise_scan(p, e, n):
+    f = field_make(p, e)
+    ctx = fforacle._GroupContext(f, n)
+
+    def product(a, b):
+        return fforacle._mat_mul_raw(f.add_table, f.mul_table, a, b)
+
+    assert ctx.centralizers == centralizer_sets(ctx.mats, product)
+
+
+@pytest.mark.parametrize(
+    "n,p,e,k,override",
+    [(2, 2, 3, 2, False), (2, 2, 3, 3, False), (3, 3, 1, 2, True)],
+    ids=["GL2F8-k2", "GL2F8-k3", "GL3F3-k2"],
+)
+def test_oracle_matches_engine_beyond_the_pair_scan(n, p, e, k, override):
+    # GL_2(F_8) fits the pairwise ceiling, GL_3(F_3) needs the override; the
+    # commutant kernels make both cheap enough for the default test run
+    f = field_make(p, e)
+    q = f.size
+    assert brute_hom_count(n, f, k, MODE_ALL_SEMISIMPLE, override) == count_semisimple_tuples(n, k).evaluate(q)
+    assert brute_hom_count(n, f, k, MODE_LAST_FREE, override) == count_mixed_tuples(n, k).evaluate(q)
+    assert brute_conj_count(n, f, k, override) == count_conjugacy_classes(n, k).evaluate(q)
+
+
 def test_brute_conj_counts():
     assert brute_conj_count(2, field_make(2, 1), 1) == 2
     assert brute_conj_count(2, field_make(2, 1), 2) == 5
@@ -374,6 +402,19 @@ def test_census_totals(p, e, n):
 
     for r in records:
         assert count_monic_with_type(r.type).evaluate(f.size) == r.count
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 4), (2, 5), (3, 5)])
+def test_census_past_the_degree_cutoff(p, n):
+    # degrees where a remainder is tallied as irreducible without trial division
+    f = field_make(p, 1)
+    records = poly_type_census(f, n)
+    assert [r.type for r in records] == list(enumerate_types(n))
+    assert sum(r.count for r in records) == (p - 1) * p ** (n - 1)
+    from monodromy.typecomb import count_monic_with_type
+
+    for r in records:
+        assert count_monic_with_type(r.type).evaluate(p) == r.count
 
 
 def test_census_budget():
