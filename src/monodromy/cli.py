@@ -113,7 +113,9 @@ def _parse_q_list(text: str) -> list[int]:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    p = next((d for d in range(2, q + 1) if q % d == 0), q)
+    p = next((d for d in fforacle._SUPPORTED_PRIMES if q % d == 0), None)
+    if p is None:
+        raise UsageError(f"{q} is not a power of a supported characteristic {fforacle._SUPPORTED_PRIMES}")
     m, e = q, 0
     while m % p == 0:
         m //= p

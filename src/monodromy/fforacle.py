@@ -404,26 +404,25 @@ def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | 
 
     ``cents`` holds, per index, the indices of the elements commuting with
     it.  Partial tuples are extended through intersections of centralizer
-    sets, never by raw enumeration of every candidate tuple, and each
-    (allowed, k, free) subproblem is counted once per call.
+    sets, never by raw enumeration of every candidate tuple.  The count runs
+    level by level, so each (allowed, free) subproblem of a level is counted
+    once, with the number of partial tuples that reach it, and no call
+    recurses k deep.
     """
-    return _count_tuples(cents, allowed, k, free, {})
-
-
-def _count_tuples(cents, allowed: frozenset, k: int, free: frozenset | None, memo: dict) -> int:
     if k == 0:
         return 1 if free is None else len(free)
-    if k == 1 and free is None:
-        return len(allowed)
-    key = (allowed, k, free)
-    total = memo.get(key)
-    if total is None:
-        total = 0
-        for x in allowed:
-            c = cents[x]
-            total += _count_tuples(cents, allowed & c, k - 1, None if free is None else free & c, memo)
-        memo[key] = total
-    return total
+    level = {(allowed, free): 1}
+    for _ in range(k - 1):
+        nxt: dict = {}
+        for (a, f), ways in level.items():
+            for x in a:
+                c = cents[x]
+                key = (a & c, None if f is None else f & c)
+                nxt[key] = nxt.get(key, 0) + ways
+        level = nxt
+    if free is None:
+        return sum(ways * len(a) for (a, _), ways in level.items())
+    return sum(ways * sum(len(f & cents[x]) for x in a) for (a, f), ways in level.items())
 
 
 def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

@@ -13,12 +13,14 @@ Composition convention: ``compose(a, b)`` applies b first, then a.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .fforacle import (
     BudgetExceeded,
@@ -73,13 +75,11 @@ def parse_cycles(text: str, domain: int) -> tuple[int, ...]:
     return perm
 
 
-def cycle_string(perm: tuple[int, ...]) -> str:
-    """Inverse of parse_cycles; fixed points omitted, identity is ``()``."""
+def _cycles(perm: tuple[int, ...]) -> Iterator[list[int]]:
+    """The cycles of length at least 2, each starting from its least point."""
     seen = [False] * len(perm)
-    cycles = []
     for start in range(len(perm)):
         if seen[start] or perm[start] == start:
-            seen[start] = True
             continue
         cycle = [start]
         seen[start] = True
@@ -88,8 +88,13 @@ def cycle_string(perm: tuple[int, ...]) -> str:
             cycle.append(at)
             seen[at] = True
             at = perm[at]
-        cycles.append("(" + " ".join(str(pt + 1) for pt in cycle) + ")")
-    return "".join(cycles) if cycles else "()"
+        yield cycle
+
+
+def cycle_string(perm: tuple[int, ...]) -> str:
+    """Inverse of parse_cycles; fixed points omitted, identity is ``()``."""
+    text = "".join("(" + " ".join(str(pt + 1) for pt in cycle) + ")" for cycle in _cycles(perm))
+    return text or "()"
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +122,6 @@ class FiniteGroupTable:
         self.domain = domain
         self._index = {p: i for i, p in enumerate(elems)}
         self.identity_index = self._index[identity]
-        self._orders: Optional[tuple[int, ...]] = None
-        self._inverses: Optional[tuple[int, ...]] = None
-        self._centralizers: Optional[tuple[frozenset[int], ...]] = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -127,61 +129,44 @@ class FiniteGroupTable:
     def index_of(self, perm: tuple[int, ...]) -> int:
         return self._index[perm]
 
-    def compose_idx(self, i: int, j: int) -> int:
-        product = compose_perms(self.elements[i], self.elements[j])
+    @functools.cached_property
+    def products(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table: ``products[i][j]`` indexes ``compose(elements[i], elements[j])``."""
+        if len(self) > HOM_GROUP_BUDGET:
+            raise BudgetExceeded(f"group order {len(self)} exceeds {HOM_GROUP_BUDGET}")
         try:
-            return self._index[product]
+            return tuple(
+                tuple(self._index[compose_perms(a, b)] for b in self.elements) for a in self.elements
+            )
         except KeyError:
             raise ValueError("element list is not closed under composition") from None
 
-    @property
-    def inverses(self) -> tuple[int, ...]:
-        if self._inverses is None:
-            self._inverses = tuple(
-                self._index[tuple(_invert(p))] for p in self.elements
-            )
-        return self._inverses
+    def compose_idx(self, i: int, j: int) -> int:
+        return self.products[i][j]
 
-    @property
+    @functools.cached_property
+    def inverses(self) -> tuple[int, ...]:
+        return tuple(self._index[tuple(_invert(p))] for p in self.elements)
+
+    @functools.cached_property
     def centralizers(self) -> tuple[frozenset[int], ...]:
         """For each element, the indices of the elements commuting with it."""
-        if self._centralizers is None:
-            self._centralizers = centralizer_sets(self.elements, compose_perms)
-        return self._centralizers
+        return centralizer_sets(range(len(self)), self.compose_idx)
 
-    def power_idx(self, i: int, t: int) -> int:
-        """i-th element to the t-th power, by repeated squaring."""
-        if t < 0:
-            return self.power_idx(self.inverses[i], -t)
-        acc = self.identity_index
-        base = i
-        while t:
-            if t & 1:
-                acc = self.compose_idx(acc, base)
-            base = self.compose_idx(base, base)
-            t >>= 1
-        return acc
-
-    @property
+    @functools.cached_property
     def orders(self) -> tuple[int, ...]:
-        """Element orders: least divisor d of |G| with x^d = e."""
-        if self._orders is None:
-            divisors = _divisors(len(self))
-            out = []
-            for i in range(len(self)):
-                out.append(next(d for d in divisors if self.power_idx(i, d) == self.identity_index))
-            self._orders = tuple(out)
-        return self._orders
+        """Element orders: the lcm of the cycle lengths."""
+        return tuple(math.lcm(*map(len, _cycles(p))) for p in self.elements)
 
     def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
         """Indices of the subgroup generated by the given element indices."""
         seen = {self.identity_index}
         queue = [self.identity_index]
-        gen_list = [g for g in gens]
+        gen_list = list(gens)
         while queue:
-            x = queue.pop()
+            row = self.products[queue.pop()]
             for g in gen_list:
-                y = self.compose_idx(x, g)
+                y = row[g]
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
@@ -314,18 +299,22 @@ def coset_p_power_count(
     subgroup = table.subgroup_closure(h_gens)
     if not _is_prime_power_or_one(table.orders[x], p):
         raise PreconditionViolated(f"element {x} has order {table.orders[x]}, not a power of {p}")
-    x_inv = table.inverses[x]
-    for g in h_gens:
-        if table.compose_idx(table.compose_idx(x, g), x_inv) not in subgroup:
-            raise PreconditionViolated(f"element {x} does not normalize the subgroup")
+    if not _normalizes(table, x, h_gens, subgroup):
+        raise PreconditionViolated(f"element {x} does not normalize the subgroup")
     count, required = _coset_count(table, subgroup, x, p)
     return count, count % required == 0
 
 
+def _normalizes(table: FiniteGroupTable, x: int, gens: Iterable[int], subgroup: frozenset[int]) -> bool:
+    """Whether x conjugates every generator of the subgroup back into it."""
+    products, x_inv = table.products, table.inverses[x]
+    return all(products[products[x][g]][x_inv] in subgroup for g in gens)
+
+
 def _coset_count(table: FiniteGroupTable, subgroup: frozenset[int], x: int, p: int) -> tuple[int, int]:
     """p-power-order elements of the coset Hx, and the p-part of |H| that should divide their number."""
-    orders = table.orders
-    count = sum(1 for h in subgroup if _is_prime_power_or_one(orders[table.compose_idx(h, x)], p))
+    orders, products = table.orders, table.products
+    count = sum(1 for h in subgroup if _is_prime_power_or_one(orders[products[h][x]], p))
     return count, p ** _valuation(len(subgroup), p)
 
 
@@ -340,8 +329,6 @@ def hom_count_profinite_abelian(table: FiniteGroupTable, k: int, primes: Iterabl
     prime_set = frozenset(primes)
     if any(not _is_prime(p) for p in prime_set):
         raise ValueError(f"prime set {sorted(prime_set)} contains a non-prime")
-    if len(table) > HOM_GROUP_BUDGET:
-        raise BudgetExceeded(f"group order {len(table)} exceeds {HOM_GROUP_BUDGET}")
     eligible = frozenset(
         i for i, order in enumerate(table.orders) if all(order % p for p in prime_set)
     )
@@ -419,26 +406,30 @@ def divisibility_report(table: FiniteGroupTable, k: int, primes: Iterable[int]) 
 # subgroup sweep for the coset check
 
 
-def enumerate_subgroups(table: FiniteGroupTable) -> tuple[frozenset[int], ...]:
-    """Every subgroup, as index sets: cyclic subgroups closed under joins."""
+def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], tuple[int, ...]]:
+    """Every subgroup, as an index set mapped to indices generating it, by size then members.
+
+    Cyclic subgroups closed under joins; a join closes the generators of the
+    known subgroup plus the generator of one cyclic subgroup.
+    """
     if len(table) > SWEEP_GROUP_BUDGET:
         raise BudgetExceeded(f"subgroup sweep on order {len(table)} exceeds {SWEEP_GROUP_BUDGET}")
-    cyclics = sorted(
-        {table.subgroup_closure([i]) for i in range(len(table))},
-        key=lambda s: (len(s), sorted(s)),
-    )
-    known = set(cyclics)
+    known: dict[frozenset[int], tuple[int, ...]] = {}
+    for i in range(len(table)):
+        known.setdefault(table.subgroup_closure([i]), (i,))
+    cyclics = sorted(known, key=lambda s: (len(s), sorted(s)))
     queue = list(cyclics)
     while queue:
         current = queue.pop(0)
         for cyc in cyclics:
             if cyc <= current:
                 continue
-            joined = table.subgroup_closure(current | cyc)
+            gens = known[current] + known[cyc]
+            joined = table.subgroup_closure(gens)
             if joined not in known:
-                known.add(joined)
+                known[joined] = gens
                 queue.append(joined)
-    return tuple(sorted(known, key=lambda s: (len(s), sorted(s))))
+    return {s: known[s] for s in sorted(known, key=lambda s: (len(s), sorted(s)))}
 
 
 @dataclass(frozen=True)
@@ -469,16 +460,8 @@ def coset_lemma_sweep(table: FiniteGroupTable) -> tuple[CosetLemmaCheck, ...]:
     """
     results = []
     orders = table.orders
-    for subgroup in enumerate_subgroups(table):
-        members = sorted(subgroup)
-        normalizer = [
-            x
-            for x in range(len(table))
-            if all(
-                table.compose_idx(table.compose_idx(x, h), table.inverses[x]) in subgroup
-                for h in members
-            )
-        ]
+    for subgroup, gens in enumerate_subgroups(table).items():
+        normalizer = [x for x in range(len(table)) if _normalizes(table, x, gens, subgroup)]
         for p in _prime_factors(len(table)):
             for x in normalizer:
                 if not _is_prime_power_or_one(orders[x], p):

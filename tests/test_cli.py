@@ -1,10 +1,16 @@
 """The monodromy command line: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from monodromy import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -208,6 +214,24 @@ def test_scan_budget_exit_two(capsys):
 def test_unsupported_field_exit_two(capsys):
     status, _, err = run(capsys, "verify", "--n", "2", "--k", "2", "--mode", "ss", "--q", "11")
     assert status == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "census"])
+def test_large_prime_q_exits_two_at_once(command):
+    # q has no factor in the supported characteristics, so no scan up to q runs
+    argv = [command, "--n", "1", "--q", "1000000007"] + (["--k", "1"] if command == "verify" else [])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "monodromy.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "not a power of a supported characteristic" in proc.stderr
+
+
+def test_divisibility_deep_rank(capsys):
+    status, out, _ = run(capsys, "divisibility", "--group", "S3", "--k", "1500", "--format", "json")
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["allOk"] is True and len(doc["groups"][0]["homReports"]) == 4
 
 
 @pytest.mark.parametrize("command", ["poly", "verify"])

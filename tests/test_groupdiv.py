@@ -1,5 +1,6 @@
 """Permutation groups, Frobenius counts, coset counts, and hom divisibility."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -101,13 +102,15 @@ def test_element_orders_s4():
     assert Counter(s4().orders) == {1: 1, 2: 9, 3: 8, 4: 6}
 
 
-def test_power_idx():
-    g = s3()
-    rot = g.index_of(parse_cycles("(1 2 3)", 3))
-    assert g.power_idx(rot, 3) == g.identity_index
-    assert g.power_idx(rot, 2) == g.index_of(parse_cycles("(1 3 2)", 3))
-    assert g.power_idx(rot, -1) == g.inverses[rot]
-    assert g.power_idx(rot, 0) == g.identity_index
+def test_orders_match_power_walk():
+    def walk(perm):
+        power, order = perm, 1
+        while power != tuple(range(len(perm))):
+            power, order = compose_perms(power, perm), order + 1
+        return order
+
+    for table in load_corpus() + (make("S5", 5, "(1 2)", "(1 2 3 4 5)"),):
+        assert table.orders == tuple(walk(p) for p in table.elements), table.name
 
 
 def test_closure_budget():
@@ -204,6 +207,34 @@ def test_enumerate_subgroups():
     # orders partition correctly (Lagrange)
     for sub in enumerate_subgroups(s4()):
         assert 24 % len(sub) == 0
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "C6", "C8"])
+def test_enumerate_subgroups_matches_brute_force(name):
+    table = next(t for t in load_corpus() if t.name == name)
+    size = len(table)
+    closed = {
+        frozenset(sub)
+        for r in range(1, size + 1)
+        for sub in itertools.combinations(range(size), r)
+        if all(table.compose_idx(a, b) in sub for a in sub for b in sub)
+    }
+    subgroups = enumerate_subgroups(table)
+    assert set(subgroups) == closed
+    assert list(subgroups) == sorted(closed, key=lambda s: (len(s), sorted(s)))
+
+
+def test_enumerate_subgroups_counts_and_generators():
+    groups = [
+        make("A5", 5, "(1 2 3)", "(3 4 5)"),
+        make("S5", 5, "(1 2)", "(1 2 3 4 5)"),
+        next(t for t in load_corpus() if t.name == "GL2F3"),
+    ]
+    for table, count in zip(groups, (59, 156, 55)):
+        subgroups = enumerate_subgroups(table)
+        assert len(subgroups) == count, table.name
+        for subgroup, gens in subgroups.items():
+            assert table.subgroup_closure(gens) == subgroup
 
 
 def test_hom_count_profinite_abelian_s3():
@@ -306,3 +337,22 @@ def test_hom_budget():
     assert hom_count_profinite_abelian(big, 1, ()) == 25
     with pytest.raises(BudgetExceeded):
         enumerate_subgroups(matrix_group_table(field_make(7, 1), 2))
+
+
+def test_cayley_table_budget_spares_table_free_checks():
+    table = matrix_group_table(field_make(7, 1), 2)
+    assert len(table) == 2016
+    with pytest.raises(BudgetExceeded):
+        table.compose_idx(0, 0)
+    with pytest.raises(BudgetExceeded):
+        hom_count_profinite_abelian(table, 1, ())
+    # orders come from cycle types, so Frobenius needs no table
+    assert frobenius_count(table, 1) == (1, True)
+    count, divides = frobenius_count(table, 2)
+    assert divides and count % 2 == 0
+
+
+def test_hom_count_deep_rank():
+    c12 = make("C12", 12, "(1 2 3 4 5 6 7 8 9 10 11 12)")
+    assert hom_count_profinite_abelian(c12, 1500, ()) == 12**1500
+    assert hom_count_profinite_abelian(c12, 1500, (2,)) == 3**1500
