@@ -112,19 +112,6 @@ def _parse_q_list(text: str) -> list[int]:
     return values
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    p = next((d for d in fforacle._SUPPORTED_PRIMES if q % d == 0), None)
-    if p is None:
-        raise UsageError(f"{q} is not a power of a supported characteristic {fforacle._SUPPORTED_PRIMES}")
-    m, e = q, 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise UsageError(f"{q} is not a prime power")
-    return p, e
-
-
 def _count_for(n: int, k: int, mode: str) -> engine.CountingPolynomial:
     if mode == engine.MODE_SEMISIMPLE:
         return engine.count_semisimple_tuples(n, k)
@@ -191,8 +178,7 @@ def _cmd_verify(args) -> int:
     rows = []
     all_match = True
     for q in _parse_q_list(args.q):
-        p, e = _prime_power(q)
-        field = fforacle.field_make(p, e)
+        field = fforacle.field_of_size(q)
         if mode == engine.MODE_SEMISIMPLE:
             actual = fforacle.brute_hom_count(n, field, k, fforacle.MODE_ALL_SEMISIMPLE, args.budget_override)
         elif mode == engine.MODE_MIXED:
@@ -232,8 +218,7 @@ def _cmd_census(args) -> int:
     rows = []
     all_match = True
     for q in _parse_q_list(args.q):
-        p, e = _prime_power(q)
-        field = fforacle.field_make(p, e)
+        field = fforacle.field_of_size(q)
         for record in fforacle.poly_type_census(field, args.n, args.budget_override):
             predicted = count_monic_with_type(record.type).evaluate(q)
             match = predicted == record.count

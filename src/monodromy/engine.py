@@ -253,24 +253,38 @@ def _type_table(kind: str, r: int) -> tuple[int, tuple[tuple[IntPoly, tuple[tupl
 
 
 def _weight(kind: str, level: int, r: int, cache: WeightCache) -> IntPoly:
-    """V_kind(level, r) at q, memoized in ``cache``."""
-    key = CountKey(level, r)
-    value = cache.get(kind, key)
-    if value is not None:
-        return value
+    """V_kind(level, r) at q, memoized in ``cache``.
+
+    Levels fill bottom-up, every block size s <= r below ``level`` (each is
+    the size of some block of a type of weight r), so no call recurses once
+    per level and the memo holds the same entries a top-down descent stores.
+    """
+    below: dict[int, IntPoly] = {}
+    for lvl in range(level + 1):
+        row: dict[int, IntPoly] = {}
+        for s in range(1, r + 1) if lvl < level else (r,):
+            key = CountKey(lvl, s)
+            value = cache.get(kind, key)
+            if value is None:
+                value = _level_value(kind, lvl, s, below)
+                cache.put(kind, key, value)
+            row[s] = value
+        below = row
+    return below[r]
+
+
+def _level_value(kind: str, level: int, r: int, below: dict[int, IntPoly]) -> IntPoly:
+    """V_kind(level, r) at q from the values ``below[s]`` = V_kind(level - 1, s)."""
     if level == 0:
-        value = (1,) if kind == "ss" else (0,) * (r - 1) + (-1, 1)
-    else:
-        scale, rows = _type_table(kind, r)
-        total: list[int] = []
-        for factor, pairs in rows:
-            term = factor
-            for d, s in pairs:
-                term = _mul(term, _compose(_weight(kind, level - 1, s, cache), d))
-            _add_into(total, term)
-        value = _certified_quotient(_strip(total), (scale,))
-    cache.put(kind, key, value)
-    return value
+        return (1,) if kind == "ss" else (0,) * (r - 1) + (-1, 1)
+    scale, rows = _type_table(kind, r)
+    total: list[int] = []
+    for factor, pairs in rows:
+        term = factor
+        for d, s in pairs:
+            term = _mul(term, _compose(below[s], d))
+        _add_into(total, term)
+    return _certified_quotient(_strip(total), (scale,))
 
 
 def _memo(cache: WeightCache | None) -> WeightCache:

@@ -28,9 +28,9 @@ from math import prod
 from .exactpoly import NotDivisible
 from .typecomb import FactorizationType, enumerate_types
 
-GL_ORDER_BUDGET = 200_000   # largest |GL_n(F_q)| enumerated without override
-POWER_BUDGET = 10**6        # largest q^n for vector spans and poly censuses
-PAIRWISE_BUDGET = 4 * 10**7  # largest |GL|^2 for centralizer scans
+GL_ORDER_BUDGET = 25_000    # largest |GL_n(F_q)| any oracle scan enumerates without override
+POWER_BUDGET = 10**6        # largest q^n for polynomial censuses
+PAIRWISE_BUDGET = 4 * 10**7  # no longer checked here; perfbench's probe and span hooks still read it
 
 
 class UnsupportedField(ValueError):
@@ -185,8 +185,28 @@ def field_make(p: int, e: int) -> FieldSpec:
     return FieldSpec(p, e, modulus)
 
 
+def field_of_size(q: int) -> FieldSpec:
+    """The supported field with q elements; raises UnsupportedField for any other q."""
+    p = next((d for d in _SUPPORTED_PRIMES if q % d == 0), None)
+    if p is None:
+        raise UnsupportedField(f"{q} is not a power of a supported characteristic {_SUPPORTED_PRIMES}")
+    e = next(j for j in itertools.count(1) if p**j >= q)
+    if p**e != q:
+        raise UnsupportedField(f"{q} is not a prime power")
+    return field_make(p, e)
+
+
 def gl_order_int(q: int, n: int) -> int:
     return prod(q**n - q**j for j in range(n))
+
+
+def _check_gl_budget(f: FieldSpec, n: int, override_budget: bool) -> None:
+    """The one ceiling on oracle scans: refuse |GL_n(F_q)| > GL_ORDER_BUDGET unless overridden."""
+    order = gl_order_int(f.size, n)
+    if not override_budget and order > GL_ORDER_BUDGET:
+        raise BudgetExceeded(
+            f"|GL_{n}(F_{f.size})| = {order} exceeds the ceiling {GL_ORDER_BUDGET}; pass override to force"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +296,30 @@ def _dot(f: FieldSpec, row, col) -> int:
     return acc
 
 
-def mat_det(m: FFMatrix) -> int:
-    f = m.field
-    a = [list(row) for row in m.entries]
-    n = m.n
+def _det_raw(f: FieldSpec, rows) -> int:
+    """Determinant of a tuple of rows, by elimination over the field tables."""
+    add_t, mul_t, neg_t = f.add_table, f.mul_table, f.neg_table
+    a = [list(row) for row in rows]
+    n = len(a)
     det = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return 0
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            det = f.neg(det)
-        det = f.mul(det, a[col][col])
-        inv_p = f.inv(a[col][col])
+            det = neg_t[det]
+        det = mul_t[det][a[col][col]]
+        inv_p = f.inv_table[a[col][col]]
         for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = f.mul(a[r][col], inv_p)
-                for c in range(col, n):
-                    a[r][c] = f.sub(a[r][c], f.mul(factor, a[col][c]))
+            if a[r][col]:
+                factor = mul_t[neg_t[mul_t[a[r][col]][inv_p]]]
+                a[r] = [add_t[x][factor[y]] for x, y in zip(a[r], a[col])]
     return det
+
+
+def mat_det(m: FFMatrix) -> int:
+    return _det_raw(m.field, m.entries)
 
 
 def mat_inv(m: FFMatrix) -> FFMatrix:
@@ -318,37 +342,15 @@ def mat_inv(m: FFMatrix) -> FFMatrix:
 def enumerate_invertible(n: int, f: FieldSpec, override_budget: bool = False):
     """Stream every invertible n x n matrix, deterministically.
 
-    Rows are chosen in ascending vector order, each required to lie outside
-    the span of the rows above it, so the stream has exactly |GL_n(F_q)|
-    entries and its order is reproducible.
+    The stream is the n-row tuples of ``itertools.product`` with nonzero
+    determinant, so it has exactly |GL_n(F_q)| entries in lexicographic
+    order of the rows.
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    order = gl_order_int(f.size, n)
-    if not override_budget and (order > GL_ORDER_BUDGET or f.size**n > POWER_BUDGET):
-        raise BudgetExceeded(
-            f"|GL_{n}(F_{f.size})| = {order} with q^n = {f.size ** n}; pass override to enumerate anyway"
-        )
+    _check_gl_budget(f, n, override_budget)
     vectors = tuple(itertools.product(range(f.size), repeat=n))
-    add_t = f.add_table
-    mul_t = f.mul_table
-
-    def extend(rows: list, span: set):
-        if len(rows) == n:
-            yield FFMatrix(f, n, tuple(rows))
-            return
-        for v in vectors:
-            if v in span:
-                continue
-            scaled = [tuple(mul_t[c][x] for x in v) for c in range(f.size)]
-            new_span = {
-                tuple(add_t[a][b] for a, b in zip(s, cv)) for s in span for cv in scaled
-            }
-            rows.append(v)
-            yield from extend(rows, new_span)
-            rows.pop()
-
-    return extend([], {(0,) * n})
+    return (FFMatrix(f, n, rows) for rows in itertools.product(vectors, repeat=n) if _det_raw(f, rows))
 
 
 def is_semisimple(m: FFMatrix) -> bool:
@@ -515,16 +517,6 @@ def _group_context(f: FieldSpec, n: int) -> _GroupContext:
     return _GroupContext(f, n)
 
 
-def _check_scan_budget(f: FieldSpec, n: int, override_budget: bool) -> None:
-    if override_budget:
-        return
-    order = gl_order_int(f.size, n)
-    if order > GL_ORDER_BUDGET or f.size**n > POWER_BUDGET or order * order > PAIRWISE_BUDGET:
-        raise BudgetExceeded(
-            f"group scan for n={n}, q={f.size} needs {order}^2 pair tests; pass override to force"
-        )
-
-
 def brute_hom_count(n: int, f: FieldSpec, k: int, mode: str, override_budget: bool = False) -> int:
     """Count commuting k-tuples of invertible matrices by direct scan.
 
@@ -535,7 +527,7 @@ def brute_hom_count(n: int, f: FieldSpec, k: int, mode: str, override_budget: bo
         raise ValueError("tuple length must be >= 1")
     if mode not in (MODE_ALL_SEMISIMPLE, MODE_LAST_FREE):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_scan_budget(f, n, override_budget)
+    _check_gl_budget(f, n, override_budget)
     ctx = _group_context(f, n)
     if k == 1:  # a single entry commutes with itself: no centralizer scan needed
         return len(ctx.ss_set if mode == MODE_ALL_SEMISIMPLE else ctx.mats)
@@ -554,7 +546,7 @@ def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False
     """
     if k < 1:
         raise ValueError("tuple length must be >= 1")
-    _check_scan_budget(f, n, override_budget)
+    _check_gl_budget(f, n, override_budget)
     ctx = _group_context(f, n)
     order = len(ctx.mats)
     weighted = count_commuting_tuples(ctx.centralizers, ctx.ss_set, k, free=frozenset(range(order)))
@@ -566,7 +558,7 @@ def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False
 
 def count_semisimple_elements(n: int, f: FieldSpec, override_budget: bool = False) -> int:
     """Number of semisimple invertible matrices, by direct flags."""
-    _check_scan_budget(f, n, override_budget)
+    _check_gl_budget(f, n, override_budget)
     return len(_group_context(f, n).ss_set)
 
 

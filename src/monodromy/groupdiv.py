@@ -230,14 +230,22 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases above decide every n below it
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
+    if n >= _MILLER_RABIN_LIMIT:
+        raise PreconditionViolated(f"{n} is too large to test for primality (limit {_MILLER_RABIN_LIMIT})")
+    if n < 2 or any(n % b == 0 for b in _MILLER_RABIN_BASES):
+        return n in _MILLER_RABIN_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)  # b witnesses compositeness unless x == 1 or some x^(2^i) == -1, i < s
+        if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(s)):
             return False
-        d += 1
     return True
 
 

@@ -207,8 +207,31 @@ def test_size_ceiling_and_override(capsys):
 
 
 def test_scan_budget_exit_two(capsys):
-    status, _, err = run(capsys, "verify", "--n", "3", "--k", "2", "--mode", "ss", "--q", "3")
-    assert status == 2 and "pair tests" in err
+    # |GL_3(F_4)| = 181440 is past the ceiling on |GL_n(F_q)|
+    status, _, err = run(capsys, "verify", "--n", "3", "--k", "2", "--mode", "ss", "--q", "4")
+    assert status == 2 and "|GL_3(F_4)| = 181440" in err
+
+
+@pytest.mark.parametrize("mode", ["ss", "mixed", "conj"])
+def test_gl3f3_verify_without_override(capsys, mode):
+    status, out, _ = run(capsys, "verify", "--n", "3", "--k", "2", "--mode", mode, "--q", "3")
+    assert status == 0 and out.endswith("all match\n")
+
+
+def test_large_prime_in_S_is_decided_at_once():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def divisibility(primes):
+        return subprocess.run(
+            [sys.executable, "-m", "monodromy.cli", "divisibility", "--group", "S3", "--k", "1", "--S", primes],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+
+    assert divisibility("1000000000000000003").returncode == 0
+    # 10^18 + 1 = 101 * 9901 * 999999000001
+    assert divisibility("1000000000000000001").returncode == 2
+    # the smallest composite that every Miller-Rabin base up to 41 passes is refused
+    assert divisibility("3317044064679887385961981").returncode == 2
 
 
 def test_unsupported_field_exit_two(capsys):

@@ -180,6 +180,12 @@ def test_null_cache_transparency():
     assert count_conjugacy_classes(2, 2, NullCache()).poly == count_conjugacy_classes(2, 2).poly
 
 
+def test_deep_rank_does_not_recurse_per_level():
+    # at n = 1 the count is (q - 1)^k; levels fill bottom-up, so k far past
+    # the interpreter's recursion limit is fine
+    assert count_semisimple_tuples(1, 1200).evaluate(3) == 2**1200
+
+
 def test_weight_cache_round_trip():
     cache = WeightCache()
     count_semisimple_tuples(2, 2, cache)

@@ -131,10 +131,34 @@ def test_enumerate_invertible_count(p, e, n):
 
 
 def test_enumerate_invertible_budget():
+    # one ceiling on |GL_n(F_q)|: GL_3(F_3), GL_4(F_2) and GL_2(F_9) fit, GL_3(F_4) and GL_2(F_25) do not
+    for n, q in [(3, 3), (4, 2), (2, 9)]:
+        assert gl_order_int(q, n) <= fforacle.GL_ORDER_BUDGET
     with pytest.raises(BudgetExceeded):
         list(enumerate_invertible(2, field_make(5, 2)))
+    with pytest.raises(BudgetExceeded):
+        enumerate_invertible(3, field_make(2, 2))
+    with pytest.raises(BudgetExceeded):
+        brute_conj_count(3, field_make(2, 2), 1)
+    with pytest.raises(BudgetExceeded):
+        count_semisimple_elements(3, field_make(2, 2))
     with pytest.raises(ValueError):
         enumerate_invertible(0, field_make(2, 1))
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (7, 1, 2)])
+def test_enumerate_invertible_is_lexicographic(p, e, n):
+    # row tuples in itertools.product order, so indices into the stream are stable
+    rows = [m.entries for m in enumerate_invertible(n, field_make(p, e))]
+    assert rows == sorted(rows)
+
+
+def test_field_of_size():
+    assert fforacle.field_of_size(9) == field_make(3, 2)
+    assert fforacle.field_of_size(7) == field_make(7, 1)
+    for q in (6, 11, 16):
+        with pytest.raises(UnsupportedField):
+            fforacle.field_of_size(q)
 
 
 def test_mat_inverse_round_trip():
@@ -237,8 +261,8 @@ def test_brute_hom_validation():
         brute_hom_count(2, field_make(2, 1), 0, MODE_ALL_SEMISIMPLE)
     with pytest.raises(ValueError):
         brute_hom_count(2, field_make(2, 1), 2, "sideways")
-    with pytest.raises(BudgetExceeded):
-        brute_hom_count(3, field_make(3, 1), 2, MODE_ALL_SEMISIMPLE)
+    with pytest.raises(BudgetExceeded):  # |GL_3(F_4)| = 181440 is past the ceiling
+        brute_hom_count(3, field_make(2, 2), 2, MODE_ALL_SEMISIMPLE)
 
 
 def _perm_group(domain, *cycle_texts):
@@ -297,18 +321,18 @@ def test_kernel_centralizers_match_pairwise_scan(p, e, n):
 
 
 @pytest.mark.parametrize(
-    "n,p,e,k,override",
-    [(2, 2, 3, 2, False), (2, 2, 3, 3, False), (3, 3, 1, 2, True)],
+    "n,p,e,k",
+    [(2, 2, 3, 2), (2, 2, 3, 3), (3, 3, 1, 2)],
     ids=["GL2F8-k2", "GL2F8-k3", "GL3F3-k2"],
 )
-def test_oracle_matches_engine_beyond_the_pair_scan(n, p, e, k, override):
-    # GL_2(F_8) fits the pairwise ceiling, GL_3(F_3) needs the override; the
-    # commutant kernels make both cheap enough for the default test run
+def test_oracle_matches_engine_beyond_the_pair_scan(n, p, e, k):
+    # GL_2(F_8) and GL_3(F_3) both fit the |GL_n(F_q)| ceiling without
+    # override; the commutant kernels make them cheap enough for the default run
     f = field_make(p, e)
     q = f.size
-    assert brute_hom_count(n, f, k, MODE_ALL_SEMISIMPLE, override) == count_semisimple_tuples(n, k).evaluate(q)
-    assert brute_hom_count(n, f, k, MODE_LAST_FREE, override) == count_mixed_tuples(n, k).evaluate(q)
-    assert brute_conj_count(n, f, k, override) == count_conjugacy_classes(n, k).evaluate(q)
+    assert brute_hom_count(n, f, k, MODE_ALL_SEMISIMPLE) == count_semisimple_tuples(n, k).evaluate(q)
+    assert brute_hom_count(n, f, k, MODE_LAST_FREE) == count_mixed_tuples(n, k).evaluate(q)
+    assert brute_conj_count(n, f, k) == count_conjugacy_classes(n, k).evaluate(q)
 
 
 def test_brute_conj_counts():

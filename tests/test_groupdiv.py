@@ -12,6 +12,7 @@ from monodromy.groupdiv import (
     ClosureBudgetExceeded,
     FiniteGroupTable,
     PreconditionViolated,
+    _is_prime,
     compose_perms,
     coset_lemma_sweep,
     coset_p_power_count,
@@ -356,3 +357,13 @@ def test_hom_count_deep_rank():
     c12 = make("C12", 12, "(1 2 3 4 5 6 7 8 9 10 11 12)")
     assert hom_count_profinite_abelian(c12, 1500, ()) == 12**1500
     assert hom_count_profinite_abelian(c12, 1500, (2,)) == 3**1500
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(10**5))
+    assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
+    with pytest.raises(PreconditionViolated):  # past the range the bases decide exactly
+        _is_prime(2**89 - 1)
