@@ -112,6 +112,16 @@ def _parse_q_list(text: str) -> list[int]:
     return values
 
 
+def _resolve_fields(text: str, check, n: int, override: bool) -> list:
+    """(q, field) for every q in the list, each refused by ``check`` before any scan runs."""
+    fields = []
+    for q in _parse_q_list(text):
+        field = fforacle.field_of_size(q)
+        check(field, n, override)
+        fields.append((q, field))
+    return fields
+
+
 def _count_for(n: int, k: int, mode: str) -> engine.CountingPolynomial:
     if mode == engine.MODE_SEMISIMPLE:
         return engine.count_semisimple_tuples(n, k)
@@ -174,11 +184,11 @@ def _cmd_poly(args) -> int:
 def _cmd_verify(args) -> int:
     n, k, mode = _resolve_shape(args)
     _check_size_ceiling(n, k, args.budget_override)
+    fields = _resolve_fields(args.q, fforacle.check_gl_budget, n, args.budget_override)
     cp = _count_for(n, k, mode)
     rows = []
     all_match = True
-    for q in _parse_q_list(args.q):
-        field = fforacle.field_of_size(q)
+    for q, field in fields:
         if mode == engine.MODE_SEMISIMPLE:
             actual = fforacle.brute_hom_count(n, field, k, fforacle.MODE_ALL_SEMISIMPLE, args.budget_override)
         elif mode == engine.MODE_MIXED:
@@ -215,10 +225,10 @@ def _cmd_census(args) -> int:
         raise UsageError("--n must be >= 1")
     from .typecomb import count_monic_with_type
 
+    fields = _resolve_fields(args.q, fforacle.check_census_budget, args.n, args.budget_override)
     rows = []
     all_match = True
-    for q in _parse_q_list(args.q):
-        field = fforacle.field_of_size(q)
+    for q, field in fields:
         for record in fforacle.poly_type_census(field, args.n, args.budget_override):
             predicted = count_monic_with_type(record.type).evaluate(q)
             match = predicted == record.count

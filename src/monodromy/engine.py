@@ -122,16 +122,6 @@ class WeightCache:
         return sum(len(t) for t in self._tables.values())
 
 
-class NullCache(WeightCache):
-    """Cache that never stores anything; for memoization-transparency checks."""
-
-    def get(self, kind: str, key: CountKey) -> Optional[IntPoly]:
-        return None
-
-    def put(self, kind: str, key: CountKey, value: IntPoly) -> None:
-        pass
-
-
 # ---------------------------------------------------------------------------
 # integer polynomial arithmetic for the recursion
 

@@ -11,6 +11,10 @@ A matrix is semisimple here when its order is prime to p, the
 characteristic: ``is_semisimple`` tests m^(r+1) == m, with r the part of
 |GL_n(F_q)| prime to p.
 
+The factorization census is built by multiplication, never by division:
+every product of irreducible powers is formed once, degree by degree, and
+what no product reaches is the next degree's irreducibles.
+
 Supported fields are F_{p^e} for p in {2, 3, 5, 7} and e <= 3, with a fixed
 modulus per (p, e) so element encodings are stable across runs.  Elements
 are encoded as integers 0 .. p^e - 1 whose base-p digits, little-endian, are
@@ -26,7 +30,7 @@ from functools import lru_cache
 from math import prod
 
 from .exactpoly import NotDivisible
-from .typecomb import FactorizationType, enumerate_types
+from .typecomb import FactorizationType, enumerate_types, type_pairs
 
 GL_ORDER_BUDGET = 25_000    # largest |GL_n(F_q)| any oracle scan enumerates without override
 POWER_BUDGET = 10**6        # largest q^n for polynomial censuses
@@ -88,12 +92,7 @@ class FieldSpec:
         mod = self.modulus
         if len(mod) != self.e + 1 or mod[-1] != 1 or any(not 0 <= c < self.p for c in mod):
             raise UnsupportedField(f"modulus {mod} is not monic of degree {self.e} over F_{self.p}")
-        # trial division against every lower-degree monic polynomial
-        for d in range(1, self.e):
-            for low in itertools.product(range(self.p), repeat=d):
-                candidate = low + (1,)
-                if _pp_divmod(self.p, mod, candidate)[1] == ():
-                    raise UnsupportedField(f"modulus {mod} is divisible by {candidate}")
+        # _build_tables rejects a reducible modulus: its zero divisors have no inverse
 
     def _digits(self, value: int) -> list[int]:
         out = []
@@ -200,13 +199,19 @@ def gl_order_int(q: int, n: int) -> int:
     return prod(q**n - q**j for j in range(n))
 
 
-def _check_gl_budget(f: FieldSpec, n: int, override_budget: bool) -> None:
+def check_gl_budget(f: FieldSpec, n: int, override_budget: bool) -> None:
     """The one ceiling on oracle scans: refuse |GL_n(F_q)| > GL_ORDER_BUDGET unless overridden."""
     order = gl_order_int(f.size, n)
     if not override_budget and order > GL_ORDER_BUDGET:
         raise BudgetExceeded(
             f"|GL_{n}(F_{f.size})| = {order} exceeds the ceiling {GL_ORDER_BUDGET}; pass override to force"
         )
+
+
+def check_census_budget(f: FieldSpec, n: int, override_budget: bool) -> None:
+    """The census ceiling: refuse q^n > POWER_BUDGET unless overridden."""
+    if not override_budget and f.size**n > POWER_BUDGET:
+        raise BudgetExceeded(f"census would scan {f.size ** n} polynomials; pass override to force")
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +224,15 @@ def _fq_trim(cs: list[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-def _fq_divmod(f: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = f.inv(b[-1])
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        factor = f.mul(rem[-1], inv_lead)
-        shift = len(rem) - len(b)
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] = f.sub(rem[shift + i], f.mul(factor, c))
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return _fq_trim(quo), _fq_trim(rem)
+def _fq_mul(add_t, mul_t, a, b) -> tuple[int, ...]:
+    """Product of two coefficient tuples over the field tables."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            row = mul_t[x]
+            for j, y in enumerate(b):
+                out[i + j] = add_t[out[i + j]][row[y]]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +347,7 @@ def enumerate_invertible(n: int, f: FieldSpec, override_budget: bool = False):
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    _check_gl_budget(f, n, override_budget)
+    check_gl_budget(f, n, override_budget)
     vectors = tuple(itertools.product(range(f.size), repeat=n))
     return (FFMatrix(f, n, rows) for rows in itertools.product(vectors, repeat=n) if _det_raw(f, rows))
 
@@ -527,7 +526,7 @@ def brute_hom_count(n: int, f: FieldSpec, k: int, mode: str, override_budget: bo
         raise ValueError("tuple length must be >= 1")
     if mode not in (MODE_ALL_SEMISIMPLE, MODE_LAST_FREE):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_gl_budget(f, n, override_budget)
+    check_gl_budget(f, n, override_budget)
     ctx = _group_context(f, n)
     if k == 1:  # a single entry commutes with itself: no centralizer scan needed
         return len(ctx.ss_set if mode == MODE_ALL_SEMISIMPLE else ctx.mats)
@@ -546,7 +545,7 @@ def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False
     """
     if k < 1:
         raise ValueError("tuple length must be >= 1")
-    _check_gl_budget(f, n, override_budget)
+    check_gl_budget(f, n, override_budget)
     ctx = _group_context(f, n)
     order = len(ctx.mats)
     weighted = count_commuting_tuples(ctx.centralizers, ctx.ss_set, k, free=frozenset(range(order)))
@@ -558,7 +557,7 @@ def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False
 
 def count_semisimple_elements(n: int, f: FieldSpec, override_budget: bool = False) -> int:
     """Number of semisimple invertible matrices, by direct flags."""
-    _check_gl_budget(f, n, override_budget)
+    check_gl_budget(f, n, override_budget)
     return len(_group_context(f, n).ss_set)
 
 
@@ -577,63 +576,56 @@ class CensusRecord:
         return {"type": self.type.to_json(), "count": self.count}
 
 
-@lru_cache(maxsize=None)
-def _irreducibles_up_to(f: FieldSpec, max_degree: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Monic irreducibles over f of each degree <= max_degree, by trial division."""
-    table: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for d in range(1, max_degree + 1):
-        found = []
-        divisors = [irr for dd in range(1, d // 2 + 1) for irr in table[dd]]
-        for low in itertools.product(range(f.size), repeat=d):
-            candidate = low + (1,)
-            if all(_fq_divmod(f, candidate, irr)[1] != () for irr in divisors):
-                found.append(candidate)
-        table[d] = tuple(found)
-    return table
-
-
 def poly_type_census(f: FieldSpec, n: int, override_budget: bool = False) -> tuple[CensusRecord, ...]:
-    """Factor every monic degree-n polynomial with nonzero constant term.
+    """Tally every monic degree-n polynomial with nonzero constant term by type.
+
+    A multiplicative sieve: for each degree d = 1..n, every product of
+    powers of distinct irreducibles of degree < d with total degree d is
+    built once and marked in a table indexed by its low coefficients; the
+    unmarked entries with nonzero constant term are the irreducibles of
+    degree d.  At d = n each product is tallied under its type, and the
+    irreducibles under (n | n:(1)).  A slot marked twice or a product with
+    constant term zero means the tables are not a field and raises
+    ValueError.
 
     Returns one record per factorization type of weight n, in enumeration
     order, including zero tallies.  The counts sum to (q - 1) q^(n - 1).
     """
     if n < 1:
         raise ValueError("census degree must be >= 1")
-    if not override_budget and f.size**n > POWER_BUDGET:
-        raise BudgetExceeded(f"census would scan {f.size ** n} polynomials; pass override to force")
-    irreducibles = _irreducibles_up_to(f, n // 2)
-    tally: dict[FactorizationType, int] = {t: 0 for t in enumerate_types(n)}
-    for low in itertools.product(range(f.size), repeat=n):
-        if low[0] == 0:
-            continue
-        remaining = low + (1,)
-        exponents: dict[int, list[int]] = {}
-        for d in range(1, n + 1):
-            degree = len(remaining) - 1
-            if degree < 2 * d:
-                # every factor of degree < d is divided out, so what is left
-                # is 1 or a single irreducible of its own degree
-                if degree:
-                    exponents[degree] = [1]
-                    remaining = (1,)
-                break
-            for irr in irreducibles[d]:
-                mult = 0
-                while True:
-                    quo, rem = _fq_divmod(f, remaining, irr)
-                    if rem:
-                        break
-                    remaining = quo
-                    mult += 1
-                if mult:
-                    exponents.setdefault(d, []).append(mult)
-        assert remaining == (1,), "trial division failed to exhaust the polynomial"
-        parts = tuple(
-            sorted((d for d, exps in exponents.items() for e in exps for _ in range(e)), reverse=True)
-        )
-        refinements = tuple(
-            (d, tuple(sorted(exponents[d], reverse=True))) for d in sorted(exponents, reverse=True)
-        )
-        tally[FactorizationType(parts, refinements)] += 1
-    return tuple(CensusRecord(t, tally[t]) for t in enumerate_types(n))
+    check_census_budget(f, n, override_budget)
+    q, add_t, mul_t = f.size, f.add_table, f.mul_table
+    tally = {type_pairs(t): 0 for t in enumerate_types(n)}
+    irreducibles: list[tuple[int, tuple[int, ...]]] = []  # (degree, coefficients), degree ascending
+    for d in range(1, n + 1):
+        marks = bytearray(q**d)
+
+        def extend(start: int, poly: tuple[int, ...], remaining: int, pairs: tuple) -> None:
+            if not remaining:
+                if not poly[0]:
+                    raise ValueError(f"product {poly} has constant term zero; {f} is not a field")
+                slot = 0
+                for c in poly[:d]:  # the index of the low coefficients in itertools.product order
+                    slot = slot * q + c
+                if marks[slot]:
+                    raise ValueError(f"product {poly} is built twice; {f} is not a field")
+                marks[slot] = 1
+                if d == n:
+                    tally[tuple(sorted(pairs, reverse=True))] += 1
+                return
+            for j in range(start, len(irreducibles)):
+                degree, irr = irreducibles[j]
+                if degree > remaining:
+                    break
+                power = poly
+                for e in range(1, remaining // degree + 1):
+                    power = _fq_mul(add_t, mul_t, power, irr)
+                    extend(j + 1, power, remaining - degree * e, pairs + ((degree, e),))
+
+        extend(0, (1,), d, ())
+        lows = (low for low, hit in zip(itertools.product(range(q), repeat=d), marks) if low[0] and not hit)
+        if d < n:
+            irreducibles += ((d, low + (1,)) for low in lows)
+        else:
+            tally[((n, 1),)] = sum(1 for _ in lows)
+    return tuple(CensusRecord(t, tally[type_pairs(t)]) for t in enumerate_types(n))

@@ -212,6 +212,22 @@ def test_scan_budget_exit_two(capsys):
     assert status == 2 and "|GL_3(F_4)| = 181440" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3", "--k", "2", "--q", "3,4"],   # GL_3(F_4) is past the ceiling
+    ["verify", "--n", "2", "--k", "2", "--q", "7,6"],   # 6 is not a prime power
+    ["census", "--n", "7", "--q", "5,8"],               # 8^7 is past the census ceiling
+])
+def test_q_list_refused_before_any_work(capsys, monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the whole --q list was checked")
+
+    for name in ("brute_hom_count", "brute_conj_count", "poly_type_census"):
+        monkeypatch.setattr(cli.fforacle, name, must_not_run)
+    monkeypatch.setattr(cli, "_count_for", must_not_run)
+    status, out, err = run(capsys, *argv)
+    assert status == 2 and out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("mode", ["ss", "mixed", "conj"])
 def test_gl3f3_verify_without_override(capsys, mode):
     status, out, _ = run(capsys, "verify", "--n", "3", "--k", "2", "--mode", mode, "--q", "3")

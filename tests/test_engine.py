@@ -15,7 +15,6 @@ from monodromy.engine import (
     DegreeViolation,
     IntegralityViolation,
     InvalidArity,
-    NullCache,
     WeightCache,
     check_degree_monic,
     check_laurent_quotient,
@@ -170,6 +169,16 @@ def test_counting_polynomial_json():
     doc = json.loads(json.dumps(cp.to_json()))
     assert doc["n"] == 2 and doc["k"] == 2 and doc["mode"] == MODE_SEMISIMPLE
     assert UnivariatePoly.from_json(doc["poly"]) == cp.poly
+
+
+class NullCache(WeightCache):
+    """A memo that never stores anything."""
+
+    def get(self, kind, key):
+        return None
+
+    def put(self, kind, key, value):
+        pass
 
 
 def test_null_cache_transparency():

@@ -12,6 +12,7 @@ from monodromy.fforacle import (
     MODE_ALL_SEMISIMPLE,
     MODE_LAST_FREE,
     BudgetExceeded,
+    CensusRecord,
     FFMatrix,
     FieldSpec,
     UnsupportedField,
@@ -32,7 +33,7 @@ from monodromy.fforacle import (
     poly_type_census,
 )
 from monodromy.groupdiv import compose_perms, group_generate, parse_cycles
-from monodromy.typecomb import enumerate_types, total_monic_count
+from monodromy.typecomb import FactorizationType, enumerate_types, total_monic_count
 
 
 def test_field_make_supported():
@@ -58,6 +59,9 @@ def test_modulus_verification():
         FieldSpec(2, 2, (1, 0, 1))
     with pytest.raises(UnsupportedField):
         FieldSpec(2, 2, (1, 1))  # wrong degree
+    # x^3 + 1 = (x + 1)(x^2 + x + 1) over F_2: a reducible modulus of odd degree
+    with pytest.raises(UnsupportedField):
+        FieldSpec(2, 3, (1, 0, 0, 1))
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
@@ -430,7 +434,8 @@ def test_census_totals(p, e, n):
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 4), (2, 5), (3, 5)])
 def test_census_past_the_degree_cutoff(p, n):
-    # degrees where a remainder is tallied as irreducible without trial division
+    # degrees past n/2, where irreducibles of degree above n/2 occur in products
+    # with a lower-degree cofactor
     f = field_make(p, 1)
     records = poly_type_census(f, n)
     assert [r.type for r in records] == list(enumerate_types(n))
@@ -446,3 +451,83 @@ def test_census_budget():
         poly_type_census(field_make(7, 3), 4)
     with pytest.raises(ValueError):
         poly_type_census(field_make(2, 1), 0)
+
+
+def _reference_census(f, n):
+    """The trial-division factorizer the sieve replaced, kept as a reference."""
+
+    def divmod_poly(a, b):
+        inv_lead = f.inv(b[-1])
+        rem = list(a)
+        quo = [0] * max(len(a) - len(b) + 1, 0)
+        while len(rem) >= len(b):
+            factor = f.mul(rem[-1], inv_lead)
+            shift = len(rem) - len(b)
+            quo[shift] = factor
+            for i, c in enumerate(b):
+                rem[shift + i] = f.sub(rem[shift + i], f.mul(factor, c))
+            while rem and rem[-1] == 0:
+                rem.pop()
+        while quo and quo[-1] == 0:
+            quo.pop()
+        return tuple(quo), tuple(rem)
+
+    irreducibles = {}
+    for d in range(1, n // 2 + 1):
+        divisors = [irr for dd in range(1, d // 2 + 1) for irr in irreducibles[dd]]
+        irreducibles[d] = [
+            low + (1,)
+            for low in itertools.product(range(f.size), repeat=d)
+            if all(divmod_poly(low + (1,), irr)[1] for irr in divisors)
+        ]
+    tally = {t: 0 for t in enumerate_types(n)}
+    for low in itertools.product(range(f.size), repeat=n):
+        if low[0] == 0:
+            continue
+        remaining = low + (1,)
+        exponents = {}
+        for d in range(1, n + 1):
+            degree = len(remaining) - 1
+            if degree < 2 * d:
+                if degree:
+                    exponents[degree] = [1]
+                    remaining = (1,)
+                break
+            for irr in irreducibles[d]:
+                mult = 0
+                while True:
+                    quo, rem = divmod_poly(remaining, irr)
+                    if rem:
+                        break
+                    remaining = quo
+                    mult += 1
+                if mult:
+                    exponents.setdefault(d, []).append(mult)
+        assert remaining == (1,)
+        parts = tuple(
+            sorted((d for d, exps in exponents.items() for e in exps for _ in range(e)), reverse=True)
+        )
+        refinements = tuple(
+            (d, tuple(sorted(exponents[d], reverse=True))) for d in sorted(exponents, reverse=True)
+        )
+        tally[FactorizationType(parts, refinements)] += 1
+    return tuple(CensusRecord(t, tally[t]) for t in enumerate_types(n))
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 12) if q**n <= 3000])
+def test_census_matches_trial_division(q, n):
+    f = fforacle.field_of_size(q)
+    assert poly_type_census(f, n) == _reference_census(f, n)
+
+
+def test_census_rejects_a_ring_with_zero_divisors():
+    # F_2[x]/(x^2) shares F_4's addition but eps^2 = 0, so (x + eps)^2 = x^2 has constant term zero
+    f = FieldSpec(2, 2, (1, 1, 1))
+
+    def dual(a, b):  # (a0 + a1 eps)(b0 + b1 eps) = a0 b0 + (a0 b1 + a1 b0) eps
+        (a1, a0), (b1, b0) = divmod(a, 2), divmod(b, 2)
+        return a0 * b0 % 2 + 2 * ((a0 * b1 + a1 * b0) % 2)
+
+    f.mul_table = tuple(tuple(dual(a, b) for b in range(4)) for a in range(4))
+    with pytest.raises(ValueError, match="not a field"):
+        poly_type_census(f, 2)
