@@ -113,13 +113,13 @@ def _parse_q_list(text: str) -> list[int]:
 
 
 def _resolve_fields(text: str, check, n: int, override: bool) -> list:
-    """(q, field) for every q in the list, each refused by ``check`` before any scan runs."""
-    fields = []
+    """(q, field) for every q in the list, each refused by ``check`` before any field is built."""
+    params = []
     for q in _parse_q_list(text):
-        field = fforacle.field_of_size(q)
-        check(field, n, override)
-        fields.append((q, field))
-    return fields
+        p, e = fforacle.field_params(q)
+        check(q, n, override)
+        params.append((q, p, e))
+    return [(q, fforacle.field_make(p, e)) for q, p, e in params]
 
 
 def _count_for(n: int, k: int, mode: str) -> engine.CountingPolynomial:

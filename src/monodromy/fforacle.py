@@ -184,34 +184,39 @@ def field_make(p: int, e: int) -> FieldSpec:
     return FieldSpec(p, e, modulus)
 
 
-def field_of_size(q: int) -> FieldSpec:
-    """The supported field with q elements; raises UnsupportedField for any other q."""
+def field_params(q: int) -> tuple[int, int]:
+    """(p, e) with p^e = q for a supported characteristic p; builds no tables."""
     p = next((d for d in _SUPPORTED_PRIMES if q % d == 0), None)
     if p is None:
         raise UnsupportedField(f"{q} is not a power of a supported characteristic {_SUPPORTED_PRIMES}")
     e = next(j for j in itertools.count(1) if p**j >= q)
     if p**e != q:
         raise UnsupportedField(f"{q} is not a prime power")
-    return field_make(p, e)
+    return p, e
+
+
+def field_of_size(q: int) -> FieldSpec:
+    """The supported field with q elements; raises UnsupportedField for any other q."""
+    return field_make(*field_params(q))
 
 
 def gl_order_int(q: int, n: int) -> int:
     return prod(q**n - q**j for j in range(n))
 
 
-def check_gl_budget(f: FieldSpec, n: int, override_budget: bool) -> None:
+def check_gl_budget(q: int, n: int, override_budget: bool) -> None:
     """The one ceiling on oracle scans: refuse |GL_n(F_q)| > GL_ORDER_BUDGET unless overridden."""
-    order = gl_order_int(f.size, n)
+    order = gl_order_int(q, n)
     if not override_budget and order > GL_ORDER_BUDGET:
         raise BudgetExceeded(
-            f"|GL_{n}(F_{f.size})| = {order} exceeds the ceiling {GL_ORDER_BUDGET}; pass override to force"
+            f"|GL_{n}(F_{q})| = {order} exceeds the ceiling {GL_ORDER_BUDGET}; pass override to force"
         )
 
 
-def check_census_budget(f: FieldSpec, n: int, override_budget: bool) -> None:
+def check_census_budget(q: int, n: int, override_budget: bool) -> None:
     """The census ceiling: refuse q^n > POWER_BUDGET unless overridden."""
-    if not override_budget and f.size**n > POWER_BUDGET:
-        raise BudgetExceeded(f"census would scan {f.size ** n} polynomials; pass override to force")
+    if not override_budget and q**n > POWER_BUDGET:
+        raise BudgetExceeded(f"census would scan {q ** n} polynomials; pass override to force")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +352,7 @@ def enumerate_invertible(n: int, f: FieldSpec, override_budget: bool = False):
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    check_gl_budget(f, n, override_budget)
+    check_gl_budget(f.size, n, override_budget)
     vectors = tuple(itertools.product(range(f.size), repeat=n))
     return (FFMatrix(f, n, rows) for rows in itertools.product(vectors, repeat=n) if _det_raw(f, rows))
 
@@ -526,7 +531,7 @@ def brute_hom_count(n: int, f: FieldSpec, k: int, mode: str, override_budget: bo
         raise ValueError("tuple length must be >= 1")
     if mode not in (MODE_ALL_SEMISIMPLE, MODE_LAST_FREE):
         raise ValueError(f"unknown mode {mode!r}")
-    check_gl_budget(f, n, override_budget)
+    check_gl_budget(f.size, n, override_budget)
     ctx = _group_context(f, n)
     if k == 1:  # a single entry commutes with itself: no centralizer scan needed
         return len(ctx.ss_set if mode == MODE_ALL_SEMISIMPLE else ctx.mats)
@@ -545,7 +550,7 @@ def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False
     """
     if k < 1:
         raise ValueError("tuple length must be >= 1")
-    check_gl_budget(f, n, override_budget)
+    check_gl_budget(f.size, n, override_budget)
     ctx = _group_context(f, n)
     order = len(ctx.mats)
     weighted = count_commuting_tuples(ctx.centralizers, ctx.ss_set, k, free=frozenset(range(order)))
@@ -557,7 +562,7 @@ def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False
 
 def count_semisimple_elements(n: int, f: FieldSpec, override_budget: bool = False) -> int:
     """Number of semisimple invertible matrices, by direct flags."""
-    check_gl_budget(f, n, override_budget)
+    check_gl_budget(f.size, n, override_budget)
     return len(_group_context(f, n).ss_set)
 
 
@@ -593,7 +598,7 @@ def poly_type_census(f: FieldSpec, n: int, override_budget: bool = False) -> tup
     """
     if n < 1:
         raise ValueError("census degree must be >= 1")
-    check_census_budget(f, n, override_budget)
+    check_census_budget(f.size, n, override_budget)
     q, add_t, mul_t = f.size, f.add_table, f.mul_table
     tally = {type_pairs(t): 0 for t in enumerate_types(n)}
     irreducibles: list[tuple[int, tuple[int, ...]]] = []  # (degree, coefficients), degree ascending

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,12 +135,15 @@ class FiniteGroupTable:
         """The Cayley table: ``products[i][j]`` indexes ``compose(elements[i], elements[j])``."""
         if len(self) > HOM_GROUP_BUDGET:
             raise BudgetExceeded(f"group order {len(self)} exceeds {HOM_GROUP_BUDGET}")
+        if self.domain == 1:  # itemgetter of one point returns a scalar; the only element is the identity
+            return ((self.identity_index,),)
+        # column j holds compose(a, b_j) for every a: one C-level getter per column, then transpose
+        lookup = self._index.__getitem__
         try:
-            return tuple(
-                tuple(self._index[compose_perms(a, b)] for b in self.elements) for a in self.elements
-            )
+            columns = [tuple(map(lookup, map(operator.itemgetter(*b), self.elements))) for b in self.elements]
         except KeyError:
             raise ValueError("element list is not closed under composition") from None
+        return tuple(zip(*columns))
 
     def compose_idx(self, i: int, j: int) -> int:
         return self.products[i][j]
@@ -417,26 +421,42 @@ def divisibility_report(table: FiniteGroupTable, k: int, primes: Iterable[int]) 
 def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], tuple[int, ...]]:
     """Every subgroup, as an index set mapped to indices generating it, by size then members.
 
-    Cyclic subgroups closed under joins; a join closes the generators of the
-    known subgroup plus the generator of one cyclic subgroup.
+    Cyclic subgroups closed under joins, one conjugacy class at a time: only
+    a class representative is joined with each cyclic subgroup, and a new join
+    brings in its whole class by conjugation.  Since <H^y, c> = <H, c^(y^-1)>^y
+    and the known set is closed under conjugation, the representatives'
+    joins reach every subgroup.
     """
     if len(table) > SWEEP_GROUP_BUDGET:
         raise BudgetExceeded(f"subgroup sweep on order {len(table)} exceeds {SWEEP_GROUP_BUDGET}")
+    products, inverses = table.products, table.inverses
+    columns = tuple(zip(*products))
+    # conjugators[x][h] indexes x^-1 h x
+    conjugators = [tuple(map(columns[x].__getitem__, products[inverses[x]])) for x in range(len(table))]
     known: dict[frozenset[int], tuple[int, ...]] = {}
+    reps: list[frozenset[int]] = []
+
+    def add_class(subgroup: frozenset[int], gens: tuple[int, ...]) -> None:
+        known[subgroup] = gens
+        for conj in conjugators:
+            image = frozenset(map(conj.__getitem__, subgroup))
+            if image not in known:
+                known[image] = tuple(map(conj.__getitem__, gens))
+        reps.append(subgroup)
+
     for i in range(len(table)):
-        known.setdefault(table.subgroup_closure([i]), (i,))
+        cyc = table.subgroup_closure([i])
+        if cyc not in known:
+            add_class(cyc, (i,))
     cyclics = sorted(known, key=lambda s: (len(s), sorted(s)))
-    queue = list(cyclics)
-    while queue:
-        current = queue.pop(0)
+    for current in reps:  # grows while joins find new classes
         for cyc in cyclics:
             if cyc <= current:
                 continue
             gens = known[current] + known[cyc]
             joined = table.subgroup_closure(gens)
             if joined not in known:
-                known[joined] = gens
-                queue.append(joined)
+                add_class(joined, gens)
     return {s: known[s] for s in sorted(known, key=lambda s: (len(s), sorted(s)))}
 
 

@@ -133,6 +133,14 @@ def test_divisibility_custom_corpus(capsys, tmp_path):
     assert [g["name"] for g in doc["groups"]] == ["C4"]
 
 
+def test_divisibility_one_point_domain(capsys, tmp_path):
+    # the trivial group on one point: a one-point column getter returns a scalar, not a tuple
+    path = tmp_path / "groups.txt"
+    path.write_text("T 1 ()\nC2 2 (1 2)\n", encoding="utf-8")
+    status, out, _ = run(capsys, "divisibility", "--corpus", str(path))
+    assert status == 0 and out.endswith("all ok\n")
+
+
 def test_divisibility_empty_corpus_exit_two(capsys, tmp_path):
     # a corpus of comments and blank lines checks nothing, so it must not pass
     path = tmp_path / "corpus.txt"
@@ -226,6 +234,23 @@ def test_q_list_refused_before_any_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "_count_for", must_not_run)
     status, out, err = run(capsys, *argv)
     assert status == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["census", "--n", "4", "--q", "343"], "census would scan 13841287201 polynomials; pass override to force"),
+    (["census", "--n", "4", "--q", "2,343"], "census would scan 13841287201 polynomials; pass override to force"),
+    (["verify", "--n", "3", "--k", "2", "--q", "9"],
+     "|GL_3(F_9)| = 339655680 exceeds the ceiling 25000; pass override to force"),
+], ids=["census", "census-list", "verify"])
+def test_field_ceiling_refused_before_field_tables(capsys, monkeypatch, argv, message):
+    def must_not_build(self):
+        raise AssertionError("field tables built before the ceiling was checked")
+
+    monkeypatch.setattr(cli.fforacle.FieldSpec, "_build_tables", must_not_build)
+    # bypass the field cache so that any field request reaches the table build
+    monkeypatch.setattr(cli.fforacle, "field_make", cli.fforacle.field_make.__wrapped__)
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("mode", ["ss", "mixed", "conj"])

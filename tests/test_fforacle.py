@@ -160,6 +160,7 @@ def test_enumerate_invertible_is_lexicographic(p, e, n):
 def test_field_of_size():
     assert fforacle.field_of_size(9) == field_make(3, 2)
     assert fforacle.field_of_size(7) == field_make(7, 1)
+    assert fforacle.field_params(343) == (7, 3)
     for q in (6, 11, 16):
         with pytest.raises(UnsupportedField):
             fforacle.field_of_size(q)

@@ -238,6 +238,73 @@ def test_enumerate_subgroups_counts_and_generators():
             assert table.subgroup_closure(gens) == subgroup
 
 
+def _reference_subgroups(table):
+    """The join loop the class-by-class sweep replaced, kept as a reference.
+
+    Every known subgroup, not only a class representative, is joined with
+    every cyclic subgroup.
+    """
+    known = {}
+    for i in range(len(table)):
+        known.setdefault(table.subgroup_closure([i]), (i,))
+    cyclics = sorted(known, key=lambda s: (len(s), sorted(s)))
+    queue = list(cyclics)
+    while queue:
+        current = queue.pop(0)
+        for cyc in cyclics:
+            if cyc <= current:
+                continue
+            gens = known[current] + known[cyc]
+            joined = table.subgroup_closure(gens)
+            if joined not in known:
+                known[joined] = gens
+                queue.append(joined)
+    return sorted(known, key=lambda s: (len(s), sorted(s)))
+
+
+# the generated benchmark corpus: S5, A5 and D12
+GENERATED = {
+    "S5": (5, "(1 2)", "(1 2 3 4 5)"),
+    "A5": (5, "(1 2 3)", "(3 4 5)"),
+    "D12": (12, "(1 2 3 4 5 6 7 8 9 10 11 12)", "(1 12)(2 11)(3 10)(4 9)(5 8)(6 7)"),
+}
+
+
+def _sweep_tables():
+    yield from load_corpus()
+    for name, (domain, *gens) in GENERATED.items():
+        yield make(name, domain, *gens)
+    yield matrix_group_table(field_make(2, 1), 3)  # GL3(F2): 179 subgroups
+    yield matrix_group_table(field_make(2, 2), 2)  # GL2(F4): order 180
+
+
+def test_enumerate_subgroups_matches_reference_join_loop():
+    for table in _sweep_tables():
+        subgroups = enumerate_subgroups(table)
+        assert list(subgroups) == _reference_subgroups(table), table.name
+        for subgroup, gens in subgroups.items():
+            assert table.subgroup_closure(gens) == subgroup, table.name
+        # closed under conjugation by every element
+        products, inverses = table.products, table.inverses
+        for x in range(len(table)):
+            for subgroup in subgroups:
+                assert frozenset(products[products[inverses[x]][h]][x] for h in subgroup) in subgroups
+
+
+@pytest.mark.parametrize("name,checked", [("S5", 2412), ("A5", 658), ("D12", 356)])
+def test_coset_lemma_sweep_sizes(name, checked):
+    domain, *gens = GENERATED[name]
+    checks = coset_lemma_sweep(make(name, domain, *gens))
+    assert len(checks) == checked and all(c.ok for c in checks)
+
+
+@pytest.mark.parametrize("name", ["S5", "GL2F3"])
+def test_products_match_compose_perms(name):
+    table = next(t for t in _sweep_tables() if t.name == name)
+    elems = table.elements
+    assert table.products == tuple(tuple(table.index_of(compose_perms(a, b)) for b in elems) for a in elems)
+
+
 def test_hom_count_profinite_abelian_s3():
     g = s3()
     assert hom_count_profinite_abelian(g, 1, ()) == 6
