@@ -37,8 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="table")
-    common.add_argument("--budget-override", action="store_true",
-                        help="lift enumeration and size ceilings")
+
+    bounded = argparse.ArgumentParser(add_help=False, parents=[common])
+    bounded.add_argument("--budget-override", action="store_true",
+                         help="lift enumeration and size ceilings")
 
     shape = argparse.ArgumentParser(add_help=False)
     shape.add_argument("--n", type=int, required=True, help="matrix size")
@@ -49,14 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--mode", choices=tuple(_MODE_BY_FLAG), default=None,
                        help="with --k: which count to compute")
 
-    p_poly = sub.add_parser("poly", parents=[common, shape], help="print a counting polynomial")
+    p_poly = sub.add_parser("poly", parents=[bounded, shape], help="print a counting polynomial")
     p_poly.add_argument("--q", default=None, help="comma-separated field sizes to evaluate at")
 
-    p_verify = sub.add_parser("verify", parents=[common, shape],
+    p_verify = sub.add_parser("verify", parents=[bounded, shape],
                               help="compare the polynomial against brute-force counts")
     p_verify.add_argument("--q", required=True, help="comma-separated field sizes")
 
-    p_census = sub.add_parser("census", parents=[common],
+    p_census = sub.add_parser("census", parents=[bounded],
                               help="tally polynomial factorization types against predictions")
     p_census.add_argument("--n", type=int, required=True, help="polynomial degree")
     p_census.add_argument("--q", required=True, help="comma-separated field sizes")

@@ -326,9 +326,6 @@ class CountingPolynomial:
         value = self.poly.evaluate(q)
         return value.numerator  # integer coefficients, so denominator is 1
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "mode": self.mode, "poly": self.poly.to_json()}
-
 
 def count_semisimple_tuples(n: int, k: int, cache: WeightCache | None = None) -> CountingPolynomial:
     """Commuting k-tuples of semisimple elements of GL_n(F_q), as a polynomial.

@@ -1,22 +1,22 @@
-"""Exact arithmetic for univariate polynomials, rational functions, and
-Laurent polynomials over the rationals.
+"""Exact arithmetic for univariate polynomials and rational functions over
+the rationals, and the Laurent polynomials that quotients print as.
 
 Polynomials are dense ascending coefficient tuples of `fractions.Fraction`
 values, and the formal variable is always printed as ``q``.  The zero
 polynomial is the empty tuple, which makes equality and degree structural.
 Everything here is exact; no floating point is ever involved.
 
-Wire format: a polynomial serializes to ``{"var": "q", "coeffs": [[num, den],
-...]}`` with coefficients ascending by degree; a Laurent polynomial adds a
-``"minDegree"`` key.  Integers outside the signed 64-bit range are encoded as
-decimal strings so round-trips stay bit-exact.
+Wire format, written and never read back: a polynomial serializes to
+``{"var": "q", "coeffs": [[num, den], ...]}``, ascending by degree; a Laurent
+polynomial adds a ``"minDegree"`` key.  Integers outside the signed 64-bit
+range are written as decimal strings, so no JSON reader rounds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -39,16 +39,6 @@ class NotLaurent(ArithmeticError):
 
 def _encode_int(value: int) -> int | str:
     return value if _I64_MIN <= value <= _I64_MAX else str(value)
-
-
-def _decode_int(value: int | str) -> int:
-    if isinstance(value, bool):
-        raise ValueError("expected an integer, got a bool")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return int(value, 10)
-    raise ValueError(f"expected an integer or decimal string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -110,20 +100,12 @@ class UnivariatePoly:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def is_integer(self) -> bool:
         """True when every coefficient has denominator 1."""
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def coefficient(self, degree: int) -> Fraction:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return Fraction(0)
 
     # ---- arithmetic ----
 
@@ -238,12 +220,6 @@ class UnivariatePoly:
             "var": "q",
             "coeffs": [[_encode_int(c.numerator), _encode_int(c.denominator)] for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "UnivariatePoly":
-        if doc.get("var") != "q":
-            raise ValueError("expected a polynomial in the variable q")
-        return cls(tuple(Fraction(_decode_int(n), _decode_int(d)) for n, d in doc["coeffs"]))
 
     def __str__(self) -> str:
         return _render_terms(list(enumerate(self.coeffs)))
@@ -380,13 +356,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num.evaluate(x) / den
 
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RationalFunction":
-        return cls(UnivariatePoly.from_json(doc["num"]), UnivariatePoly.from_json(doc["den"]))
-
     def __str__(self) -> str:
         if self.is_polynomial():
             return str(self.num)
@@ -426,76 +395,8 @@ class LaurentPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "min_degree", low)
 
-    @classmethod
-    def from_poly(cls, p: UnivariatePoly) -> "LaurentPoly":
-        return cls(0, p.coeffs)
-
-    @property
-    def max_degree(self) -> int | float:
-        if not self.coeffs:
-            return NEG_INFINITY
-        return self.min_degree + len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def coefficient(self, degree: int) -> Fraction:
-        i = degree - self.min_degree
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __add__(self, other) -> "LaurentPoly":
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        low = min(self.min_degree, other.min_degree)
-        high = max(self.max_degree, other.max_degree)
-        out = [self.coefficient(d) + other.coefficient(d) for d in range(low, high + 1)]
-        return LaurentPoly(low, tuple(out))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.min_degree, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "LaurentPoly":
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly(0, ())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LaurentPoly(self.min_degree + other.min_degree, tuple(out))
-
-    __rmul__ = __mul__
-
-    def evaluate(self, x: Scalar) -> Fraction:
-        xf = Fraction(x)
-        if xf == 0 and self.min_degree < 0:
-            raise ZeroDivisionError("pole at 0")
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * xf + c
-        return acc * xf**self.min_degree
 
     def to_json(self) -> dict:
         return {
@@ -504,27 +405,8 @@ class LaurentPoly:
             "coeffs": [[_encode_int(c.numerator), _encode_int(c.denominator)] for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "LaurentPoly":
-        if doc.get("var") != "q":
-            raise ValueError("expected a Laurent polynomial in the variable q")
-        return cls(
-            int(doc["minDegree"]),
-            tuple(Fraction(_decode_int(n), _decode_int(d)) for n, d in doc["coeffs"]),
-        )
-
     def __str__(self) -> str:
         return _render_terms([(self.min_degree + i, c) for i, c in enumerate(self.coeffs)])
-
-
-def _as_laurent(value) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, UnivariatePoly):
-        return LaurentPoly.from_poly(value)
-    if isinstance(value, (int, Fraction)):
-        return LaurentPoly(0, (Fraction(value),))
-    return NotImplemented
 
 
 def to_laurent(a: UnivariatePoly, b: UnivariatePoly) -> LaurentPoly:

@@ -59,22 +59,6 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 _SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 
-def _pp_divmod(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Long division of base-p coefficient tuples over the prime field."""
-    inv_lead = pow(b[-1], p - 2, p)
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        factor = rem[-1] * inv_lead % p
-        shift = len(rem) - len(b)
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return _fq_trim(quo), _fq_trim(rem)
-
-
 class FieldSpec:
     """A small finite field with fully materialized arithmetic tables."""
 
@@ -108,35 +92,29 @@ class FieldSpec:
         return value
 
     def _build_tables(self) -> None:
-        p, e, size = self.p, self.e, self.size
+        """Tables by Horner's rule over the digits: a * b = x * ((a // p) * b) + (a % p) * b.
+
+        Multiplying by x shifts the digits up and subtracts the lead digit
+        times the modulus; a scalar c < p scales every digit.
+        """
+        p, size = self.p, self.size
         digits = [self._digits(v) for v in range(size)]
-        add = []
-        mul = []
-        for a in range(size):
-            da = digits[a]
-            add.append(tuple(self._undigits((x + y) % p for x, y in zip(da, digits[b])) for b in range(size)))
-            row = []
-            for b in range(size):
-                conv = [0] * (2 * e - 1 if e > 1 else 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(digits[b]):
-                            conv[i + j] = (conv[i + j] + x * y) % p
-                _, rem = _pp_divmod(p, _fq_trim(conv), self.modulus)
-                row.append(self._undigits(list(rem) + [0] * (e - len(rem))))
-            mul.append(tuple(row))
-        self.add_table = tuple(add)
+        add = self.add_table = tuple(
+            tuple(self._undigits((x + y) % p for x, y in zip(da, db)) for db in digits) for da in digits
+        )
+        scaled = [tuple(self._undigits(c * x % p for x in d) for d in digits) for c in range(p)]
+        times_x = tuple(
+            self._undigits((low - d[-1] * m) % p for low, m in zip([0] + d[:-1], self.modulus)) for d in digits
+        )
+        mul = list(scaled)
+        for a in range(p, size):
+            mul.append(tuple(add[times_x[h]][c] for h, c in zip(mul[a // p], scaled[a % p])))
         self.mul_table = tuple(mul)
-        self.neg_table = tuple(self._undigits((-d) % p for d in digits[a]) for a in range(size))
-        inv = [0] * size
-        for a in range(1, size):
-            for b in range(1, size):
-                if self.mul_table[a][b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise UnsupportedField(f"element {a} has no inverse; modulus {self.modulus} reducible")
-        self.inv_table = tuple(inv)
+        self.neg_table = scaled[p - 1]
+        try:
+            self.inv_table = (0,) + tuple(row.index(1) for row in mul[1:])
+        except ValueError:
+            raise UnsupportedField(f"modulus {self.modulus} is reducible: a zero divisor has no inverse") from None
 
     # element arithmetic
 
@@ -195,11 +173,6 @@ def field_params(q: int) -> tuple[int, int]:
     return p, e
 
 
-def field_of_size(q: int) -> FieldSpec:
-    """The supported field with q elements; raises UnsupportedField for any other q."""
-    return field_make(*field_params(q))
-
-
 def gl_order_int(q: int, n: int) -> int:
     return prod(q**n - q**j for j in range(n))
 
@@ -221,12 +194,6 @@ def check_census_budget(q: int, n: int, override_budget: bool) -> None:
 
 # ---------------------------------------------------------------------------
 # polynomials over F_q: coefficient tuples ascending, no trailing zeros
-
-
-def _fq_trim(cs: list[int]) -> tuple[int, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
 
 
 def _fq_mul(add_t, mul_t, a, b) -> tuple[int, ...]:
@@ -386,25 +353,6 @@ MODE_ALL_SEMISIMPLE = "all-semisimple"
 MODE_LAST_FREE = "last-free"
 
 
-def centralizer_sets(elements, product) -> tuple[frozenset[int], ...]:
-    """For each index, the indices of the elements commuting with it, itself included.
-
-    One scan over the pairs i < j, testing ``product(a, b) == product(b, a)``;
-    it serves permutation groups in ``groupdiv`` (matrix groups solve for
-    their commutants instead, see ``_commutant_basis``).
-    """
-    size = len(elements)
-    sets = [{i} for i in range(size)]
-    for i in range(size):
-        a = elements[i]
-        for j in range(i + 1, size):
-            b = elements[j]
-            if product(a, b) == product(b, a):
-                sets[i].add(j)
-                sets[j].add(i)
-    return tuple(frozenset(s) for s in sets)
-
-
 def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | None = None) -> int:
     """Commuting k-tuples drawn from ``allowed``, followed by one from ``free`` if given.
 
@@ -560,12 +508,6 @@ def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False
     return orbits
 
 
-def count_semisimple_elements(n: int, f: FieldSpec, override_budget: bool = False) -> int:
-    """Number of semisimple invertible matrices, by direct flags."""
-    check_gl_budget(f.size, n, override_budget)
-    return len(_group_context(f, n).ss_set)
-
-
 # ---------------------------------------------------------------------------
 # polynomial census
 
@@ -576,9 +518,6 @@ class CensusRecord:
 
     type: FactorizationType
     count: int
-
-    def to_json(self) -> dict:
-        return {"type": self.type.to_json(), "count": self.count}
 
 
 def poly_type_census(f: FieldSpec, n: int, override_budget: bool = False) -> tuple[CensusRecord, ...]:

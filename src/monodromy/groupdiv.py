@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .fforacle import (
     BudgetExceeded,
     FieldSpec,
-    centralizer_sets,
     count_commuting_tuples,
     enumerate_invertible,
     mat_vec,
@@ -131,22 +130,23 @@ class FiniteGroupTable:
         return self._index[perm]
 
     @functools.cached_property
-    def products(self) -> tuple[tuple[int, ...], ...]:
-        """The Cayley table: ``products[i][j]`` indexes ``compose(elements[i], elements[j])``."""
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table by columns: ``columns[j][i]`` indexes ``compose(elements[i], elements[j])``."""
         if len(self) > HOM_GROUP_BUDGET:
             raise BudgetExceeded(f"group order {len(self)} exceeds {HOM_GROUP_BUDGET}")
         if self.domain == 1:  # itemgetter of one point returns a scalar; the only element is the identity
             return ((self.identity_index,),)
-        # column j holds compose(a, b_j) for every a: one C-level getter per column, then transpose
+        # one C-level getter per column
         lookup = self._index.__getitem__
         try:
-            columns = [tuple(map(lookup, map(operator.itemgetter(*b), self.elements))) for b in self.elements]
+            return tuple(tuple(map(lookup, map(operator.itemgetter(*b), self.elements))) for b in self.elements)
         except KeyError:
             raise ValueError("element list is not closed under composition") from None
-        return tuple(zip(*columns))
 
-    def compose_idx(self, i: int, j: int) -> int:
-        return self.products[i][j]
+    @functools.cached_property
+    def products(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table: ``products[i][j]`` indexes ``compose(elements[i], elements[j])``."""
+        return tuple(zip(*self.columns))
 
     @functools.cached_property
     def inverses(self) -> tuple[int, ...]:
@@ -154,8 +154,12 @@ class FiniteGroupTable:
 
     @functools.cached_property
     def centralizers(self) -> tuple[frozenset[int], ...]:
-        """For each element, the indices of the elements commuting with it."""
-        return centralizer_sets(range(len(self)), self.compose_idx)
+        """For each element, the indices of the elements commuting with it: where its row equals its column."""
+        everything = range(len(self))
+        return tuple(
+            frozenset(itertools.compress(everything, map(operator.eq, row, col)))
+            for row, col in zip(self.products, self.columns)
+        )
 
     @functools.cached_property
     def orders(self) -> tuple[int, ...]:
@@ -429,8 +433,7 @@ def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], tuple[i
     """
     if len(table) > SWEEP_GROUP_BUDGET:
         raise BudgetExceeded(f"subgroup sweep on order {len(table)} exceeds {SWEEP_GROUP_BUDGET}")
-    products, inverses = table.products, table.inverses
-    columns = tuple(zip(*products))
+    products, columns, inverses = table.products, table.columns, table.inverses
     # conjugators[x][h] indexes x^-1 h x
     conjugators = [tuple(map(columns[x].__getitem__, products[inverses[x]])) for x in range(len(table))]
     known: dict[frozenset[int], tuple[int, ...]] = {}

@@ -89,12 +89,6 @@ class FactorizationType:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def refinement(self, value: int) -> Partition:
-        for v, ref in self.refinements:
-            if v == value:
-                return ref
-        raise KeyError(value)
-
     def label(self) -> str:
         """Compact human form, e.g. ``(1 1 | 1:(1 1))``."""
         outer = " ".join(str(p) for p in self.parts)
@@ -106,17 +100,6 @@ class FactorizationType:
             "lambda": list(self.parts),
             "refinements": {str(v): list(ref) for v, ref in self.refinements},
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FactorizationType":
-        parts = tuple(int(p) for p in doc["lambda"])
-        refs = tuple(
-            sorted(
-                ((int(v), tuple(int(r) for r in ref)) for v, ref in doc["refinements"].items()),
-                key=lambda item: -item[0],
-            )
-        )
-        return cls(parts, refs)
 
 
 @lru_cache(maxsize=None)

@@ -214,6 +214,16 @@ def test_size_ceiling_and_override(capsys):
     assert status == 0
 
 
+def test_divisibility_refuses_budget_override(capsys, tmp_path):
+    # the subgroup sweep has no override, so the flag is refused rather than silently ignored
+    corpus = tmp_path / "s6.txt"
+    corpus.write_text("S6 6 (1 2); (1 2 3 4 5 6)\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["divisibility", "--corpus", str(corpus), "--budget-override"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget-override" in capsys.readouterr().err
+
+
 def test_scan_budget_exit_two(capsys):
     # |GL_3(F_4)| = 181440 is past the ceiling on |GL_n(F_q)|
     status, _, err = run(capsys, "verify", "--n", "3", "--k", "2", "--mode", "ss", "--q", "4")

@@ -52,13 +52,10 @@ def test_constructors():
 def test_structure_queries():
     p = poly(1, 0, -3, 2)
     assert p.leading() == 2
-    assert p.constant_term() == 1
     assert not p.is_monic()
     assert (Q**3 - Q).is_monic()
     assert p.is_integer()
     assert not poly(Fraction(1, 2)).is_integer()
-    assert p.coefficient(2) == -3
-    assert p.coefficient(99) == 0
     with pytest.raises(ValueError):
         P.zero().leading()
 
@@ -138,25 +135,19 @@ def test_poly_gcd():
 
 
 def test_poly_json_round_trip():
-    p = poly(1, Fraction(-2, 3), 0, 5)
-    doc = p.to_json()
-    assert doc["var"] == "q"
-    assert doc["coeffs"] == [[1, 1], [-2, 3], [0, 1], [5, 1]]
-    assert P.from_json(doc) == p
-    assert P.from_json(json.loads(json.dumps(doc))) == p
-    with pytest.raises(ValueError):
-        P.from_json({"var": "x", "coeffs": []})
+    # the emitted document: ascending [num, den] pairs in the variable q, unchanged through JSON text
+    doc = poly(1, Fraction(-2, 3), 0, 5).to_json()
+    assert doc == {"var": "q", "coeffs": [[1, 1], [-2, 3], [0, 1], [5, 1]]}
+    assert json.loads(json.dumps(doc)) == doc
+    assert P.zero().to_json() == {"var": "q", "coeffs": []}
 
 
 def test_poly_json_big_integers():
-    big = 2**80
-    p = P.constant(big) * Q + 1
-    doc = p.to_json()
-    assert doc["coeffs"][1][0] == str(big)
-    assert isinstance(doc["coeffs"][0][0], int)
-    round_tripped = P.from_json(json.loads(json.dumps(doc)))
-    assert round_tripped == p
-    assert round_tripped.coeffs[1] == big
+    # integers outside the signed 64-bit range are written as decimal strings, the rest as numbers
+    top, bottom = 2**63 - 1, -(2**63)
+    doc = poly(top, bottom, top + 1, bottom - 1, Fraction(1, 2**80)).to_json()
+    assert doc["coeffs"] == [[top, 1], [bottom, 1], [str(top + 1), 1], [str(bottom - 1), 1], [1, str(2**80)]]
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_poly_str():
@@ -211,48 +202,26 @@ def test_rational_function_field_axioms_random():
             assert (a / b) * b == a
 
 
-def test_rational_function_json_round_trip():
-    r = RationalFunction(Q**3 - Q, Q + 2)
-    assert RationalFunction.from_json(json.loads(json.dumps(r.to_json()))) == r
-
-
 def test_laurent_canonical_form():
     lp = LaurentPoly(-2, (Fraction(0), Fraction(1), Fraction(0), Fraction(3), Fraction(0)))
     assert lp.min_degree == -1
     assert lp.coeffs == (Fraction(1), Fraction(0), Fraction(3))
-    assert lp.max_degree == 1
+    assert lp == LaurentPoly(-1, (1, 0, 3))
+    assert str(lp) == "3q + q^-1"
+    assert lp.is_integer()
+    assert not LaurentPoly(0, (Fraction(1, 2),)).is_integer()
     zero = LaurentPoly(-5, (Fraction(0),))
-    assert zero.is_zero()
-    assert zero.min_degree == 0
-    assert zero.max_degree == NEG_INFINITY
-
-
-def test_laurent_arithmetic():
-    a = LaurentPoly(-1, (Fraction(1), Fraction(-1)))  # q^-1 - 1
-    b = LaurentPoly(0, (Fraction(1), Fraction(1)))  # 1 + q
-    assert a + b == LaurentPoly(-1, (Fraction(1), Fraction(0), Fraction(1)))
-    assert a - a == LaurentPoly(0, ())
-    product = a * b
-    assert product.min_degree == -1
-    assert product.coefficient(-1) == 1
-    assert product.coefficient(1) == -1
-    assert a * 2 == LaurentPoly(-1, (Fraction(2), Fraction(-2)))
-    assert (a + UnivariatePoly.one()).coefficient(0) == 0
-
-
-def test_laurent_evaluate():
-    lp = LaurentPoly(-1, (Fraction(1), Fraction(-1), Fraction(-1), Fraction(1)))
-    # q^2 - q - 1 + q^-1 at q=2: 4 - 2 - 1 + 1/2
-    assert lp.evaluate(2) == Fraction(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        lp.evaluate(0)
+    assert zero == LaurentPoly(0, ())
+    assert zero.min_degree == 0 and zero.coeffs == ()
+    assert str(zero) == "0"
 
 
 def test_laurent_json_round_trip():
-    lp = LaurentPoly(-3, (Fraction(2, 7), Fraction(0), Fraction(1)))
-    doc = lp.to_json()
-    assert doc["minDegree"] == -3
-    assert LaurentPoly.from_json(json.loads(json.dumps(doc))) == lp
+    # the emitted document: canonical minDegree, [num, den] pairs, unchanged through JSON text
+    doc = LaurentPoly(-4, (0, Fraction(2, 7), 0, 1, 0)).to_json()
+    assert doc == {"var": "q", "minDegree": -3, "coeffs": [[2, 7], [0, 1], [1, 1]]}
+    assert json.loads(json.dumps(doc)) == doc
+    assert LaurentPoly(2, (2**64,)).to_json() == {"var": "q", "minDegree": 2, "coeffs": [[str(2**64), 1]]}
 
 
 def test_to_laurent():

@@ -18,11 +18,10 @@ from monodromy.fforacle import (
     UnsupportedField,
     brute_conj_count,
     brute_hom_count,
-    centralizer_sets,
     count_commuting_tuples,
-    count_semisimple_elements,
     enumerate_invertible,
     field_make,
+    field_params,
     gl_order_int,
     identity_matrix,
     is_semisimple,
@@ -62,6 +61,37 @@ def test_modulus_verification():
     # x^3 + 1 = (x + 1)(x^2 + x + 1) over F_2: a reducible modulus of odd degree
     with pytest.raises(UnsupportedField):
         FieldSpec(2, 3, (1, 0, 0, 1))
+
+
+def _reference_tables(p, e, modulus):
+    """Add and multiply tables by digit-wise sums and convolution reduced by long division mod p."""
+    size = p**e
+    digits = [[v // p**i % p for i in range(e)] for v in range(size)]
+
+    def undigits(ds):
+        return sum(d * p**i for i, d in enumerate(ds))
+
+    def mul(da, db):
+        conv = [0] * (2 * e - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                conv[i + j] = (conv[i + j] + x * y) % p
+        for top in range(len(conv) - 1, e - 1, -1):  # the modulus is monic: cancel each high term
+            lead, shift = conv[top], top - e
+            for i, c in enumerate(modulus):
+                conv[shift + i] = (conv[shift + i] - lead * c) % p
+        return undigits(conv[:e])
+
+    add = tuple(tuple(undigits((x + y) % p for x, y in zip(da, db)) for db in digits) for da in digits)
+    return add, tuple(tuple(mul(da, db) for db in digits) for da in digits)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3)])
+def test_field_tables_match_long_division(p, e):
+    f = field_make(p, e)
+    assert (f.add_table, f.mul_table) == _reference_tables(p, e, f.modulus)
+    assert all(f.mul_table[a][f.inv_table[a]] == 1 for a in range(1, f.size))
+    assert all(f.add_table[a][f.neg_table[a]] == 0 for a in range(f.size))
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
@@ -145,7 +175,7 @@ def test_enumerate_invertible_budget():
     with pytest.raises(BudgetExceeded):
         brute_conj_count(3, field_make(2, 2), 1)
     with pytest.raises(BudgetExceeded):
-        count_semisimple_elements(3, field_make(2, 2))
+        brute_hom_count(3, field_make(2, 2), 1, MODE_ALL_SEMISIMPLE)
     with pytest.raises(ValueError):
         enumerate_invertible(0, field_make(2, 1))
 
@@ -158,12 +188,14 @@ def test_enumerate_invertible_is_lexicographic(p, e, n):
 
 
 def test_field_of_size():
-    assert fforacle.field_of_size(9) == field_make(3, 2)
-    assert fforacle.field_of_size(7) == field_make(7, 1)
-    assert fforacle.field_params(343) == (7, 3)
-    for q in (6, 11, 16):
+    assert field_make(*field_params(9)) == field_make(3, 2)
+    assert field_make(*field_params(7)) == field_make(7, 1)
+    assert field_params(343) == (7, 3)
+    for q in (6, 11):
         with pytest.raises(UnsupportedField):
-            fforacle.field_of_size(q)
+            field_params(q)
+    with pytest.raises(UnsupportedField):
+        field_make(*field_params(16))
 
 
 def test_mat_inverse_round_trip():
@@ -242,8 +274,9 @@ def test_semisimple_iff_order_coprime_to_p(p, e, n):
 
 
 def test_count_semisimple_elements():
-    assert count_semisimple_elements(2, field_make(2, 1)) == 3
-    assert count_semisimple_elements(2, field_make(3, 1)) == 32
+    # one-entry tuples: the semisimple elements themselves
+    assert brute_hom_count(2, field_make(2, 1), 1, MODE_ALL_SEMISIMPLE) == 3
+    assert brute_hom_count(2, field_make(3, 1), 1, MODE_ALL_SEMISIMPLE) == 32
 
 
 def test_brute_hom_counts_semisimple():
@@ -270,6 +303,13 @@ def test_brute_hom_validation():
         brute_hom_count(3, field_make(2, 2), 2, MODE_ALL_SEMISIMPLE)
 
 
+def _pairwise_centralizers(elements, product):
+    """For each index, the indices of the elements commuting with it, by testing every pair."""
+    return tuple(
+        frozenset(j for j, b in enumerate(elements) if product(a, b) == product(b, a)) for a in elements
+    )
+
+
 def _perm_group(domain, *cycle_texts):
     table = group_generate([parse_cycles(t, domain) for t in cycle_texts])
     odd = frozenset(i for i, order in enumerate(table.orders) if order % 2)
@@ -294,7 +334,7 @@ def _gl2f2():
 )
 def test_count_commuting_tuples_matches_naive(group):
     elements, product, cents, restricted = group()
-    assert cents == centralizer_sets(elements, product)
+    assert cents == _pairwise_centralizers(elements, product)
     everything = frozenset(range(len(elements)))
 
     def commute(t):
@@ -322,7 +362,7 @@ def test_kernel_centralizers_match_pairwise_scan(p, e, n):
     def product(a, b):
         return fforacle._mat_mul_raw(f.add_table, f.mul_table, a, b)
 
-    assert ctx.centralizers == centralizer_sets(ctx.mats, product)
+    assert ctx.centralizers == _pairwise_centralizers(ctx.mats, product)
 
 
 @pytest.mark.parametrize(
@@ -517,7 +557,7 @@ def _reference_census(f, n):
 
 @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 12) if q**n <= 3000])
 def test_census_matches_trial_division(q, n):
-    f = fforacle.field_of_size(q)
+    f = field_make(*field_params(q))
     assert poly_type_census(f, n) == _reference_census(f, n)
 
 

@@ -81,7 +81,7 @@ def test_group_table_validation():
     # not closed: {e, (1 2 3)} misses its square
     table = FiniteGroupTable([(0, 1, 2), (1, 2, 0)])
     with pytest.raises(ValueError):
-        table.compose_idx(1, 1)
+        table.products
 
 
 def test_closure_orders():
@@ -218,7 +218,7 @@ def test_enumerate_subgroups_matches_brute_force(name):
         frozenset(sub)
         for r in range(1, size + 1)
         for sub in itertools.combinations(range(size), r)
-        if all(table.compose_idx(a, b) in sub for a in sub for b in sub)
+        if all(table.products[a][b] in sub for a in sub for b in sub)
     }
     subgroups = enumerate_subgroups(table)
     assert set(subgroups) == closed
@@ -303,6 +303,16 @@ def test_products_match_compose_perms(name):
     table = next(t for t in _sweep_tables() if t.name == name)
     elems = table.elements
     assert table.products == tuple(tuple(table.index_of(compose_perms(a, b)) for b in elems) for a in elems)
+    assert table.columns == tuple(zip(*table.products))
+
+
+@pytest.mark.parametrize("name", ["S5", "A5", "GL2F3"])
+def test_centralizers_match_pairwise_scan(name):
+    table = next(t for t in _sweep_tables() if t.name == name)
+    elems = table.elements
+    assert table.centralizers == tuple(
+        frozenset(j for j, b in enumerate(elems) if compose_perms(a, b) == compose_perms(b, a)) for a in elems
+    )
 
 
 def test_hom_count_profinite_abelian_s3():
@@ -411,7 +421,7 @@ def test_cayley_table_budget_spares_table_free_checks():
     table = matrix_group_table(field_make(7, 1), 2)
     assert len(table) == 2016
     with pytest.raises(BudgetExceeded):
-        table.compose_idx(0, 0)
+        table.products
     with pytest.raises(BudgetExceeded):
         hom_count_profinite_abelian(table, 1, ())
     # orders come from cycle types, so Frobenius needs no table

@@ -59,9 +59,6 @@ def test_multiplicities():
 def test_type_validation():
     t = FactorizationType((2, 1, 1), ((2, (1,)), (1, (1, 1))))
     assert t.weight == 4
-    assert t.refinement(1) == (1, 1)
-    with pytest.raises(KeyError):
-        t.refinement(3)
     # refinement must partition the multiplicity
     with pytest.raises(ValueError):
         FactorizationType((2, 1, 1), ((2, (1,)), (1, (3,))))
@@ -77,7 +74,6 @@ def test_type_label_and_json():
     assert t.label() == "(1 1 | 1:(1 1))"
     doc = json.loads(json.dumps(t.to_json()))
     assert doc == {"lambda": [1, 1], "refinements": {"1": [1, 1]}}
-    assert FactorizationType.from_json(doc) == t
 
 
 def test_enumerate_types_counts():
