@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or budget
 refusal, 3 internal invariant violation.  JSON output is deterministic
 (sorted keys, fixed layout) so repeated runs are byte-identical.
+
+Each subcommand imports only its own layers: ``poly`` never loads the
+oracle or the group lab.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import engine, exactpoly, fforacle, groupdiv
+from . import engine, exactpoly
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -116,6 +119,7 @@ def _parse_q_list(text: str) -> list[int]:
 
 def _resolve_fields(text: str, check, n: int, override: bool) -> list:
     """(q, field) for every q in the list, each refused by ``check`` before any field is built."""
+    from . import fforacle
     params = []
     for q in _parse_q_list(text):
         p, e = fforacle.field_params(q)
@@ -184,6 +188,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import fforacle
     n, k, mode = _resolve_shape(args)
     _check_size_ceiling(n, k, args.budget_override)
     fields = _resolve_fields(args.q, fforacle.check_gl_budget, n, args.budget_override)
@@ -225,6 +230,7 @@ def _cmd_verify(args) -> int:
 def _cmd_census(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
+    from . import fforacle
     from .typecomb import count_monic_with_type
 
     fields = _resolve_fields(args.q, fforacle.check_census_budget, args.n, args.budget_override)
@@ -265,12 +271,14 @@ def _parse_prime_sets(text: str | None) -> list[tuple[int, ...]]:
         primes = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
     except ValueError as exc:
         raise UsageError(f"bad --S list {text!r}") from exc
+    from . import groupdiv
     if any(not groupdiv._is_prime(p) for p in primes):
         raise UsageError(f"--S needs primes, got {text!r}")
     return [primes]
 
 
 def _cmd_divisibility(args) -> int:
+    from . import groupdiv
     try:  # a malformed line raises ValueError, and so does an undecodable file (UnicodeDecodeError)
         groups = groupdiv.load_corpus(args.corpus)
     except ValueError as exc:
@@ -338,6 +346,20 @@ def _cmd_divisibility(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# refusals (exit 2) raised by the layers that only some subcommands load
+_LAYER_REFUSALS = {"fforacle": ("UnsupportedField", "BudgetExceeded"),
+                   "groupdiv": ("ClosureBudgetExceeded", "PreconditionViolated")}
+
+
+def _refusals() -> tuple[type[Exception], ...]:
+    """Invalid-input classes, read only from loaded layers: a layer never imported raised nothing."""
+    classes = [UsageError, engine.InvalidArity, OSError]
+    for module, names in _LAYER_REFUSALS.items():
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            classes += [getattr(loaded, name) for name in names]
+    return tuple(classes)
+
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -350,12 +372,11 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (UsageError, engine.InvalidArity, fforacle.UnsupportedField, fforacle.BudgetExceeded,
-            groupdiv.ClosureBudgetExceeded, groupdiv.PreconditionViolated, OSError) as exc:
+    except _refusals() as exc:  # an except clause evaluates its classes only once something is raised
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (engine.IntegralityViolation, engine.DegreeViolation, engine.MonicViolation,
-            engine.NonIntegerCoefficient, exactpoly.NotLaurent, exactpoly.NotDivisible, ValueError) as exc:
+            exactpoly.NotLaurent, exactpoly.NotDivisible, ValueError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -35,14 +35,15 @@ The memo is keyed by (kind, level, r) and holds the value at q; a child
 needed at q^d is the stored value with q^d substituted, so the field power
 is not part of the key.
 
-Integrality is certified inside the recursion.  The type counts N_t have
-rational coefficients, so each level sum is accumulated with every N_t
-scaled by the lcm of the denominators for that weight and divided back
-exactly; the centralizer index is an exact division by a monic polynomial.
-Either division leaving a remainder raises IntegralityViolation instead of
-rounding, since it would mean the recursion or the type combinatorics is
-wrong.  Results become ``UnivariatePoly`` only at the ``CountingPolynomial``
-boundary, which checks once more that every coefficient is an integer.
+Integrality is certified inside the recursion.  Each type count comes as
+an integer polynomial D_t * N_t over a known denominator D_t, so each level
+sum is accumulated with every N_t scaled by the lcm of the D_t for that
+weight and divided back exactly; the centralizer index is an exact division
+by a monic polynomial.  Either division leaving a remainder raises
+IntegralityViolation instead of rounding, since it would mean the recursion
+or the type combinatorics is wrong.  Results become ``UnivariatePoly`` only
+at the ``CountingPolynomial`` boundary, which checks once more that every
+coefficient is an integer.
 
 ``ss_weight`` and ``mixed_weight`` present the same values in the older
 per-block weight form, as rational functions at a field power q^m; they are
@@ -57,21 +58,21 @@ from functools import lru_cache
 from typing import Literal, NamedTuple, Optional
 
 from .exactpoly import (  # noqa: F401  (to_laurent: perfbench/spans.py looks up engine.to_laurent)
+    IntPoly,
     LaurentPoly,
     NotLaurent,
     RationalFunction,
     UnivariatePoly,
+    int_mul,
     to_laurent,
 )
-from .typecomb import FactorizationType, count_monic_with_type, enumerate_types, type_pairs
+from .typecomb import FactorizationType, enumerate_types, scaled_type_count, type_pairs
+from .typecomb import count_monic_with_type  # noqa: F401  (perfbench/spans.py looks it up here)
 
 MODE_SEMISIMPLE = "all-semisimple"
 MODE_MIXED = "mixed"
 MODE_CONJUGACY = "conjugacy-classes"
 Mode = Literal["all-semisimple", "mixed", "conjugacy-classes"]
-
-#: Integer polynomial: ascending coefficients with no trailing zeros.
-IntPoly = tuple[int, ...]
 
 
 class IntegralityViolation(ArithmeticError):
@@ -88,10 +89,6 @@ class DegreeViolation(AssertionError):
 
 class MonicViolation(AssertionError):
     """Top-degree behaviour at k = 2 is pinned down and was violated."""
-
-
-class NonIntegerCoefficient(ArithmeticError):
-    """Laurent quotient by the group order must have integer coefficients."""
 
 
 class CountKey(NamedTuple):
@@ -124,17 +121,6 @@ class WeightCache:
 
 # ---------------------------------------------------------------------------
 # integer polynomial arithmetic for the recursion
-
-
-def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)  # the top coefficient is a product of nonzeros
 
 
 def _add_into(acc: list[int], term: IntPoly) -> None:
@@ -196,7 +182,7 @@ def _gl_order_int(n: int) -> IntPoly:
     """|GL_n(q)| = q^(n(n-1)/2) * prod (q^i - 1) for i <= n."""
     result: IntPoly = (0,) * (n * (n - 1) // 2) + (1,)
     for i in range(1, n + 1):
-        result = _mul((-1,) + (0,) * (i - 1) + (1,), result)
+        result = int_mul((-1,) + (0,) * (i - 1) + (1,), result)
     return result
 
 
@@ -218,7 +204,7 @@ def _centralizer_index(r: int, pairs: tuple[tuple[int, int], ...]) -> IntPoly:
     """[GL_r : prod GL_s(F_{q^d})] over the (d, s) pairs of a type."""
     centralizer: IntPoly = (1,)
     for d, s in pairs:
-        centralizer = _mul(_compose(_gl_order_int(s), d), centralizer)
+        centralizer = int_mul(_compose(_gl_order_int(s), d), centralizer)
     return _certified_quotient(_gl_order_int(r), centralizer)
 
 
@@ -227,17 +213,17 @@ def _type_table(kind: str, r: int) -> tuple[int, tuple[tuple[IntPoly, tuple[tupl
     """The factors F(t) of every type of weight r, scaled by ``scale`` into Z[q].
 
     Returns ``(scale, rows)`` with one ``(scale * F(t), type_pairs(t))`` row
-    per type; ``scale`` is the lcm of the denominators of the N_t.
+    per type; ``scale`` is the lcm of the known denominators D_t of the N_t.
     """
     types = enumerate_types(r)
-    counts = [count_monic_with_type(t).coeffs for t in types]
-    scale = math.lcm(*(c.denominator for coeffs in counts for c in coeffs))
+    counts = [scaled_type_count(t) for t in types]
+    scale = math.lcm(*(denominator for _, denominator in counts))
     rows = []
-    for t, coeffs in zip(types, counts):
+    for t, (numerator, denominator) in zip(types, counts):
         pairs = type_pairs(t)
-        factor = tuple((c * scale).numerator for c in coeffs)
+        factor = tuple(c * (scale // denominator) for c in numerator)
         if kind == "ss":
-            factor = _mul(factor, _centralizer_index(r, pairs))
+            factor = int_mul(factor, _centralizer_index(r, pairs))
         rows.append((factor, pairs))
     return scale, tuple(rows)
 
@@ -272,7 +258,7 @@ def _level_value(kind: str, level: int, r: int, below: dict[int, IntPoly]) -> In
     for factor, pairs in rows:
         term = factor
         for d, s in pairs:
-            term = _mul(term, _compose(below[s], d))
+            term = int_mul(term, _compose(below[s], d))
         _add_into(total, term)
     return _certified_quotient(_strip(total), (scale,))
 
@@ -351,7 +337,7 @@ def count_mixed_tuples(n: int, k: int, cache: WeightCache | None = None) -> Coun
         raise InvalidArity("matrix size n must be >= 1")
     if k < 2:
         raise InvalidArity("mixed tuples need k >= 2")
-    poly = _mul(_gl_order_int(n), _weight("mixed", k - 2, n, _memo(cache)))
+    poly = int_mul(_gl_order_int(n), _weight("mixed", k - 2, n, _memo(cache)))
     return CountingPolynomial(UnivariatePoly(poly), n, k, MODE_MIXED)
 
 

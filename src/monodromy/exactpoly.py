@@ -4,7 +4,9 @@ the rationals, and the Laurent polynomials that quotients print as.
 Polynomials are dense ascending coefficient tuples of `fractions.Fraction`
 values, and the formal variable is always printed as ``q``.  The zero
 polynomial is the empty tuple, which makes equality and degree structural.
-Everything here is exact; no floating point is ever involved.
+Everything here is exact; no floating point is ever involved.  The type
+counts and the engine's recursion stay in Z[q] instead, as plain ``IntPoly``
+coefficient tuples multiplied by ``int_mul``.
 
 Wire format, written and never read back: a polynomial serializes to
 ``{"var": "q", "coeffs": [[num, den], ...]}``, ascending by degree; a Laurent
@@ -19,6 +21,9 @@ from fractions import Fraction
 from typing import Union
 
 Scalar = Union[int, Fraction]
+
+#: Integer polynomial: ascending coefficients with no trailing zeros.
+IntPoly = tuple[int, ...]
 
 #: Degree of the zero polynomial.  Compares below every integer, so degree
 #: bounds of the form ``p.degree >= b`` are safely false for the zero
@@ -223,6 +228,18 @@ class UnivariatePoly:
 
     def __str__(self) -> str:
         return _render_terms(list(enumerate(self.coeffs)))
+
+
+def int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Product in Z[q] of two integer polynomials."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)  # the top coefficient is a product of nonzeros
 
 
 def _as_poly(value) -> UnivariatePoly:

@@ -10,7 +10,9 @@ records how many distinct degree-i factors occur and with which exponents.
 the number of monic polynomials over F_q with nonzero constant term that
 factor that way.  Summed over all types of weight n this recovers
 (q - 1) q^(n-1), the number of monic degree-n polynomials with nonzero
-constant term.
+constant term.  The count is built in Z[q] over a known denominator
+(``scaled_type_count``), the form the engine sums; the rational polynomial
+is that integer polynomial divided once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactpoly import UnivariatePoly
+from .exactpoly import IntPoly, UnivariatePoly, int_mul
 
 Partition = tuple[int, ...]
 
@@ -149,6 +151,20 @@ def _mobius(k: int) -> int:
     return result
 
 
+def _irreducible_numerator(i: int, exclude_zero_root: bool) -> IntPoly:
+    """i times the number of monic irreducible degree-i polynomials: sum over e | i of mu(i/e) q^e.
+
+    Excluding the zero root subtracts the lone irreducible q, of degree 1.
+    """
+    coeffs = [0] * (i + 1)
+    for e in range(1, i + 1):
+        if i % e == 0:
+            coeffs[e] += _mobius(i // e)
+    if exclude_zero_root and i == 1:
+        coeffs[0] -= 1
+    return tuple(coeffs)
+
+
 @lru_cache(maxsize=None)
 def count_irreducibles(i: int, exclude_zero_root: bool = False) -> UnivariatePoly:
     """Number of monic irreducible degree-i polynomials over F_q, in q.
@@ -160,14 +176,7 @@ def count_irreducibles(i: int, exclude_zero_root: bool = False) -> UnivariatePol
     """
     if i < 1:
         raise ValueError("irreducible degree must be >= 1")
-    coeffs = [Fraction(0)] * (i + 1)
-    for k in range(1, i + 1):
-        if i % k == 0:
-            coeffs[i // k] += Fraction(_mobius(k), i)
-    poly = UnivariatePoly(tuple(coeffs))
-    if exclude_zero_root and i == 1:
-        poly = poly - UnivariatePoly.one()
-    return poly
+    return UnivariatePoly(tuple(Fraction(c, i) for c in _irreducible_numerator(i, exclude_zero_root)))
 
 
 def aut_factor(ref: Partition) -> int:
@@ -182,23 +191,32 @@ def aut_factor(ref: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def count_monic_with_type(t: FactorizationType) -> UnivariatePoly:
-    """Monic polynomials over F_q with nonzero constant term of a given type.
+def scaled_type_count(t: FactorizationType) -> tuple[IntPoly, int]:
+    """``(D_t * N_t, D_t)``: the type count N_t as an integer polynomial over a known denominator.
 
-    For each distinct factor degree i, the refinement's parts pick the
-    exponents of the distinct degree-i factors: choosing an ordered tuple of
-    distinct irreducibles gives a falling factorial of the irreducible count,
-    and permuting parts with equal exponent gives the same polynomial, hence
-    the division by ``aut_factor``.
+    For each distinct factor degree d, the L parts of its refinement pick
+    the exponents of L distinct degree-d irreducibles: an ordered choice is
+    the falling factorial of the irreducible count I_d, and permuting parts
+    with equal exponent gives the same polynomial, hence the division by
+    ``aut_factor``.  Scaling each factor by d puts it in Z[q]:
+    d^L * prod_{j<L} (I_d - j) = prod_{j<L} (d I_d - j d), so
+    D_t = prod over degrees of d^L * aut_factor(refinement).
     """
-    result = UnivariatePoly.one()
-    for value, ref in t.refinements:
-        n_irr = count_irreducibles(value, exclude_zero_root=True)
-        falling = UnivariatePoly.one()
+    numerator: IntPoly = (1,)
+    denominator = 1
+    for d, ref in t.refinements:
+        base = _irreducible_numerator(d, exclude_zero_root=True)
         for j in range(len(ref)):
-            falling = falling * (n_irr - j)
-        result = result * falling * Fraction(1, aut_factor(ref))
-    return result
+            numerator = int_mul(numerator, (base[0] - j * d,) + base[1:])
+        denominator *= d ** len(ref) * aut_factor(ref)
+    return numerator, denominator
+
+
+@lru_cache(maxsize=None)
+def count_monic_with_type(t: FactorizationType) -> UnivariatePoly:
+    """Monic polynomials over F_q with nonzero constant term of a given type."""
+    numerator, denominator = scaled_type_count(t)
+    return UnivariatePoly(tuple(Fraction(c, denominator) for c in numerator))
 
 
 def total_monic_count(n: int) -> UnivariatePoly:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from monodromy import cli
+from monodromy import cli, fforacle, groupdiv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -240,7 +240,7 @@ def test_q_list_refused_before_any_work(capsys, monkeypatch, argv):
         raise AssertionError("work started before the whole --q list was checked")
 
     for name in ("brute_hom_count", "brute_conj_count", "poly_type_census"):
-        monkeypatch.setattr(cli.fforacle, name, must_not_run)
+        monkeypatch.setattr(fforacle, name, must_not_run)
     monkeypatch.setattr(cli, "_count_for", must_not_run)
     status, out, err = run(capsys, *argv)
     assert status == 2 and out == "" and err.startswith("error: ")
@@ -256,11 +256,26 @@ def test_field_ceiling_refused_before_field_tables(capsys, monkeypatch, argv, me
     def must_not_build(self):
         raise AssertionError("field tables built before the ceiling was checked")
 
-    monkeypatch.setattr(cli.fforacle.FieldSpec, "_build_tables", must_not_build)
+    monkeypatch.setattr(fforacle.FieldSpec, "_build_tables", must_not_build)
     # bypass the field cache so that any field request reaches the table build
-    monkeypatch.setattr(cli.fforacle, "field_make", cli.fforacle.field_make.__wrapped__)
+    monkeypatch.setattr(fforacle, "field_make", fforacle.field_make.__wrapped__)
     status, out, err = run(capsys, *argv)
     assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("layer,refusal,attr,argv", [
+    (fforacle, "BudgetExceeded", "brute_hom_count", ["verify", "--n", "1", "--k", "1", "--q", "2"]),
+    (fforacle, "UnsupportedField", "field_params", ["census", "--n", "2", "--q", "2"]),
+    (groupdiv, "ClosureBudgetExceeded", "load_corpus", ["divisibility", "--group", "S3"]),
+    (groupdiv, "PreconditionViolated", "frobenius_count", ["divisibility", "--group", "S3"]),
+], ids=["BudgetExceeded", "UnsupportedField", "ClosureBudgetExceeded", "PreconditionViolated"])
+def test_layer_refusals_exit_two(capsys, monkeypatch, layer, refusal, attr, argv):
+    # the oracle and the group lab load only with their subcommands; their refusals still map to exit 2
+    def refuse(*args, **kwargs):
+        raise getattr(layer, refusal)("refused")
+
+    monkeypatch.setattr(layer, attr, refuse)
+    assert run(capsys, *argv) == (2, "", "error: refused\n")
 
 
 @pytest.mark.parametrize("mode", ["ss", "mixed", "conj"])

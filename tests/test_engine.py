@@ -1,6 +1,8 @@
 """The exact counting engine: weights, counts, and structural checks."""
 
+import functools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -265,13 +267,48 @@ def fresh_type_tables():
 
 
 def test_fractional_type_count_fails_level_sum(monkeypatch, fresh_type_tables):
-    real = engine.count_monic_with_type
+    # one more in a numerator D_t * N_t leaves N_t off by 1/D_t, a fraction
+    real = engine.scaled_type_count
     poisoned = enumerate_types(2)[0]
-    monkeypatch.setattr(
-        engine, "count_monic_with_type", lambda t: real(t) + Fraction(1, 3) if t == poisoned else real(t)
-    )
+
+    def scaled(t):
+        numerator, denominator = real(t)
+        return ((numerator[0] + 1,) + numerator[1:], denominator) if t == poisoned else (numerator, denominator)
+
+    monkeypatch.setattr(engine, "scaled_type_count", scaled)
     with pytest.raises(IntegralityViolation):
         count_conjugacy_classes(2, 2)
+
+
+def _rational_type_table(kind, r):
+    """The type table scaled by the lcm of the coefficient denominators of the rational N_t."""
+    types = enumerate_types(r)
+    counts = [count_monic_with_type(t).coeffs for t in types]
+    scale = math.lcm(*(c.denominator for coeffs in counts for c in coeffs))
+    rows = []
+    for t, coeffs in zip(types, counts):
+        pairs = type_pairs(t)
+        factor = tuple((c * scale).numerator for c in coeffs)
+        if kind == "ss":
+            factor = engine.int_mul(factor, engine._centralizer_index(r, pairs))
+        rows.append((factor, pairs))
+    return scale, tuple(rows)
+
+
+def _memo_tables(cache):
+    for n in range(1, 7):
+        for k in range(1, 7):
+            count_semisimple_tuples(n, k, cache)
+            count_conjugacy_classes(n, k, cache)
+            if k >= 2:
+                count_mixed_tuples(n, k, cache)
+    return cache._tables
+
+
+def test_integer_type_table_keeps_memo_tables(monkeypatch, fresh_type_tables):
+    integer = _memo_tables(WeightCache())
+    monkeypatch.setattr(engine, "_type_table", functools.lru_cache(maxsize=None)(_rational_type_table))
+    assert _memo_tables(WeightCache()) == integer
 
 
 def test_non_exact_centralizer_index(monkeypatch, fresh_type_tables):

@@ -1,0 +1,67 @@
+"""Each subcommand loads only its own layers; the package exports its names lazily."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import monodromy
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LOADED_AFTER = """
+import contextlib, io, json, sys
+from monodromy import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(sys.argv[1:])
+print(json.dumps({"status": status, "loaded": sorted(m for m in sys.modules if m.startswith("monodromy."))}))
+"""
+
+
+def loaded_after(*argv):
+    """Exit status and the monodromy modules loaded by one fresh ``cli.main(argv)``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    return doc["status"], set(doc["loaded"])
+
+
+def test_poly_loads_neither_oracle_nor_group_lab():
+    status, loaded = loaded_after("poly", "--n", "2", "--k", "2")
+    assert status == 0
+    assert "monodromy.engine" in loaded
+    assert not loaded & {"monodromy.fforacle", "monodromy.groupdiv"}
+
+
+def test_refused_poly_loads_neither_oracle_nor_group_lab():
+    status, loaded = loaded_after("poly", "--n", "2", "--k", "0")
+    assert status == 2
+    assert not loaded & {"monodromy.fforacle", "monodromy.groupdiv"}
+
+
+def test_divisibility_loads_oracle_and_group_lab():
+    status, loaded = loaded_after("divisibility", "--group", "S3", "--k", "1")
+    assert status == 0
+    assert {"monodromy.fforacle", "monodromy.groupdiv"} <= loaded
+
+
+def test_every_exported_name_resolves():
+    for name in monodromy.__all__:
+        assert getattr(getattr(monodromy, name), "__name__", name) == name
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from monodromy import *", namespace)
+    assert set(monodromy.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        monodromy.no_such_name  # noqa: B018
+    assert not hasattr(monodromy, "NonIntegerCoefficient")

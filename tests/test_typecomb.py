@@ -15,6 +15,7 @@ from monodromy.typecomb import (
     enumerate_types,
     is_partition,
     multiplicities,
+    scaled_type_count,
     total_monic_count,
     type_pairs,
 )
@@ -127,6 +128,40 @@ def test_count_monic_with_type_weight_two():
 def test_count_monic_with_type_weight_one():
     (t,) = enumerate_types(1)
     assert count_monic_with_type(t) == Q - 1
+
+
+# Reference: the type count over Q as built before the integer form, with
+# the irreducible counts taken from q^d = sum over e | d of e * I_e rather
+# than from the Mobius sum.
+
+
+def _reference_irreducibles(d):
+    total = UnivariatePoly.monomial(1, d)
+    for e in range(1, d):
+        if d % e == 0:
+            total = total - _reference_irreducibles(e) * e
+    return total * Fraction(1, d)
+
+
+def _reference_count_monic_with_type(t):
+    result = UnivariatePoly.one()
+    for value, ref in t.refinements:
+        n_irr = _reference_irreducibles(value) - (1 if value == 1 else 0)
+        falling = UnivariatePoly.one()
+        for j in range(len(ref)):
+            falling = falling * (n_irr - j)
+        result = result * falling * Fraction(1, aut_factor(ref))
+    return result
+
+
+def test_scaled_type_count_matches_reference():
+    for n in range(1, 11):
+        for t in enumerate_types(n):
+            numerator, denominator = scaled_type_count(t)
+            assert all(isinstance(c, int) for c in numerator)
+            expected = _reference_count_monic_with_type(t)
+            assert UnivariatePoly(numerator) * Fraction(1, denominator) == expected, t.label()
+            assert count_monic_with_type(t) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 9))
