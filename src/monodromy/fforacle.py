@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive: explicit field tables, explicit
 matrix enumeration, centralizers as the invertible elements of each
-commutant ker(Y -> XY - YX), solved by Gaussian elimination and enumerated
-once per distinct commutant.  The point is to be an independent check on
-the polynomial engine, so nothing is shared with it beyond the
-factorization-type vocabulary.
+commutant ker(Y -> XY - YX), enumerated once per distinct commutant: a
+cyclic X has the commutant F_q[X], spanned by I, X, ..., X^(n-1), and any
+other is solved by Gaussian elimination.  The point is to be an
+independent check on the polynomial engine, so nothing is shared with it
+beyond the factorization-type vocabulary.
 
 A matrix is semisimple here when its order is prime to p, the
 characteristic: ``is_semisimple`` tests m^(r+1) == m, with r the part of
-|GL_n(F_q)| prime to p.
+|GL_n(F_q)| prime to p.  X is semisimple exactly when its bicommutant
+F_q[X] has no nonzero nilpotent, so one test per commutant flags all of it.
 
 The factorization census is built by multiplication, never by division:
 every product of irreducible powers is formed once, degree by degree, and
@@ -379,6 +381,31 @@ def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | 
     return sum(ways * sum(len(f & cents[x]) for x in a) for (a, f), ways in level.items())
 
 
+def _rref(f: FieldSpec, rows: list[list[int]]) -> list[int]:
+    """Bring the rows to reduced row-echelon form in place; return the pivot columns, one per nonzero row."""
+    add_t, mul_t, neg_t = f.add_table, f.mul_table, f.neg_table
+    height = len(rows)
+    pivots = []
+    for col in range(len(rows[0])):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, height) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        scale = f.inv_table[rows[pivot][col]]
+        prow = [mul_t[scale][v] for v in rows[pivot]]
+        rows[pivot] = rows[rank]
+        rows[rank] = prow
+        for r in range(height):
+            lead = rows[r][col]
+            if lead and r != rank:
+                factor = mul_t[neg_t[lead]]
+                rows[r] = [add_t[v][factor[w]] for v, w in zip(rows[r], prow)]
+        pivots.append(col)
+        if rank + 1 == height:
+            break
+    return pivots
+
+
 def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of ker(Y -> XY - YX) in M_n(F_q), matrices flattened row-major.
 
@@ -386,7 +413,7 @@ def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tupl
     form; each free coordinate gives one basis vector.  Equal kernels give
     equal bases, so the result can key a memo.
     """
-    add_t, mul_t, neg_t = f.add_table, f.mul_table, f.neg_table
+    add_t, neg_t = f.add_table, f.neg_table
     n = len(x)
     size = n * n
     rows = []
@@ -399,22 +426,7 @@ def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tupl
             for b in range(n):
                 row[i * n + b] = add_t[row[i * n + b]][neg_t[x[b][j]]]
             rows.append(row)
-    pivots = []
-    for col in range(size):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, size) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        scale = f.inv_table[rows[pivot][col]]
-        prow = [mul_t[scale][v] for v in rows[pivot]]
-        rows[pivot] = rows[rank]
-        rows[rank] = prow
-        for r in range(size):
-            lead = rows[r][col]
-            if lead and r != rank:
-                factor = mul_t[neg_t[lead]]
-                rows[r] = [add_t[v][factor[w]] for v, w in zip(rows[r], prow)]
-        pivots.append(col)
+    pivots = _rref(f, rows)
     basis = []
     for free_col in (c for c in range(size) if c not in pivots):
         vec = [0] * size
@@ -423,6 +435,20 @@ def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tupl
             vec[col] = neg_t[row[free_col]]
         basis.append(tuple(vec))
     return tuple(basis)
+
+
+def _cyclic_key(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
+    """Canonical basis of F_q[X] from I, X, ..., X^(n-1) if they are independent, else None.
+
+    X is then cyclic, with commutant F_q[X] of dimension n; every other
+    commutant is larger, so no ``_commutant_basis`` key equals this one.
+    """
+    n = len(x)
+    powers = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), x]
+    while len(powers) < n:
+        powers.append(_mat_mul_raw(f.add_table, f.mul_table, powers[-1], x))
+    rows = [list(itertools.chain.from_iterable(m)) for m in powers[:n]]
+    return tuple(map(tuple, rows)) if len(_rref(f, rows)) == n else None
 
 
 def _span(f: FieldSpec, basis) -> list[tuple[int, ...]]:
@@ -436,13 +462,25 @@ def _span(f: FieldSpec, basis) -> list[tuple[int, ...]]:
 
 
 class _GroupContext:
-    """Everything enumerated once per (field, n): elements, the semisimple set, centralizers."""
+    """Everything enumerated once per (field, n): elements, commutant ids, the semisimple set, centralizers.
+
+    ``is_semisimple`` runs on the first element of each commutant, keyed by
+    ``_cyclic_key`` or else ``_commutant_basis``; the flag holds for all of it.
+    """
 
     def __init__(self, f: FieldSpec, n: int):
         self.field = f
-        mats = list(enumerate_invertible(n, f, override_budget=True))
-        self.mats = tuple(m.entries for m in mats)
-        self.ss_set = frozenset(i for i, m in enumerate(mats) if is_semisimple(m))
+        self.mats = tuple(m.entries for m in enumerate_invertible(n, f, override_budget=True))
+        ids: dict[tuple, int] = {}  # commutant basis -> id, numbered in order of first element
+        self._commutant_ids = [
+            ids.setdefault(_cyclic_key(f, m) or _commutant_basis(f, m), len(ids)) for m in self.mats
+        ]
+        firsts: dict[int, int] = {}
+        for i, c in enumerate(self._commutant_ids):
+            firsts.setdefault(c, i)
+        flags = [is_semisimple(FFMatrix(f, n, self.mats[i])) for i in firsts.values()]
+        self.ss_set = frozenset(i for i, c in enumerate(self._commutant_ids) if flags[c])
+        self._commutants = tuple(ids)
         self._centralizers: tuple[frozenset, ...] | None = None
 
     @property
@@ -450,17 +488,11 @@ class _GroupContext:
         """C(X) as the invertible part of X's commutant; each distinct commutant is enumerated once."""
         if self._centralizers is None:
             index = {tuple(itertools.chain.from_iterable(m)): i for i, m in enumerate(self.mats)}
-            by_basis: dict[tuple, frozenset] = {}
-            cents = []
-            for m in self.mats:
-                basis = _commutant_basis(self.field, m)
-                cent = by_basis.get(basis)
-                if cent is None:
-                    cent = by_basis[basis] = frozenset(
-                        i for i in map(index.get, _span(self.field, basis)) if i is not None
-                    )
-                cents.append(cent)
-            self._centralizers = tuple(cents)
+            cents = [
+                frozenset(i for i in map(index.get, _span(self.field, basis)) if i is not None)
+                for basis in self._commutants
+            ]
+            self._centralizers = tuple(cents[c] for c in self._commutant_ids)
         return self._centralizers
 
 

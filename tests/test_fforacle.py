@@ -380,6 +380,56 @@ def test_oracle_matches_engine_beyond_the_pair_scan(n, p, e, k):
     assert brute_conj_count(n, f, k) == count_conjugacy_classes(n, k).evaluate(q)
 
 
+def test_oracle_matches_engine_at_gl4_f2():
+    # one test, so the cached GL_4(F_2) context is built once for all five counts
+    f = field_make(2, 1)
+    for k in (1, 2):
+        assert brute_hom_count(4, f, k, MODE_ALL_SEMISIMPLE) == count_semisimple_tuples(4, k).evaluate(2)
+        assert brute_conj_count(4, f, k) == count_conjugacy_classes(4, k).evaluate(2)
+    assert brute_hom_count(4, f, 2, MODE_LAST_FREE) == count_mixed_tuples(4, 2).evaluate(2)
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3)],
+    ids=str,
+)
+def test_per_commutant_flags_match_per_element_tests(n, q):
+    f = field_make(*field_params(q))
+    ctx = fforacle._group_context(f, n)
+    assert ctx.ss_set == frozenset(i for i, m in enumerate(ctx.mats) if is_semisimple(FFMatrix(f, n, m)))
+
+
+def test_context_tests_semisimplicity_once_per_commutant(monkeypatch):
+    f = field_make(3, 1)
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return is_semisimple(m)
+
+    monkeypatch.setattr(fforacle, "is_semisimple", counting)
+    ctx = fforacle._GroupContext(f, 2)
+    commutants = {fforacle._commutant_basis(f, m) for m in ctx.mats}
+    assert (len(ctx.mats), len(commutants), len(calls)) == (48, 14, 14)
+    assert {fforacle._commutant_basis(f, m.entries) for m in calls} == commutants
+
+
+@pytest.mark.parametrize("n,p,e", [(2, 3, 2), (3, 3, 1)], ids=["GL2F9", "GL3F3"])
+def test_cyclic_key_spans_the_commutant(n, p, e):
+    # the powers of X key the commutant exactly when it has the least dimension, n
+    f = field_make(p, e)
+    cyclic = set()
+    for m in enumerate_invertible(n, f):
+        key = fforacle._cyclic_key(f, m.entries)
+        basis = fforacle._commutant_basis(f, m.entries)
+        assert (key is not None) == (len(basis) == n)
+        if key is not None:
+            cyclic.add((key, basis))
+    for key, basis in cyclic:  # each distinct pair once
+        assert set(fforacle._span(f, key)) == set(fforacle._span(f, basis))
+
+
 def test_brute_conj_counts():
     assert brute_conj_count(2, field_make(2, 1), 1) == 2
     assert brute_conj_count(2, field_make(2, 1), 2) == 5
