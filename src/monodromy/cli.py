@@ -117,15 +117,15 @@ def _parse_q_list(text: str) -> list[int]:
     return values
 
 
-def _resolve_fields(text: str, check, n: int, override: bool) -> list:
-    """(q, field) for every q in the list, each refused by ``check`` before any field is built."""
+def _resolve_q_list(text: str, check, n: int, override: bool) -> list[tuple[int, int, int]]:
+    """(q, p, e) for every q in the list, each refused by ``check``; builds no field tables."""
     from . import fforacle
     params = []
     for q in _parse_q_list(text):
         p, e = fforacle.field_params(q)
         check(q, n, override)
         params.append((q, p, e))
-    return [(q, fforacle.field_make(p, e)) for q, p, e in params]
+    return params
 
 
 def _count_for(n: int, k: int, mode: str) -> engine.CountingPolynomial:
@@ -191,11 +191,12 @@ def _cmd_verify(args) -> int:
     from . import fforacle
     n, k, mode = _resolve_shape(args)
     _check_size_ceiling(n, k, args.budget_override)
-    fields = _resolve_fields(args.q, fforacle.check_gl_budget, n, args.budget_override)
-    cp = _count_for(n, k, mode)
+    params = _resolve_q_list(args.q, fforacle.check_gl_budget, n, args.budget_override)
+    cp = _count_for(n, k, mode)  # refuses a bad (mode, k) before any field table is built
     rows = []
     all_match = True
-    for q, field in fields:
+    for q, p, e in params:
+        field = fforacle.field_make(p, e)
         if mode == engine.MODE_SEMISIMPLE:
             actual = fforacle.brute_hom_count(n, field, k, fforacle.MODE_ALL_SEMISIMPLE, args.budget_override)
         elif mode == engine.MODE_MIXED:
@@ -233,11 +234,11 @@ def _cmd_census(args) -> int:
     from . import fforacle
     from .typecomb import count_monic_with_type
 
-    fields = _resolve_fields(args.q, fforacle.check_census_budget, args.n, args.budget_override)
+    params = _resolve_q_list(args.q, fforacle.check_census_budget, args.n, args.budget_override)
     rows = []
     all_match = True
-    for q, field in fields:
-        for record in fforacle.poly_type_census(field, args.n, args.budget_override):
+    for q, p, e in params:
+        for record in fforacle.poly_type_census(fforacle.field_make(p, e), args.n, args.budget_override):
             predicted = count_monic_with_type(record.type).evaluate(q)
             match = predicted == record.count
             all_match = all_match and match

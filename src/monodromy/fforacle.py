@@ -2,16 +2,20 @@
 
 Everything here is deliberately naive: explicit field tables, explicit
 matrix enumeration, centralizers as the invertible elements of each
-commutant ker(Y -> XY - YX), enumerated once per distinct commutant: a
-cyclic X has the commutant F_q[X], spanned by I, X, ..., X^(n-1), and any
-other is solved by Gaussian elimination.  The point is to be an
-independent check on the polynomial engine, so nothing is shared with it
-beyond the factorization-type vocabulary.
+commutant ker(Y -> XY - YX).  All linear algebra is one span (``_span``)
+and one elimination (``_rref``): GL_n(F_q) is built row by row from
+vectors outside the span of the rows before, inverses reduce [M | I], and
+every element X is keyed by its algebra F_q[X], the reduced span of
+I, X, ..., X^(n-1).  The bicommutant of X is F_q[X], so equal algebras
+mean equal commutants: each distinct commutant is F_q[X] itself when that
+has dimension n, and is otherwise solved once by elimination.  The point is
+to be an independent check on the polynomial engine, so nothing is shared
+with it beyond the factorization-type vocabulary.
 
 A matrix is semisimple here when its order is prime to p, the
 characteristic: ``is_semisimple`` tests m^(r+1) == m, with r the part of
-|GL_n(F_q)| prime to p.  X is semisimple exactly when its bicommutant
-F_q[X] has no nonzero nilpotent, so one test per commutant flags all of it.
+|GL_n(F_q)| prime to p.  X is semisimple exactly when F_q[X] has no
+nonzero nilpotent, so one test per algebra flags all of it.
 
 The factorization census is built by multiplication, never by division:
 every product of irreducible powers is formed once, degree by degree, and
@@ -153,25 +157,30 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, e={self.e}, modulus={self.modulus})"
 
 
+def _check_degree(e: int) -> None:
+    if not 1 <= e <= 3:
+        raise UnsupportedField(f"extension degree {e} not supported (use 1 <= e <= 3)")
+
+
 @lru_cache(maxsize=None)
 def field_make(p: int, e: int) -> FieldSpec:
     """The supported field F_{p^e}; raises UnsupportedField outside the table."""
     if p not in _SUPPORTED_PRIMES:
         raise UnsupportedField(f"characteristic {p} not supported (use one of {_SUPPORTED_PRIMES})")
-    if not 1 <= e <= 3:
-        raise UnsupportedField(f"extension degree {e} not supported (use 1 <= e <= 3)")
+    _check_degree(e)
     modulus = (0, 1) if e == 1 else _MODULI[(p, e)]
     return FieldSpec(p, e, modulus)
 
 
 def field_params(q: int) -> tuple[int, int]:
-    """(p, e) with p^e = q for a supported characteristic p; builds no tables."""
+    """(p, e) with p^e = q for a supported field; builds no tables, so it refuses q before ``field_make``."""
     p = next((d for d in _SUPPORTED_PRIMES if q % d == 0), None)
     if p is None:
         raise UnsupportedField(f"{q} is not a power of a supported characteristic {_SUPPORTED_PRIMES}")
     e = next(j for j in itertools.count(1) if p**j >= q)
     if p**e != q:
         raise UnsupportedField(f"{q} is not a prime power")
+    _check_degree(e)
     return p, e
 
 
@@ -269,61 +278,73 @@ def _dot(f: FieldSpec, row, col) -> int:
     return acc
 
 
-def _det_raw(f: FieldSpec, rows) -> int:
-    """Determinant of a tuple of rows, by elimination over the field tables."""
+def _rref(f: FieldSpec, rows: list[list[int]]) -> list[int]:
+    """Bring the rows to reduced row-echelon form in place; return the pivot columns, one per nonzero row."""
     add_t, mul_t, neg_t = f.add_table, f.mul_table, f.neg_table
-    a = [list(row) for row in rows]
-    n = len(a)
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
+    height = len(rows)
+    pivots = []
+    for col in range(len(rows[0])):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, height) if rows[r][col]), None)
         if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = neg_t[det]
-        det = mul_t[det][a[col][col]]
-        inv_p = f.inv_table[a[col][col]]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = mul_t[neg_t[mul_t[a[r][col]][inv_p]]]
-                a[r] = [add_t[x][factor[y]] for x, y in zip(a[r], a[col])]
-    return det
+            continue
+        scale = f.inv_table[rows[pivot][col]]
+        prow = [mul_t[scale][v] for v in rows[pivot]]
+        rows[pivot] = rows[rank]
+        rows[rank] = prow
+        for r in range(height):
+            lead = rows[r][col]
+            if lead and r != rank:
+                factor = mul_t[neg_t[lead]]
+                rows[r] = [add_t[v][factor[w]] for v, w in zip(rows[r], prow)]
+        pivots.append(col)
+        if rank + 1 == height:
+            break
+    return pivots
 
 
-def mat_det(m: FFMatrix) -> int:
-    return _det_raw(m.field, m.entries)
+def _span(f: FieldSpec, basis) -> list[tuple[int, ...]]:
+    """Every F_q-linear combination of the basis vectors."""
+    add_t, mul_t = f.add_table, f.mul_table
+    vectors = [(0,) * len(basis[0])]
+    for b in basis:
+        multiples = [tuple(mul_t[c][v] for v in b) for c in range(1, f.size)]
+        vectors += [tuple(add_t[v][w] for v, w in zip(u, m)) for u in vectors for m in multiples]
+    return vectors
 
 
 def mat_inv(m: FFMatrix) -> FFMatrix:
+    """Inverse by reducing [M | I]; M is singular exactly when the pivots are not 0 .. n-1."""
     f, n = m.field, m.n
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.entries)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv_p = f.inv(a[col][col])
-        a[col] = [f.mul(c, inv_p) for c in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[r], a[col])]
-    return FFMatrix(f, n, tuple(tuple(row[n:]) for row in a))
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    if _rref(f, rows) != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return FFMatrix(f, n, tuple(tuple(row[n:]) for row in rows))
 
 
 def enumerate_invertible(n: int, f: FieldSpec, override_budget: bool = False):
     """Stream every invertible n x n matrix, deterministically.
 
-    The stream is the n-row tuples of ``itertools.product`` with nonzero
-    determinant, so it has exactly |GL_n(F_q)| entries in lexicographic
-    order of the rows.
+    Each matrix is built row by row: the next row is every vector, in
+    ``itertools.product`` order, outside the span of the rows chosen so far.
+    So the stream has exactly |GL_n(F_q)| entries, in lexicographic order of
+    the rows, and no singular candidate is ever formed.
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
     check_gl_budget(f.size, n, override_budget)
     vectors = tuple(itertools.product(range(f.size), repeat=n))
-    return (FFMatrix(f, n, rows) for rows in itertools.product(vectors, repeat=n) if _det_raw(f, rows))
+
+    def extend(rows: tuple):
+        if len(rows) == n:
+            yield FFMatrix(f, n, rows)
+            return
+        span = set(_span(f, rows)) if rows else {vectors[0]}
+        for v in vectors:
+            if v not in span:
+                yield from extend(rows + (v,))
+
+    return extend(())
 
 
 def is_semisimple(m: FFMatrix) -> bool:
@@ -381,31 +402,6 @@ def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | 
     return sum(ways * sum(len(f & cents[x]) for x in a) for (a, f), ways in level.items())
 
 
-def _rref(f: FieldSpec, rows: list[list[int]]) -> list[int]:
-    """Bring the rows to reduced row-echelon form in place; return the pivot columns, one per nonzero row."""
-    add_t, mul_t, neg_t = f.add_table, f.mul_table, f.neg_table
-    height = len(rows)
-    pivots = []
-    for col in range(len(rows[0])):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, height) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        scale = f.inv_table[rows[pivot][col]]
-        prow = [mul_t[scale][v] for v in rows[pivot]]
-        rows[pivot] = rows[rank]
-        rows[rank] = prow
-        for r in range(height):
-            lead = rows[r][col]
-            if lead and r != rank:
-                factor = mul_t[neg_t[lead]]
-                rows[r] = [add_t[v][factor[w]] for v, w in zip(rows[r], prow)]
-        pivots.append(col)
-        if rank + 1 == height:
-            break
-    return pivots
-
-
 def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of ker(Y -> XY - YX) in M_n(F_q), matrices flattened row-major.
 
@@ -437,62 +433,57 @@ def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tupl
     return tuple(basis)
 
 
-def _cyclic_key(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
-    """Canonical basis of F_q[X] from I, X, ..., X^(n-1) if they are independent, else None.
+def _algebra_key(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of F_q[X]: the nonzero reduced-echelon rows of I, X, ..., X^(n-1), flattened row-major.
 
-    X is then cyclic, with commutant F_q[X] of dimension n; every other
-    commutant is larger, so no ``_commutant_basis`` key equals this one.
+    By Cayley-Hamilton these powers span F_q[X].  The bicommutant of X is
+    F_q[X], so two elements have the same commutant exactly when they have
+    the same key; when the key has n rows, F_q[X] is that commutant.
     """
     n = len(x)
     powers = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), x]
     while len(powers) < n:
         powers.append(_mat_mul_raw(f.add_table, f.mul_table, powers[-1], x))
     rows = [list(itertools.chain.from_iterable(m)) for m in powers[:n]]
-    return tuple(map(tuple, rows)) if len(_rref(f, rows)) == n else None
-
-
-def _span(f: FieldSpec, basis) -> list[tuple[int, ...]]:
-    """Every F_q-linear combination of the basis vectors."""
-    add_t, mul_t = f.add_table, f.mul_table
-    vectors = [(0,) * len(basis[0])]
-    for b in basis:
-        multiples = [tuple(mul_t[c][v] for v in b) for c in range(1, f.size)]
-        vectors += [tuple(add_t[v][w] for v, w in zip(u, m)) for u in vectors for m in multiples]
-    return vectors
+    return tuple(map(tuple, rows[:len(_rref(f, rows))]))
 
 
 class _GroupContext:
-    """Everything enumerated once per (field, n): elements, commutant ids, the semisimple set, centralizers.
+    """Everything enumerated once per (field, n): elements, algebra ids, the semisimple set, centralizers.
 
-    ``is_semisimple`` runs on the first element of each commutant, keyed by
-    ``_cyclic_key`` or else ``_commutant_basis``; the flag holds for all of it.
+    Every element X is keyed by its algebra F_q[X] (``_algebra_key``); equal
+    algebras mean equal commutants.  ``is_semisimple`` runs on the first
+    element of each algebra, and the flag holds for all of it.
     """
 
     def __init__(self, f: FieldSpec, n: int):
         self.field = f
         self.mats = tuple(m.entries for m in enumerate_invertible(n, f, override_budget=True))
-        ids: dict[tuple, int] = {}  # commutant basis -> id, numbered in order of first element
-        self._commutant_ids = [
-            ids.setdefault(_cyclic_key(f, m) or _commutant_basis(f, m), len(ids)) for m in self.mats
-        ]
+        ids: dict[tuple, int] = {}  # algebra basis -> id, numbered in order of first element
+        self._algebra_ids = [ids.setdefault(_algebra_key(f, m), len(ids)) for m in self.mats]
         firsts: dict[int, int] = {}
-        for i, c in enumerate(self._commutant_ids):
+        for i, c in enumerate(self._algebra_ids):
             firsts.setdefault(c, i)
         flags = [is_semisimple(FFMatrix(f, n, self.mats[i])) for i in firsts.values()]
-        self.ss_set = frozenset(i for i, c in enumerate(self._commutant_ids) if flags[c])
-        self._commutants = tuple(ids)
+        self.ss_set = frozenset(i for i, c in enumerate(self._algebra_ids) if flags[c])
+        self._algebras = tuple(zip(ids, firsts.values()))  # (basis, first element), in id order
         self._centralizers: tuple[frozenset, ...] | None = None
 
     @property
     def centralizers(self) -> tuple[frozenset, ...]:
-        """C(X) as the invertible part of X's commutant; each distinct commutant is enumerated once."""
+        """C(X) as the invertible part of X's commutant, enumerated once per distinct algebra.
+
+        An algebra of dimension n is its own commutant; any other commutant is
+        solved by ``_commutant_basis`` on the algebra's first element.
+        """
         if self._centralizers is None:
+            f, n = self.field, len(self.mats[0])
             index = {tuple(itertools.chain.from_iterable(m)): i for i, m in enumerate(self.mats)}
-            cents = [
-                frozenset(i for i in map(index.get, _span(self.field, basis)) if i is not None)
-                for basis in self._commutants
-            ]
-            self._centralizers = tuple(cents[c] for c in self._commutant_ids)
+            cents = []
+            for algebra, first in self._algebras:
+                basis = algebra if len(algebra) == n else _commutant_basis(f, self.mats[first])
+                cents.append(frozenset(i for i in map(index.get, _span(f, basis)) if i is not None))
+            self._centralizers = tuple(cents[c] for c in self._algebra_ids)
         return self._centralizers
 
 

@@ -34,6 +34,7 @@ from .fforacle import (
 CLOSURE_BUDGET = 10_000
 HOM_GROUP_BUDGET = 2_000
 SWEEP_GROUP_BUDGET = 400
+CORPUS_DOMAIN_CEILING = 1_000  # most points a corpus group may act on; the packaged corpus needs 12
 
 
 class ClosureBudgetExceeded(RuntimeError):
@@ -528,8 +529,8 @@ def parse_corpus(text: str) -> tuple[FiniteGroupTable, ...]:
         try:
             name, domain_text, rest = line.split(None, 2)
             domain = int(domain_text)
-            if domain < 1:
-                raise ValueError(f"domain {domain} is not a positive number of points")
+            if not 1 <= domain <= CORPUS_DOMAIN_CEILING:
+                raise ValueError(f"domain {domain} is not a number of points in 1..{CORPUS_DOMAIN_CEILING}")
             gens = [parse_cycles(g, domain) for g in rest.split(";")]
         except (ValueError, IndexError) as exc:
             raise ValueError(f"corpus line {line_no}: {exc}") from exc

@@ -171,6 +171,19 @@ def test_divisibility_domain_below_one_exit_two(capsys, tmp_path, line):
     assert out == ""
 
 
+def test_divisibility_domain_above_ceiling_exit_two(capsys, monkeypatch, tmp_path):
+    # refused as a malformed line before any permutation of the domain is built
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a permutation was built before the domain was checked")
+
+    monkeypatch.setattr(groupdiv, "parse_cycles", must_not_run)
+    path = tmp_path / "corpus.txt"
+    path.write_text("# a billion points\nG 1000000000 (1 2); (1 2 3)\n", encoding="utf-8")
+    status, out, err = run(capsys, "divisibility", "--corpus", str(path))
+    assert (status, out) == (2, "")
+    assert err.startswith("error:") and "corpus line 2: domain 1000000000 is not a number of points" in err
+
+
 @pytest.mark.parametrize("primes", ["4", "0", "2,9"])
 def test_divisibility_non_prime_s_exit_two(capsys, primes):
     status, out, err = run(capsys, "divisibility", "--group", "S3", "--S", primes)
@@ -234,6 +247,7 @@ def test_scan_budget_exit_two(capsys):
     ["verify", "--n", "3", "--k", "2", "--q", "3,4"],   # GL_3(F_4) is past the ceiling
     ["verify", "--n", "2", "--k", "2", "--q", "7,6"],   # 6 is not a prime power
     ["census", "--n", "7", "--q", "5,8"],               # 8^7 is past the census ceiling
+    ["verify", "--n", "1", "--k", "1", "--q", "2,16"],  # F_16 has an unsupported degree
 ])
 def test_q_list_refused_before_any_work(capsys, monkeypatch, argv):
     def must_not_run(*args, **kwargs):
@@ -251,7 +265,8 @@ def test_q_list_refused_before_any_work(capsys, monkeypatch, argv):
     (["census", "--n", "4", "--q", "2,343"], "census would scan 13841287201 polynomials; pass override to force"),
     (["verify", "--n", "3", "--k", "2", "--q", "9"],
      "|GL_3(F_9)| = 339655680 exceeds the ceiling 25000; pass override to force"),
-], ids=["census", "census-list", "verify"])
+    (["verify", "--n", "1", "--k", "1", "--q", "16"], "extension degree 4 not supported (use 1 <= e <= 3)"),
+], ids=["census", "census-list", "verify", "verify-degree"])
 def test_field_ceiling_refused_before_field_tables(capsys, monkeypatch, argv, message):
     def must_not_build(self):
         raise AssertionError("field tables built before the ceiling was checked")
@@ -261,6 +276,18 @@ def test_field_ceiling_refused_before_field_tables(capsys, monkeypatch, argv, me
     monkeypatch.setattr(fforacle, "field_make", fforacle.field_make.__wrapped__)
     status, out, err = run(capsys, *argv)
     assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("extra", [("--q", "343", "--budget-override"), ("--q", "2,343")], ids=["one-q", "q-list"])
+def test_bad_mode_and_k_refused_before_field_tables(capsys, monkeypatch, extra):
+    # the q list is checked from q alone, then the count refuses (mode, k); no field is built
+    def must_not_build(self):
+        raise AssertionError("field tables built before the count refused (mode, k)")
+
+    monkeypatch.setattr(fforacle.FieldSpec, "_build_tables", must_not_build)
+    monkeypatch.setattr(fforacle, "field_make", fforacle.field_make.__wrapped__)
+    status, out, err = run(capsys, "verify", "--n", "1", "--k", "1", "--mode", "mixed", *extra)
+    assert (status, out, err) == (2, "", "error: mixed tuples need k >= 2\n")
 
 
 @pytest.mark.parametrize("layer,refusal,attr,argv", [

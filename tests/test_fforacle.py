@@ -25,7 +25,6 @@ from monodromy.fforacle import (
     gl_order_int,
     identity_matrix,
     is_semisimple,
-    mat_det,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -151,6 +150,28 @@ def test_gl_order_int():
     assert gl_order_int(2, 3) == 168
 
 
+def _reference_det(m):
+    """Determinant by elimination over the field tables, kept as an independent invertibility test."""
+    f = m.field
+    a = [list(row) for row in m.entries]
+    n = len(a)
+    det = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = f.neg(det)
+        det = f.mul(det, a[col][col])
+        inv_p = f.inv(a[col][col])
+        for r in range(col + 1, n):
+            if a[r][col]:
+                factor = f.mul(a[r][col], inv_p)
+                a[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[r], a[col])]
+    return det
+
+
 @pytest.mark.parametrize(
     "p,e,n",
     [(2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)],
@@ -161,7 +182,7 @@ def test_enumerate_invertible_count(p, e, n):
     assert len(mats) == gl_order_int(f.size, n)
     assert len({m.entries for m in mats}) == len(mats)
     for m in mats[:20]:
-        assert mat_det(m) != 0
+        assert _reference_det(m) != 0
 
 
 def test_enumerate_invertible_budget():
@@ -182,9 +203,15 @@ def test_enumerate_invertible_budget():
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (7, 1, 2)])
 def test_enumerate_invertible_is_lexicographic(p, e, n):
-    # row tuples in itertools.product order, so indices into the stream are stable
-    rows = [m.entries for m in enumerate_invertible(n, field_make(p, e))]
-    assert rows == sorted(rows)
+    # rows built outside the span of the rows before give exactly the
+    # nonzero-determinant row tuples in itertools.product order, so indices
+    # into the stream are stable
+    f = field_make(p, e)
+    vectors = list(itertools.product(range(f.size), repeat=n))
+    expected = [
+        rows for rows in itertools.product(vectors, repeat=n) if _reference_det(FFMatrix(f, n, rows))
+    ]
+    assert [m.entries for m in enumerate_invertible(n, f)] == expected
 
 
 def test_field_of_size():
@@ -206,13 +233,13 @@ def test_mat_inverse_round_trip():
     while found < 10:
         entries = tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3))
         m = FFMatrix(f, 3, entries)
-        if mat_det(m) == 0:
+        if _reference_det(m) == 0:
             continue
         found += 1
         assert mat_mul(m, mat_inv(m)) == ident
         assert mat_mul(mat_inv(m), m) == ident
     singular = FFMatrix(f, 2, ((1, 2), (2, 1)))  # det = 1 - 4 = 0 mod 3
-    assert mat_det(singular) == 0
+    assert _reference_det(singular) == 0
     with pytest.raises(ZeroDivisionError):
         mat_inv(singular)
 
@@ -416,18 +443,42 @@ def test_context_tests_semisimplicity_once_per_commutant(monkeypatch):
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 3, 2), (3, 3, 1)], ids=["GL2F9", "GL3F3"])
-def test_cyclic_key_spans_the_commutant(n, p, e):
-    # the powers of X key the commutant exactly when it has the least dimension, n
+def test_algebra_key_partition_matches_commutant_partition(n, p, e):
+    # the bicommutant of X is F_q[X]: numbering elements by algebra and by
+    # commutant, each in order of first element, gives the same ids
     f = field_make(p, e)
-    cyclic = set()
-    for m in enumerate_invertible(n, f):
-        key = fforacle._cyclic_key(f, m.entries)
-        basis = fforacle._commutant_basis(f, m.entries)
-        assert (key is not None) == (len(basis) == n)
-        if key is not None:
-            cyclic.add((key, basis))
-    for key, basis in cyclic:  # each distinct pair once
-        assert set(fforacle._span(f, key)) == set(fforacle._span(f, basis))
+    mats = [m.entries for m in enumerate_invertible(n, f)]
+    by_algebra: dict = {}
+    by_commutant: dict = {}
+    algebra_ids = [by_algebra.setdefault(fforacle._algebra_key(f, m), len(by_algebra)) for m in mats]
+    commutant_ids = [by_commutant.setdefault(fforacle._commutant_basis(f, m), len(by_commutant)) for m in mats]
+    assert algebra_ids == commutant_ids
+    assert fforacle._GroupContext(f, n)._algebra_ids == algebra_ids
+    for key, basis in zip(by_algebra, by_commutant):  # an n-dimensional algebra is its own commutant
+        assert (len(key) == n) == (len(basis) == n)
+        if len(key) == n:
+            assert set(fforacle._span(f, key)) == set(fforacle._span(f, basis))
+
+
+def test_kernels_are_solved_once_per_algebra_and_only_for_centralizers(monkeypatch):
+    f = field_make(2, 1)
+    calls = []
+    commutant_basis = fforacle._commutant_basis
+
+    def counting(field, x):
+        calls.append(x)
+        return commutant_basis(field, x)
+
+    monkeypatch.setattr(fforacle, "_commutant_basis", counting)
+    ctx = fforacle._GroupContext(f, 3)
+    monkeypatch.setattr(fforacle, "_group_context", lambda field, n: ctx)
+    assert brute_hom_count(3, f, 1, MODE_ALL_SEMISIMPLE) == 105
+    assert brute_hom_count(3, f, 1, MODE_LAST_FREE) == 168
+    assert calls == []
+    assert len(ctx.centralizers) == 168
+    # GL_3(F_2) has 79 algebras F_q[X]; the 22 of dimension below 3 need a kernel solve
+    assert len(calls) == 22
+    assert len({fforacle._algebra_key(f, x) for x in calls}) == 22
 
 
 def test_brute_conj_counts():

@@ -8,6 +8,7 @@ import pytest
 
 from monodromy.fforacle import MODE_ALL_SEMISIMPLE, brute_hom_count, field_make
 from monodromy.groupdiv import (
+    CORPUS_DOMAIN_CEILING,
     BudgetExceeded,
     ClosureBudgetExceeded,
     FiniteGroupTable,
@@ -366,6 +367,14 @@ def test_parse_corpus():
         parse_corpus("broken 3\n")
     with pytest.raises(ValueError):
         parse_corpus("X 3 (1 9)\n")
+
+
+def test_parse_corpus_domain_ceiling():
+    # the ceiling itself is accepted; one point more is a malformed line
+    (group,) = parse_corpus(f"C2 {CORPUS_DOMAIN_CEILING} (1 {CORPUS_DOMAIN_CEILING})\n")
+    assert len(group) == 2 and group.domain == CORPUS_DOMAIN_CEILING
+    with pytest.raises(ValueError, match=f"corpus line 1: domain {CORPUS_DOMAIN_CEILING + 1} "):
+        parse_corpus(f"C2 {CORPUS_DOMAIN_CEILING + 1} (1 2)\n")
 
 
 def test_load_default_corpus():

@@ -44,6 +44,17 @@ def test_refused_poly_loads_neither_oracle_nor_group_lab():
     assert not loaded & {"monodromy.fforacle", "monodromy.groupdiv"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "2", "--k", "2", "--q", "2"),
+    ("census", "--n", "2", "--q", "2"),
+], ids=["verify", "census"])
+def test_oracle_commands_load_the_oracle_but_not_the_group_lab(argv):
+    status, loaded = loaded_after(*argv)
+    assert status == 0
+    assert "monodromy.fforacle" in loaded
+    assert "monodromy.groupdiv" not in loaded
+
+
 def test_divisibility_loads_oracle_and_group_lab():
     status, loaded = loaded_after("divisibility", "--group", "S3", "--k", "1")
     assert status == 0
