@@ -1,8 +1,9 @@
 """Command-line front end: poly, verify, census, divisibility.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input or budget
-refusal, 3 internal invariant violation.  JSON output is deterministic
-(sorted keys, fixed layout) so repeated runs are byte-identical.
+Exit codes: 0 success, 1 verification mismatch, 2 a refusal (``Refusal``)
+or OS error, 3 any other failure (an internal invariant violation).  JSON
+output is deterministic (sorted keys, fixed layout) so repeated runs are
+byte-identical.
 
 Each subcommand imports only its own layers: ``poly`` never loads the
 oracle or the group lab.
@@ -14,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import engine, exactpoly
+from . import Refusal, decimal_str, engine
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -28,10 +29,6 @@ _MODE_BY_FLAG = {
     "mixed": engine.MODE_MIXED,
     "conj": engine.MODE_CONJUGACY,
 }
-
-
-class UsageError(ValueError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,27 +79,27 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_shape(args) -> tuple[int, int, str]:
     """Turn --k/--g/--prank/--mode into (n, k, mode)."""
     if (args.k is None) == (args.g is None):
-        raise UsageError("give exactly one of --k and --g")
+        raise Refusal("give exactly one of --k and --g")
     if args.n < 1:
-        raise UsageError("--n must be >= 1")
+        raise Refusal("--n must be >= 1")
     if args.g is not None:
         if args.mode is not None:
-            raise UsageError("--mode goes with --k; with --g use --prank")
+            raise Refusal("--mode goes with --k; with --g use --prank")
         if args.g < 1:
-            raise UsageError("--g must be >= 1")
+            raise Refusal("--g must be >= 1")
         prank = args.prank if args.prank is not None else 0
         return args.n, 2 * args.g, engine.MODE_MIXED if prank else engine.MODE_SEMISIMPLE
     if args.prank is not None:
-        raise UsageError("--prank goes with --g; with --k use --mode")
+        raise Refusal("--prank goes with --g; with --k use --mode")
     if args.k < 1:
-        raise UsageError("--k must be >= 1")
+        raise Refusal("--k must be >= 1")
     mode_flag = args.mode if args.mode is not None else "ss"
     return args.n, args.k, _MODE_BY_FLAG[mode_flag]
 
 
 def _check_size_ceiling(n: int, k: int, override: bool) -> None:
     if not override and (n > ENGINE_SIZE_CEILING or k > ENGINE_SIZE_CEILING):
-        raise UsageError(
+        raise Refusal(
             f"n={n}, k={k} beyond the default ceiling {ENGINE_SIZE_CEILING}; pass --budget-override"
         )
 
@@ -111,9 +108,9 @@ def _parse_q_list(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad --q list {text!r}") from exc
+        raise Refusal(f"bad --q list {text!r}") from exc
     if not values or any(v < 2 for v in values):
-        raise UsageError(f"--q needs integers >= 2, got {text!r}")
+        raise Refusal(f"--q needs integers >= 2, got {text!r}")
     return values
 
 
@@ -169,7 +166,7 @@ def _cmd_poly(args) -> int:
         doc["checks"]["laurentQuotient"] = quotient.to_json()
         doc["checks"]["laurentHuman"] = str(quotient)
     if args.q:
-        doc["values"] = {str(q): str(cp.evaluate(q)) for q in _parse_q_list(args.q)}
+        doc["values"] = {str(q): decimal_str(cp.evaluate(q)) for q in _parse_q_list(args.q)}
 
     def lines(d):
         yield f"count of {d['mode']} tuples, n={d['n']}, k={d['k']}"
@@ -206,7 +203,7 @@ def _cmd_verify(args) -> int:
         predicted = cp.evaluate(q)
         match = predicted == actual
         all_match = all_match and match
-        rows.append({"q": q, "predicted": str(predicted), "actual": str(actual), "match": match})
+        rows.append({"q": q, "predicted": decimal_str(predicted), "actual": decimal_str(actual), "match": match})
     doc = {
         "command": "verify",
         "n": n,
@@ -230,7 +227,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_census(args) -> int:
     if args.n < 1:
-        raise UsageError("--n must be >= 1")
+        raise Refusal("--n must be >= 1")
     from . import fforacle
     from .typecomb import count_monic_with_type
 
@@ -246,8 +243,8 @@ def _cmd_census(args) -> int:
                 "q": q,
                 "type": record.type.to_json(),
                 "label": record.type.label(),
-                "predicted": str(predicted),
-                "actual": str(record.count),
+                "predicted": decimal_str(predicted),
+                "actual": decimal_str(record.count),
                 "match": match,
             })
     doc = {"command": "census", "n": args.n, "rows": rows, "allMatch": all_match}
@@ -271,10 +268,10 @@ def _parse_prime_sets(text: str | None) -> list[tuple[int, ...]]:
     try:
         primes = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
     except ValueError as exc:
-        raise UsageError(f"bad --S list {text!r}") from exc
+        raise Refusal(f"bad --S list {text!r}") from exc
     from . import groupdiv
     if any(not groupdiv._is_prime(p) for p in primes):
-        raise UsageError(f"--S needs primes, got {text!r}")
+        raise Refusal(f"--S needs primes, got {text!r}")
     return [primes]
 
 
@@ -283,16 +280,16 @@ def _cmd_divisibility(args) -> int:
     try:  # a malformed line raises ValueError, and so does an undecodable file (UnicodeDecodeError)
         groups = groupdiv.load_corpus(args.corpus)
     except ValueError as exc:
-        raise UsageError(f"{args.corpus}: {exc}") from exc
+        raise Refusal(f"{args.corpus}: {exc}") from exc
     if not groups:
-        raise UsageError(f"corpus {args.corpus} defines no groups")
+        raise Refusal(f"corpus {args.corpus} defines no groups")
     if args.group is not None:
         groups = tuple(g for g in groups if g.name == args.group)
         if not groups:
-            raise UsageError(f"no corpus group named {args.group!r}")
+            raise Refusal(f"no corpus group named {args.group!r}")
     ks = [args.k] if args.k is not None else [1, 2, 3]
     if any(k < 1 for k in ks):
-        raise UsageError("--k must be >= 1")
+        raise Refusal("--k must be >= 1")
     prime_sets = _parse_prime_sets(args.S)
     group_docs = []
     all_ok = True
@@ -301,7 +298,7 @@ def _cmd_divisibility(args) -> int:
         frob_rows = []
         for n in exponents:
             if n < 1:
-                raise UsageError("--n must be >= 1")
+                raise Refusal("--n must be >= 1")
             count, divides = groupdiv.frobenius_count(table, n)
             binding = len(table) % n == 0
             if binding and not divides:
@@ -347,20 +344,6 @@ def _cmd_divisibility(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-# refusals (exit 2) raised by the layers that only some subcommands load
-_LAYER_REFUSALS = {"fforacle": ("UnsupportedField", "BudgetExceeded"),
-                   "groupdiv": ("ClosureBudgetExceeded", "PreconditionViolated")}
-
-
-def _refusals() -> tuple[type[Exception], ...]:
-    """Invalid-input classes, read only from loaded layers: a layer never imported raised nothing."""
-    classes = [UsageError, engine.InvalidArity, OSError]
-    for module, names in _LAYER_REFUSALS.items():
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            classes += [getattr(loaded, name) for name in names]
-    return tuple(classes)
-
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -373,11 +356,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except _refusals() as exc:  # an except clause evaluates its classes only once something is raised
+    except (Refusal, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (engine.IntegralityViolation, engine.DegreeViolation, engine.MonicViolation,
-            exactpoly.NotLaurent, exactpoly.NotDivisible, ValueError) as exc:
+    except Exception as exc:  # any other failure is a broken invariant, never a mismatch (exit 1)
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

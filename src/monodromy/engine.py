@@ -55,8 +55,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, NamedTuple, Optional
+from typing import Literal, Optional
 
+from . import Refusal
 from .exactpoly import (  # noqa: F401  (to_laurent: perfbench/spans.py looks up engine.to_laurent)
     IntPoly,
     LaurentPoly,
@@ -79,7 +80,7 @@ class IntegralityViolation(ArithmeticError):
     """A count that must be an integer polynomial failed exact division."""
 
 
-class InvalidArity(ValueError):
+class InvalidArity(Refusal, ValueError):
     """Tuple length outside the domain of the requested count."""
 
 
@@ -91,32 +92,12 @@ class MonicViolation(AssertionError):
     """Top-degree behaviour at k = 2 is pinned down and was violated."""
 
 
-class CountKey(NamedTuple):
-    """Memoization key within one kind: recursion level and block size."""
+class WeightCache(dict):
+    """The memo of the recursion: V_kind(level, r) at q, an ``IntPoly``, keyed by ``(kind, level, r)``.
 
-    level: int
-    r: int
-
-
-class WeightCache:
-    """In-memory memo tables for the two kinds of the recursion.
-
-    Values are integer polynomials at q, keyed by ``CountKey``.  Shared use
-    is benign: values are keyed deterministically, so a duplicated
+    Shared use is benign: values are keyed deterministically, so a duplicated
     computation under concurrent access inserts the same value twice.
     """
-
-    def __init__(self) -> None:
-        self._tables: dict[str, dict[CountKey, IntPoly]] = {"ss": {}, "mixed": {}}
-
-    def get(self, kind: str, key: CountKey) -> Optional[IntPoly]:
-        return self._tables[kind].get(key)
-
-    def put(self, kind: str, key: CountKey, value: IntPoly) -> None:
-        self._tables[kind][key] = value
-
-    def __len__(self) -> int:
-        return sum(len(t) for t in self._tables.values())
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +220,11 @@ def _weight(kind: str, level: int, r: int, cache: WeightCache) -> IntPoly:
     for lvl in range(level + 1):
         row: dict[int, IntPoly] = {}
         for s in range(1, r + 1) if lvl < level else (r,):
-            key = CountKey(lvl, s)
-            value = cache.get(kind, key)
+            key = (kind, lvl, s)
+            value = cache.get(key)
             if value is None:
                 value = _level_value(kind, lvl, s, below)
-                cache.put(kind, key, value)
+                cache[key] = value
             row[s] = value
         below = row
     return below[r]

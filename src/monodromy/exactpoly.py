@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from . import decimal_str
+
 Scalar = Union[int, Fraction]
 
 #: Integer polynomial: ascending coefficients with no trailing zeros.
@@ -43,7 +45,7 @@ class NotLaurent(ArithmeticError):
 
 
 def _encode_int(value: int) -> int | str:
-    return value if _I64_MIN <= value <= _I64_MAX else str(value)
+    return value if _I64_MIN <= value <= _I64_MAX else decimal_str(value)
 
 
 @dataclass(frozen=True)
@@ -259,10 +261,10 @@ def _render_terms(terms: list[tuple[int, Fraction]]) -> str:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if deg == 0:
-            body = str(mag)
+            body = decimal_str(mag)
         else:
             var = "q" if deg == 1 else f"q^{deg}"
-            body = var if mag == 1 else f"{mag}{var}"
+            body = var if mag == 1 else f"{decimal_str(mag)}{var}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
         else:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
+from . import Refusal
 from .exactpoly import NotDivisible
 from .typecomb import FactorizationType, enumerate_types, type_pairs
 
@@ -43,11 +44,11 @@ POWER_BUDGET = 10**6        # largest q^n for polynomial censuses
 PAIRWISE_BUDGET = 4 * 10**7  # no longer checked here; perfbench's probe and span hooks still read it
 
 
-class UnsupportedField(ValueError):
+class UnsupportedField(Refusal, ValueError):
     """Field outside the fixed (p, e) table."""
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(Refusal, RuntimeError):
     """Requested enumeration is larger than the configured ceiling."""
 
 
@@ -188,19 +189,27 @@ def gl_order_int(q: int, n: int) -> int:
     return prod(q**n - q**j for j in range(n))
 
 
+_EXACT_SIZE_BITS = 64  # a size bounded below by 2^64 or more is refused by its form, never built
+
+
 def check_gl_budget(q: int, n: int, override_budget: bool) -> None:
     """The one ceiling on oracle scans: refuse |GL_n(F_q)| > GL_ORDER_BUDGET unless overridden."""
-    order = gl_order_int(q, n)
-    if not override_budget and order > GL_ORDER_BUDGET:
-        raise BudgetExceeded(
-            f"|GL_{n}(F_{q})| = {order} exceeds the ceiling {GL_ORDER_BUDGET}; pass override to force"
-        )
+    if override_budget:
+        return
+    # |GL_n(F_q)| > q^(n^2) / 4 >= 2^((b - 1) n^2 - 2), with b the bit length of q
+    order = gl_order_int(q, n) if (q.bit_length() - 1) * n * n - 2 < _EXACT_SIZE_BITS else None
+    if order is None or order > GL_ORDER_BUDGET:
+        size = f"|GL_{n}(F_{q})|" if order is None else f"|GL_{n}(F_{q})| = {order}"
+        raise BudgetExceeded(f"{size} exceeds the ceiling {GL_ORDER_BUDGET}; pass override to force")
 
 
 def check_census_budget(q: int, n: int, override_budget: bool) -> None:
     """The census ceiling: refuse q^n > POWER_BUDGET unless overridden."""
-    if not override_budget and q**n > POWER_BUDGET:
-        raise BudgetExceeded(f"census would scan {q ** n} polynomials; pass override to force")
+    if override_budget:
+        return
+    count = q**n if (q.bit_length() - 1) * n < _EXACT_SIZE_BITS else None  # q^n >= 2^((b - 1) n)
+    if count is None or count > POWER_BUDGET:
+        raise BudgetExceeded(f"census would scan {count or f'{q}^{n}'} polynomials; pass override to force")
 
 
 # ---------------------------------------------------------------------------

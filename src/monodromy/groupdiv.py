@@ -23,6 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import Refusal, decimal_str
 from .fforacle import (
     BudgetExceeded,
     FieldSpec,
@@ -37,11 +38,11 @@ SWEEP_GROUP_BUDGET = 400
 CORPUS_DOMAIN_CEILING = 1_000  # most points a corpus group may act on; the packaged corpus needs 12
 
 
-class ClosureBudgetExceeded(RuntimeError):
+class ClosureBudgetExceeded(Refusal, RuntimeError):
     """Generated group outgrew the closure ceiling."""
 
 
-class PreconditionViolated(ValueError):
+class PreconditionViolated(Refusal, ValueError):
     """Input fails a stated hypothesis (normalization or element order)."""
 
 
@@ -390,8 +391,8 @@ class DivisibilityReport:
             "order": self.group_order,
             "k": self.k,
             "S": list(self.primes),
-            "homCount": str(self.hom_count),
-            "quotient": str(self.quotient),
+            "homCount": decimal_str(self.hom_count),
+            "quotient": decimal_str(self.quotient),
             "checks": [c.to_json() for c in self.checks],
             "ok": self.passed,
         }

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from monodromy import cli, fforacle, groupdiv
+from monodromy import Refusal, cli, decimal_str, engine, fforacle, groupdiv
+from monodromy.exactpoly import UnivariatePoly
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -266,7 +268,9 @@ def test_q_list_refused_before_any_work(capsys, monkeypatch, argv):
     (["verify", "--n", "3", "--k", "2", "--q", "9"],
      "|GL_3(F_9)| = 339655680 exceeds the ceiling 25000; pass override to force"),
     (["verify", "--n", "1", "--k", "1", "--q", "16"], "extension degree 4 not supported (use 1 <= e <= 3)"),
-], ids=["census", "census-list", "verify", "verify-degree"])
+    # a size far past the ceiling is named by its form and never built
+    (["census", "--n", "100000", "--q", "7"], "census would scan 7^100000 polynomials; pass override to force"),
+], ids=["census", "census-list", "verify", "verify-degree", "census-huge"])
 def test_field_ceiling_refused_before_field_tables(capsys, monkeypatch, argv, message):
     def must_not_build(self):
         raise AssertionError("field tables built before the ceiling was checked")
@@ -303,6 +307,67 @@ def test_layer_refusals_exit_two(capsys, monkeypatch, layer, refusal, attr, argv
 
     monkeypatch.setattr(layer, attr, refuse)
     assert run(capsys, *argv) == (2, "", "error: refused\n")
+
+
+def test_layer_refusals_are_refusals():
+    # one base for exit 2; each class keeps the base its library callers catch
+    for cls, base in [(engine.InvalidArity, ValueError), (fforacle.UnsupportedField, ValueError),
+                      (fforacle.BudgetExceeded, RuntimeError), (groupdiv.ClosureBudgetExceeded, RuntimeError),
+                      (groupdiv.PreconditionViolated, ValueError)]:
+        assert issubclass(cls, Refusal) and issubclass(cls, base)
+
+
+@pytest.mark.parametrize("layer,attr,argv", [
+    (engine, "count_semisimple_tuples", ["poly", "--n", "2", "--k", "2"]),
+    (fforacle, "brute_hom_count", ["verify", "--n", "1", "--k", "1", "--q", "2"]),
+    (groupdiv, "frobenius_count", ["divisibility", "--group", "S3"]),
+], ids=["poly", "verify", "divisibility"])
+def test_unexpected_failure_exits_three(capsys, monkeypatch, layer, attr, argv):
+    # an exception no layer names is a broken invariant (3), never a mismatch (1) or a traceback
+    def broken(*args, **kwargs):
+        raise KeyError("broken")
+
+    monkeypatch.setattr(layer, attr, broken)
+    assert run(capsys, *argv) == (3, "", "internal invariant violated: 'broken'\n")
+
+
+def _decimal_value(text):
+    """The integer a decimal string names, read in pieces short enough for ``int``."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i:i + 1000]
+        value = value * 10**len(piece) + int(piece)
+    return sign * value
+
+
+def test_decimal_str_any_length():
+    for value in (0, 7, -7, 10**640 - 1, 10**640, -(10**5000) + 1, 3**20000):
+        text = decimal_str(value)
+        assert text.lstrip("-")[:1] != "0" or text == "0"
+        assert _decimal_value(text) == value
+    big = 10**5000
+    assert decimal_str(Fraction(-3, 4)) == "-3/4"
+    assert decimal_str(Fraction(big + 1, 3)) == f"{decimal_str(big + 1)}/3"
+    assert str(UnivariatePoly((1, -big))) == f"-{decimal_str(big)}q + 1"
+
+
+def test_counts_of_any_length_print(capsys):
+    q = 10**1000 - 1
+    status, out, err = run(capsys, "poly", "--n", "2", "--k", "2", "--q", str(q), "--format", "json")
+    assert (status, err) == (0, "")
+    value = _decimal_value(json.loads(out)["values"][str(q)])
+    assert value == q**6 - 2 * q**5 - q**4 + 4 * q**3 - q**2 - 2 * q + 1
+    status, out, err = run(capsys, "poly", "--n", "2", "--k", "2", "--q", str(q))
+    assert (status, err) == (0, "")
+    assert _decimal_value(out.splitlines()[-1].split(" = ")[1]) == value
+
+    status, out, err = run(capsys, "divisibility", "--group", "C12", "--k", "5000", "--S", "none", "--format", "json")
+    assert (status, err) == (0, "")
+    (report,) = json.loads(out)["groups"][0]["homReports"]
+    # C12 is abelian: every 5000-tuple commutes
+    assert _decimal_value(report["homCount"]) == 12**5000
+    assert _decimal_value(report["quotient"]) == 12**4999
 
 
 @pytest.mark.parametrize("mode", ["ss", "mixed", "conj"])

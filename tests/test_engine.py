@@ -13,7 +13,6 @@ from monodromy.engine import (
     MODE_MIXED,
     MODE_SEMISIMPLE,
     CountingPolynomial,
-    CountKey,
     DegreeViolation,
     IntegralityViolation,
     InvalidArity,
@@ -176,10 +175,10 @@ def test_counting_polynomial_json():
 class NullCache(WeightCache):
     """A memo that never stores anything."""
 
-    def get(self, kind, key):
-        return None
+    def get(self, key, default=None):
+        return default
 
-    def put(self, kind, key, value):
+    def __setitem__(self, key, value):
         pass
 
 
@@ -202,7 +201,7 @@ def test_weight_cache_round_trip():
     count_semisimple_tuples(2, 2, cache)
     count_mixed_tuples(2, 2, cache)
     assert len(cache) > 0
-    stored = UnivariatePoly(cache.get("ss", CountKey(1, 2)))
+    stored = UnivariatePoly(cache["ss", 1, 2])
     assert RationalFunction(stored, gl_order(2)) == ss_weight(1, 2, 1)
     # a preloaded cache reproduces the same polynomial
     assert count_semisimple_tuples(2, 2, cache).poly == count_semisimple_tuples(2, 2).poly
@@ -302,7 +301,7 @@ def _memo_tables(cache):
             count_conjugacy_classes(n, k, cache)
             if k >= 2:
                 count_mixed_tuples(n, k, cache)
-    return cache._tables
+    return dict(cache)
 
 
 def test_integer_type_table_keeps_memo_tables(monkeypatch, fresh_type_tables):

@@ -197,6 +197,9 @@ def test_enumerate_invertible_budget():
         brute_conj_count(3, field_make(2, 2), 1)
     with pytest.raises(BudgetExceeded):
         brute_hom_count(3, field_make(2, 2), 1, MODE_ALL_SEMISIMPLE)
+    # far past the ceiling the group is named, not its order built
+    with pytest.raises(BudgetExceeded, match=r"^\|GL_120\(F_2\)\| exceeds the ceiling 25000;"):
+        enumerate_invertible(120, field_make(2, 1))
     with pytest.raises(ValueError):
         enumerate_invertible(0, field_make(2, 1))
 
@@ -591,6 +594,8 @@ def test_census_past_the_degree_cutoff(p, n):
 def test_census_budget():
     with pytest.raises(BudgetExceeded):
         poly_type_census(field_make(7, 3), 4)
+    with pytest.raises(BudgetExceeded, match=r"^census would scan 7\^100000 polynomials;"):
+        poly_type_census(field_make(7, 1), 100000)
     with pytest.raises(ValueError):
         poly_type_census(field_make(2, 1), 0)
 
