@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import Refusal, decimal_str
 from .fforacle import (
@@ -34,7 +34,7 @@ from .fforacle import (
 
 CLOSURE_BUDGET = 10_000
 HOM_GROUP_BUDGET = 2_000
-SWEEP_GROUP_BUDGET = 400
+SWEEP_GROUP_BUDGET = 720
 CORPUS_DOMAIN_CEILING = 1_000  # most points a corpus group may act on; the packaged corpus needs 12
 
 
@@ -424,44 +424,69 @@ def divisibility_report(table: FiniteGroupTable, k: int, primes: Iterable[int]) 
 # subgroup sweep for the coset check
 
 
-def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], tuple[int, ...]]:
-    """Every subgroup, as an index set mapped to indices generating it, by size then members.
+class SubgroupEntry(NamedTuple):
+    """A subgroup's generators, and how it arises from its conjugacy class representative H."""
 
-    Cyclic subgroups closed under joins, one conjugacy class at a time: only
-    a class representative is joined with each cyclic subgroup, and a new join
-    brings in its whole class by conjugation.  Since <H^y, c> = <H, c^(y^-1)>^y
-    and the known set is closed under conjugation, the representatives'
-    joins reach every subgroup.
+    gens: tuple[int, ...]
+    rep: frozenset[int]
+    conjugator: int  # y with this subgroup = y^-1 H y
+    normalizer: tuple[int, ...]  # N_G(H) of the representative, ascending
+
+
+def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], SubgroupEntry]:
+    """Every subgroup, as an index set mapped to its generators and class data, by size then members.
+
+    Cyclic subgroups closed under joins, one conjugacy class at a time (the
+    cyclic extension method); a^y means y^-1 a y.  A new class representative
+    H is conjugated by every element y: the images H^y are the class, each
+    kept with the first y that reaches it, and the y fixing H are its
+    normalizer N.  Only representatives are joined with cyclic subgroups,
+    since <H^y, c> = <H, c^(y^-1)>^y and the known set is closed under
+    conjugation; and H is joined with one cyclic subgroup per N-orbit, since
+    <H, c^x> = <H, c>^x for x in N and a new join brings in its whole class.
     """
     if len(table) > SWEEP_GROUP_BUDGET:
         raise BudgetExceeded(f"subgroup sweep on order {len(table)} exceeds {SWEEP_GROUP_BUDGET}")
     products, columns, inverses = table.products, table.columns, table.inverses
-    # conjugators[x][h] indexes x^-1 h x
-    conjugators = [tuple(map(columns[x].__getitem__, products[inverses[x]])) for x in range(len(table))]
-    known: dict[frozenset[int], tuple[int, ...]] = {}
+    # conjugators[y][h] indexes y^-1 h y
+    conjugators = [tuple(map(columns[y].__getitem__, products[inverses[y]])) for y in range(len(table))]
+    known: dict[frozenset[int], SubgroupEntry] = {}
     reps: list[frozenset[int]] = []
 
     def add_class(subgroup: frozenset[int], gens: tuple[int, ...]) -> None:
-        known[subgroup] = gens
-        for conj in conjugators:
+        normalizer: list[int] = []
+        members: dict[frozenset[int], int] = {}
+        for y, conj in enumerate(conjugators):
             image = frozenset(map(conj.__getitem__, subgroup))
-            if image not in known:
-                known[image] = tuple(map(conj.__getitem__, gens))
+            if image == subgroup:
+                normalizer.append(y)
+            else:
+                members.setdefault(image, y)
+        fixed = tuple(normalizer)
+        known[subgroup] = SubgroupEntry(gens, subgroup, table.identity_index, fixed)
+        for image, y in members.items():
+            known[image] = SubgroupEntry(tuple(map(conjugators[y].__getitem__, gens)), subgroup, y, fixed)
         reps.append(subgroup)
 
-    for i in range(len(table)):
-        cyc = table.subgroup_closure([i])
+    generated = [table.subgroup_closure([i]) for i in range(len(table))]
+    for i, cyc in enumerate(generated):
         if cyc not in known:
             add_class(cyc, (i,))
     cyclics = sorted(known, key=lambda s: (len(s), sorted(s)))
+    position = {cyc: at for at, cyc in enumerate(cyclics)}
+    cyclic_of = [position[cyc] for cyc in generated]  # element -> the cyclic subgroup it generates
     for current in reps:  # grows while joins find new classes
-        for cyc in cyclics:
-            if cyc <= current:
+        entry = known[current]
+        covered: set[int] = set()  # cyclic subgroups in the N-orbit of one already joined
+        for at, cyc in enumerate(cyclics):
+            (c,) = known[cyc].gens
+            if at in covered or c in current:
                 continue
-            gens = known[current] + known[cyc]
+            gens = entry.gens + (c,)
             joined = table.subgroup_closure(gens)
             if joined not in known:
                 add_class(joined, gens)
+            covered.update(cyclic_of[conjugators[x][c]] for x in entry.normalizer)
     return {s: known[s] for s in sorted(known, key=lambda s: (len(s), sorted(s)))}
 
 
@@ -489,17 +514,31 @@ def coset_lemma_sweep(table: FiniteGroupTable) -> tuple[CosetLemmaCheck, ...]:
     """Run the coset count over every (subgroup, normalizing p-power element, p).
 
     Covers each subgroup H of the group, each prime p dividing |G|, and each
-    element x of the normalizer of H whose order is a power of p.
+    element x of the normalizer of H whose order is a power of p; checks are
+    ordered by subgroup (size, then members), then p, then x.  The counts are
+    taken once per conjugacy class, on the representative H read off
+    ``enumerate_subgroups``: a member y^-1 H y has normalizer y^-1 N_G(H) y,
+    and its coset by y^-1 x y holds the conjugates of the p-power-order
+    elements of Hx, so it reports the representative's checks with each x
+    replaced by y^-1 x y.
     """
+    subgroups = enumerate_subgroups(table)  # refuses past the ceiling before the Cayley table is built
+    products, columns, inverses, orders = table.products, table.columns, table.inverses, table.orders
+    primes = _prime_factors(len(table))
+    class_checks: dict[frozenset[int], list[tuple[int, list[tuple[int, int, int]]]]] = {}
     results = []
-    orders = table.orders
-    for subgroup, gens in enumerate_subgroups(table).items():
-        normalizer = [x for x in range(len(table)) if _normalizes(table, x, gens, subgroup)]
-        for p in _prime_factors(len(table)):
-            for x in normalizer:
-                if not _is_prime_power_or_one(orders[x], p):
-                    continue
-                count, required = _coset_count(table, subgroup, x, p)
+    for subgroup, entry in subgroups.items():
+        checks = class_checks.get(entry.rep)
+        if checks is None:
+            checks = class_checks[entry.rep] = [
+                (p, [(x, *_coset_count(table, entry.rep, x, p))
+                     for x in entry.normalizer if _is_prime_power_or_one(orders[x], p)])
+                for p in primes
+            ]
+        y_inv_times, times_y = products[inverses[entry.conjugator]], columns[entry.conjugator]
+        for p, rep_checks in checks:
+            for x, count, required in sorted((times_y[y_inv_times[x]], count, required)
+                                             for x, count, required in rep_checks):
                 results.append(
                     CosetLemmaCheck(
                         subgroup_order=len(subgroup),

@@ -239,6 +239,14 @@ def test_divisibility_refuses_budget_override(capsys, tmp_path):
     assert "unrecognized arguments: --budget-override" in capsys.readouterr().err
 
 
+def test_divisibility_sweep_ceiling_exit_two(capsys, tmp_path):
+    # S6 x C2 has order 1440, twice the subgroup sweep's ceiling
+    corpus = tmp_path / "s6c2.txt"
+    corpus.write_text("S6xC2 8 (1 2); (1 2 3 4 5 6); (7 8)\n", encoding="utf-8")
+    status, out, err = run(capsys, "divisibility", "--corpus", str(corpus))
+    assert (status, out, err) == (2, "", "error: subgroup sweep on order 1440 exceeds 720\n")
+
+
 def test_scan_budget_exit_two(capsys):
     # |GL_3(F_4)| = 181440 is past the ceiling on |GL_n(F_q)|
     status, _, err = run(capsys, "verify", "--n", "3", "--k", "2", "--mode", "ss", "--q", "4")

@@ -1,8 +1,11 @@
 """Permutation groups, Frobenius counts, coset counts, and hom divisibility."""
 
+import importlib
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +14,14 @@ from monodromy.groupdiv import (
     CORPUS_DOMAIN_CEILING,
     BudgetExceeded,
     ClosureBudgetExceeded,
+    CosetLemmaCheck,
     FiniteGroupTable,
     PreconditionViolated,
+    _coset_count,
     _is_prime,
+    _is_prime_power_or_one,
+    _normalizes,
+    _prime_factors,
     compose_perms,
     coset_lemma_sweep,
     coset_p_power_count,
@@ -28,6 +36,8 @@ from monodromy.groupdiv import (
     parse_corpus,
     parse_cycles,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make(name, domain, *cycle_texts):
@@ -235,8 +245,28 @@ def test_enumerate_subgroups_counts_and_generators():
     for table, count in zip(groups, (59, 156, 55)):
         subgroups = enumerate_subgroups(table)
         assert len(subgroups) == count, table.name
-        for subgroup, gens in subgroups.items():
-            assert table.subgroup_closure(gens) == subgroup
+        for subgroup, entry in subgroups.items():
+            assert table.subgroup_closure(entry.gens) == subgroup
+
+
+def _reference_closure(table, gens):
+    """Breadth-first closure of the generators, independent of the table's own.
+
+    It stops at more than half the group: by Lagrange only the whole group is
+    that large.
+    """
+    products, order = table.products, len(table)
+    seen = {table.identity_index}
+    queue = [table.identity_index]
+    while queue:
+        if 2 * len(seen) > order:
+            return frozenset(range(order))
+        row = products[queue.pop()]
+        for g in gens:
+            if row[g] not in seen:
+                seen.add(row[g])
+                queue.append(row[g])
+    return frozenset(seen)
 
 
 def _reference_subgroups(table):
@@ -247,7 +277,7 @@ def _reference_subgroups(table):
     """
     known = {}
     for i in range(len(table)):
-        known.setdefault(table.subgroup_closure([i]), (i,))
+        known.setdefault(_reference_closure(table, [i]), (i,))
     cyclics = sorted(known, key=lambda s: (len(s), sorted(s)))
     queue = list(cyclics)
     while queue:
@@ -256,7 +286,7 @@ def _reference_subgroups(table):
             if cyc <= current:
                 continue
             gens = known[current] + known[cyc]
-            joined = table.subgroup_closure(gens)
+            joined = _reference_closure(table, gens)
             if joined not in known:
                 known[joined] = gens
                 queue.append(joined)
@@ -279,12 +309,22 @@ def _sweep_tables():
     yield matrix_group_table(field_make(2, 2), 2)  # GL2(F4): order 180
 
 
+# the groups the sweep ceiling of 720 admits: A6 (order 360) and S6 (720)
+A6_CORPUS = "A6 6 (1 2 3); (2 3 4 5 6)\n"
+S6_CORPUS = "S6 6 (1 2); (1 2 3 4 5 6)\n"
+
+
+def _a6():
+    (table,) = parse_corpus(A6_CORPUS)
+    return table
+
+
 def test_enumerate_subgroups_matches_reference_join_loop():
-    for table in _sweep_tables():
+    for table in (*_sweep_tables(), _a6()):
         subgroups = enumerate_subgroups(table)
         assert list(subgroups) == _reference_subgroups(table), table.name
-        for subgroup, gens in subgroups.items():
-            assert table.subgroup_closure(gens) == subgroup, table.name
+        for subgroup, entry in subgroups.items():
+            assert table.subgroup_closure(entry.gens) == subgroup, table.name
         # closed under conjugation by every element
         products, inverses = table.products, table.inverses
         for x in range(len(table)):
@@ -297,6 +337,64 @@ def test_coset_lemma_sweep_sizes(name, checked):
     domain, *gens = GENERATED[name]
     checks = coset_lemma_sweep(make(name, domain, *gens))
     assert len(checks) == checked and all(c.ok for c in checks)
+
+
+@pytest.mark.parametrize("corpus,subgroups,checked", [(A6_CORPUS, 501, 8922), (S6_CORPUS, 1455, 36510)],
+                         ids=["A6", "S6"])
+def test_sweep_reaches_a6_and_s6(corpus, subgroups, checked):
+    (table,) = parse_corpus(corpus)
+    checks = coset_lemma_sweep(table)
+    assert len(checks) == checked and all(c.ok for c in checks)
+    # the identity normalizes every subgroup and has 2-power order: one such check per subgroup
+    assert sum(c.prime == 2 and c.coset_rep == table.identity_index for c in checks) == subgroups
+
+
+def _reference_sweep(table):
+    """The per-subgroup sweep the per-class one replaced, kept as a reference.
+
+    Each subgroup's normalizer is found by testing every element, and each
+    subgroup takes its own coset counts.
+    """
+    results = []
+    for subgroup, entry in enumerate_subgroups(table).items():
+        normalizer = [x for x in range(len(table)) if _normalizes(table, x, entry.gens, subgroup)]
+        for p in _prime_factors(len(table)):
+            for x in normalizer:
+                if _is_prime_power_or_one(table.orders[x], p):
+                    count, required = _coset_count(table, subgroup, x, p)
+                    results.append(CosetLemmaCheck(len(subgroup), p, x, count, required, count % required == 0))
+    return tuple(results)
+
+
+def test_coset_lemma_sweep_matches_reference_sweep():
+    for table in (*_sweep_tables(), _a6()):
+        assert coset_lemma_sweep(table) == _reference_sweep(table), table.name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_coset_lemma_sweep_matches_reference_on_relabelled_corpus(monkeypatch, seed):
+    # the benchmark's generated corpus, its points relabelled by the seed
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for table in parse_corpus(workloads.corpus_text(random.Random(seed))):
+        assert coset_lemma_sweep(table) == _reference_sweep(table), table.name
+
+
+@pytest.mark.parametrize("name", ["S4", "GL2F3", "D12"])
+def test_normalizers_read_off_class_construction(name):
+    table = next(t for t in _sweep_tables() if t.name == name)
+    products, inverses = table.products, table.inverses
+    for subgroup, entry in enumerate_subgroups(table).items():
+        y = entry.conjugator
+
+        def conjugate(h):  # y^-1 h y
+            return products[products[inverses[y]][h]][y]
+
+        assert frozenset(map(conjugate, entry.rep)) == subgroup
+        scanned = [x for x in range(len(table)) if _normalizes(table, x, entry.gens, subgroup)]
+        if subgroup == entry.rep:
+            assert y == table.identity_index and list(entry.normalizer) == scanned
+        assert sorted(map(conjugate, entry.normalizer)) == scanned
 
 
 @pytest.mark.parametrize("name", ["S5", "GL2F3"])
