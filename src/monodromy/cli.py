@@ -5,8 +5,10 @@ or OS error, 3 any other failure (an internal invariant violation).  JSON
 output is deterministic (sorted keys, fixed layout) so repeated runs are
 byte-identical.
 
-Each subcommand imports only its own layers: ``poly`` never loads the
-oracle or the group lab.
+Each subcommand imports only its own layers: ``poly`` loads the engine
+but neither the oracle nor the group lab, ``verify`` the engine and the
+oracle, ``census`` the oracle, and ``divisibility`` the oracle and the
+group lab; neither of the last two loads the engine.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import Refusal, decimal_str, engine
+from . import Refusal, decimal_str
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -23,12 +25,6 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 ENGINE_SIZE_CEILING = 6
-
-_MODE_BY_FLAG = {
-    "ss": engine.MODE_SEMISIMPLE,
-    "mixed": engine.MODE_MIXED,
-    "conj": engine.MODE_CONJUGACY,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--g", type=int, default=None, help="source rank is 2g")
     shape.add_argument("--prank", type=int, choices=(0, 1), default=None,
                        help="with --g: 0 = all slots semisimple, 1 = one slot free")
-    shape.add_argument("--mode", choices=tuple(_MODE_BY_FLAG), default=None,
+    shape.add_argument("--mode", choices=("ss", "mixed", "conj"), default=None,
                        help="with --k: which count to compute")
 
     p_poly = sub.add_parser("poly", parents=[bounded, shape], help="print a counting polynomial")
@@ -77,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_shape(args) -> tuple[int, int, str]:
-    """Turn --k/--g/--prank/--mode into (n, k, mode)."""
+    """Turn --k/--g/--prank/--mode into (n, k, mode flag)."""
     if (args.k is None) == (args.g is None):
         raise Refusal("give exactly one of --k and --g")
     if args.n < 1:
@@ -88,13 +84,12 @@ def _resolve_shape(args) -> tuple[int, int, str]:
         if args.g < 1:
             raise Refusal("--g must be >= 1")
         prank = args.prank if args.prank is not None else 0
-        return args.n, 2 * args.g, engine.MODE_MIXED if prank else engine.MODE_SEMISIMPLE
+        return args.n, 2 * args.g, "mixed" if prank else "ss"
     if args.prank is not None:
         raise Refusal("--prank goes with --g; with --k use --mode")
     if args.k < 1:
         raise Refusal("--k must be >= 1")
-    mode_flag = args.mode if args.mode is not None else "ss"
-    return args.n, args.k, _MODE_BY_FLAG[mode_flag]
+    return args.n, args.k, args.mode if args.mode is not None else "ss"
 
 
 def _check_size_ceiling(n: int, k: int, override: bool) -> None:
@@ -125,10 +120,12 @@ def _resolve_q_list(text: str, check, n: int, override: bool) -> list[tuple[int,
     return params
 
 
-def _count_for(n: int, k: int, mode: str) -> engine.CountingPolynomial:
-    if mode == engine.MODE_SEMISIMPLE:
+def _count_for(n: int, k: int, flag: str):
+    """The engine's ``CountingPolynomial`` for a --mode flag."""
+    from . import engine
+    if flag == "ss":
         return engine.count_semisimple_tuples(n, k)
-    if mode == engine.MODE_MIXED:
+    if flag == "mixed":
         return engine.count_mixed_tuples(n, k)
     return engine.count_conjugacy_classes(n, k)
 
@@ -146,22 +143,23 @@ def _emit(doc: dict, fmt: str, table_lines) -> None:
 
 
 def _cmd_poly(args) -> int:
-    n, k, mode = _resolve_shape(args)
+    from . import engine
+    n, k, flag = _resolve_shape(args)
     _check_size_ceiling(n, k, args.budget_override)
-    cp = _count_for(n, k, mode)
+    cp = _count_for(n, k, flag)
     doc = {
         "command": "poly",
         "n": n,
         "k": k,
-        "mode": mode,
+        "mode": cp.mode,
         "poly": cp.poly.to_json(),
         "human": str(cp.poly),
         "degree": int(cp.poly.degree),
         "checks": {},
     }
-    if mode == engine.MODE_SEMISIMPLE:
+    if flag == "ss":
         doc["checks"]["degree"] = engine.check_degree_monic(cp).to_json()
-    if mode in (engine.MODE_SEMISIMPLE, engine.MODE_MIXED):
+    if flag in ("ss", "mixed"):
         quotient = engine.check_laurent_quotient(cp)
         doc["checks"]["laurentQuotient"] = quotient.to_json()
         doc["checks"]["laurentHuman"] = str(quotient)
@@ -186,17 +184,17 @@ def _cmd_poly(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import fforacle
-    n, k, mode = _resolve_shape(args)
+    n, k, flag = _resolve_shape(args)
     _check_size_ceiling(n, k, args.budget_override)
     params = _resolve_q_list(args.q, fforacle.check_gl_budget, n, args.budget_override)
-    cp = _count_for(n, k, mode)  # refuses a bad (mode, k) before any field table is built
+    cp = _count_for(n, k, flag)  # refuses a bad (mode, k) before any field table is built
     rows = []
     all_match = True
     for q, p, e in params:
         field = fforacle.field_make(p, e)
-        if mode == engine.MODE_SEMISIMPLE:
+        if flag == "ss":
             actual = fforacle.brute_hom_count(n, field, k, fforacle.MODE_ALL_SEMISIMPLE, args.budget_override)
-        elif mode == engine.MODE_MIXED:
+        elif flag == "mixed":
             actual = fforacle.brute_hom_count(n, field, k, fforacle.MODE_LAST_FREE, args.budget_override)
         else:
             actual = fforacle.brute_conj_count(n, field, k, args.budget_override)
@@ -208,7 +206,7 @@ def _cmd_verify(args) -> int:
         "command": "verify",
         "n": n,
         "k": k,
-        "mode": mode,
+        "mode": cp.mode,
         "poly": cp.poly.to_json(),
         "rows": rows,
         "allMatch": all_match,

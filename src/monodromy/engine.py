@@ -53,11 +53,10 @@ views for callers, not part of the counting path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Optional
 
-from . import Refusal
+from . import Refusal, record
 from .exactpoly import (  # noqa: F401  (to_laurent: perfbench/spans.py looks up engine.to_laurent)
     IntPoly,
     LaurentPoly,
@@ -274,7 +273,7 @@ def mixed_weight(level: int, r: int, m: int, cache: WeightCache | None = None) -
     return RationalFunction.from_poly(UnivariatePoly(_compose(_weight("mixed", level, r, _memo(cache)), m)))
 
 
-@dataclass(frozen=True)
+@record
 class CountingPolynomial:
     """An integer-coefficient count in q, tagged with what it counts."""
 
@@ -347,7 +346,7 @@ def hom_count(n: int, g: int, prank: int, cache: WeightCache | None = None) -> C
     raise InvalidArity("p-rank must be 0 or 1")
 
 
-@dataclass(frozen=True)
+@record
 class DegreeReport:
     """Outcome of the degree and leading-coefficient checks on a count."""
 

@@ -16,11 +16,11 @@ range are written as decimal strings, so no JSON reader rounds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Union
 
-from . import decimal_str
+from . import decimal_str, record
 
 Scalar = Union[int, Fraction]
 
@@ -48,7 +48,7 @@ def _encode_int(value: int) -> int | str:
     return value if _I64_MIN <= value <= _I64_MAX else decimal_str(value)
 
 
-@dataclass(frozen=True)
+@record
 class UnivariatePoly:
     """Dense univariate polynomial over Q.
 
@@ -214,11 +214,17 @@ class UnivariatePoly:
         return UnivariatePoly(tuple(out))
 
     def evaluate(self, x: Scalar) -> Fraction:
-        """Exact value at a rational point, by Horner's rule."""
-        acc = Fraction(0)
+        """Exact value at a rational point, by Horner's rule.
+
+        Horner runs on the coefficients scaled by the lcm L of their
+        denominators, so at an int point every step is int arithmetic (L is 1
+        for every count); the value is that sum over L.
+        """
+        scale = math.lcm(*(c.denominator for c in self.coeffs))
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * x + c.numerator * (scale // c.denominator)
+        return Fraction(acc, scale)
 
     # ---- serialization / display ----
 
@@ -283,7 +289,7 @@ def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
     return a * (Fraction(1) / a.leading())
 
 
-@dataclass(frozen=True)
+@record
 class RationalFunction:
     """Quotient of two polynomials, kept fully reduced.
 
@@ -389,7 +395,7 @@ def _as_ratfun(value) -> RationalFunction:
     return NotImplemented
 
 
-@dataclass(frozen=True)
+@record
 class LaurentPoly:
     """Polynomial in ``q`` and ``q**-1``: coeffs ascending from min_degree.
 

@@ -31,11 +31,10 @@ and one under this encoding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from . import Refusal
+from . import Refusal, record
 from .exactpoly import NotDivisible
 from .typecomb import FactorizationType, enumerate_types, type_pairs
 
@@ -231,7 +230,7 @@ def _fq_mul(add_t, mul_t, a, b) -> tuple[int, ...]:
 # matrices
 
 
-@dataclass(frozen=True)
+@record
 class FFMatrix:
     """Square matrix over a FieldSpec; entries are field-element encodings."""
 
@@ -544,7 +543,7 @@ def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False
 # polynomial census
 
 
-@dataclass(frozen=True)
+@record
 class CensusRecord:
     """Tally of monic degree-n polynomials of one factorization type."""
 

@@ -18,12 +18,11 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import Refusal, decimal_str
+from . import Refusal, decimal_str, record
 from .fforacle import (
     BudgetExceeded,
     FieldSpec,
@@ -353,7 +352,7 @@ def hom_count_profinite_abelian(table: FiniteGroupTable, k: int, primes: Iterabl
     return count_commuting_tuples(table.centralizers, eligible, k)
 
 
-@dataclass(frozen=True)
+@record
 class PrimeValuation:
     prime: int
     count_valuation: int
@@ -369,7 +368,7 @@ class PrimeValuation:
         }
 
 
-@dataclass(frozen=True)
+@record
 class DivisibilityReport:
     """Hom count against group order, prime by prime away from the deleted set."""
 
@@ -490,7 +489,7 @@ def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], Subgrou
     return {s: known[s] for s in sorted(known, key=lambda s: (len(s), sorted(s)))}
 
 
-@dataclass(frozen=True)
+@record
 class CosetLemmaCheck:
     subgroup_order: int
     prime: int

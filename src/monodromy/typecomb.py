@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import record
 from .exactpoly import IntPoly, UnivariatePoly, int_mul
 
 Partition = tuple[int, ...]
@@ -62,7 +62,7 @@ def multiplicities(parts: Partition) -> tuple[tuple[int, int], ...]:
     return tuple((v, len(list(grp))) for v, grp in itertools.groupby(parts))
 
 
-@dataclass(frozen=True)
+@record
 class FactorizationType:
     """Outer partition plus one refinement partition per distinct part value.
 

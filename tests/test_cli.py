@@ -198,7 +198,7 @@ def test_internal_value_error_exits_three(capsys, monkeypatch):
     def broken(n, k):
         raise ValueError("inconsistent memo entry")
 
-    monkeypatch.setattr(cli.engine, "count_semisimple_tuples", broken)
+    monkeypatch.setattr(engine, "count_semisimple_tuples", broken)
     status, out, err = run(capsys, "poly", "--n", "2", "--k", "2")
     assert status == 3 and "internal invariant violated: inconsistent memo entry" in err
     assert out == ""

@@ -105,6 +105,29 @@ def test_evaluate():
     assert P.zero().evaluate(7) == 0
 
 
+def reference_evaluate(p, x):
+    """Horner's rule in Fraction arithmetic throughout."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_evaluate_matches_fraction_horner():
+    rng = random.Random(7)
+    polys = [P.zero(), P.one(), poly(-3), poly(0, 0, 5)]
+    for _ in range(20):
+        degree = rng.randrange(8)
+        polys.append(poly(*(rng.randint(-10**6, 10**6) for _ in range(degree + 1))))
+        polys.append(poly(*(Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(degree + 1))))
+    points = [0, 1, -1, 2, 7, -13, 10**20, Fraction(1, 2), Fraction(-7, 3), Fraction(10**9, 10**9 + 7)]
+    for p in polys:
+        for x in points:
+            value = p.evaluate(x)
+            assert type(value) is Fraction
+            assert value == reference_evaluate(p, x), (p, x)
+
+
 def test_ring_axioms_random():
     rng = random.Random(20260815)
 

@@ -61,6 +61,26 @@ def test_divisibility_loads_oracle_and_group_lab():
     assert {"monodromy.fforacle", "monodromy.groupdiv"} <= loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "--n", "2", "--q", "2"),
+    ("divisibility", "--group", "S3", "--k", "1"),
+], ids=["census", "divisibility"])
+def test_census_and_divisibility_do_not_load_the_engine(argv):
+    status, loaded = loaded_after(*argv)
+    assert status == 0
+    assert "monodromy.engine" not in loaded
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # without site, no site hook can have imported either module first
+    code = ("import sys, monodromy.cli, monodromy.fforacle, monodromy.groupdiv;"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_every_exported_name_resolves():
     for name in monodromy.__all__:
         assert getattr(getattr(monodromy, name), "__name__", name) == name
