@@ -7,8 +7,8 @@ byte-identical.
 
 Each subcommand imports only its own layers: ``poly`` loads the engine
 but neither the oracle nor the group lab, ``verify`` the engine and the
-oracle, ``census`` the oracle, and ``divisibility`` the oracle and the
-group lab; neither of the last two loads the engine.
+oracle, ``census`` the oracle, and ``divisibility`` the group lab alone;
+neither of the last two loads the engine.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import itertools
 from functools import lru_cache
 from math import prod
 
-from . import Refusal, record
+from . import BudgetExceeded, Refusal, count_commuting_tuples, record
 from .exactpoly import NotDivisible
 from .typecomb import FactorizationType, enumerate_types, type_pairs
 
@@ -45,10 +45,6 @@ PAIRWISE_BUDGET = 4 * 10**7  # no longer checked here; perfbench's probe and spa
 
 class UnsupportedField(Refusal, ValueError):
     """Field outside the fixed (p, e) table."""
-
-
-class BudgetExceeded(Refusal, RuntimeError):
-    """Requested enumeration is larger than the configured ceiling."""
 
 
 _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
@@ -382,32 +378,6 @@ def is_semisimple(m: FFMatrix) -> bool:
 
 MODE_ALL_SEMISIMPLE = "all-semisimple"
 MODE_LAST_FREE = "last-free"
-
-
-def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | None = None) -> int:
-    """Commuting k-tuples drawn from ``allowed``, followed by one from ``free`` if given.
-
-    ``cents`` holds, per index, the indices of the elements commuting with
-    it.  Partial tuples are extended through intersections of centralizer
-    sets, never by raw enumeration of every candidate tuple.  The count runs
-    level by level, so each (allowed, free) subproblem of a level is counted
-    once, with the number of partial tuples that reach it, and no call
-    recurses k deep.
-    """
-    if k == 0:
-        return 1 if free is None else len(free)
-    level = {(allowed, free): 1}
-    for _ in range(k - 1):
-        nxt: dict = {}
-        for (a, f), ways in level.items():
-            for x in a:
-                c = cents[x]
-                key = (a & c, None if f is None else f & c)
-                nxt[key] = nxt.get(key, 0) + ways
-        level = nxt
-    if free is None:
-        return sum(ways * len(a) for (a, _), ways in level.items())
-    return sum(ways * sum(len(f & cents[x]) for x in a) for (a, f), ways in level.items())
 
 
 def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

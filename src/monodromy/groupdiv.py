@@ -20,19 +20,16 @@ import operator
 import re
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import Refusal, decimal_str, record
-from .fforacle import (
-    BudgetExceeded,
-    FieldSpec,
-    count_commuting_tuples,
-    enumerate_invertible,
-    mat_vec,
-)
+from . import BudgetExceeded, Refusal, count_commuting_tuples, decimal_str, record
+
+if TYPE_CHECKING:
+    from .fforacle import FieldSpec
 
 CLOSURE_BUDGET = 10_000
 HOM_GROUP_BUDGET = 2_000
+HOM_RANK_CEILING = 10_000  # largest hom rank k; the tuple count runs k - 1 levels
 SWEEP_GROUP_BUDGET = 720
 CORPUS_DOMAIN_CEILING = 1_000  # most points a corpus group may act on; the packaged corpus needs 12
 
@@ -167,18 +164,27 @@ class FiniteGroupTable:
         """Element orders: the lcm of the cycle lengths."""
         return tuple(math.lcm(*map(len, _cycles(p))) for p in self.elements)
 
-    def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
-        """Indices of the subgroup generated by the given element indices."""
-        seen = {self.identity_index}
-        queue = [self.identity_index]
+    def subgroup_closure(self, gens: Iterable[int], base: Optional[frozenset[int]] = None) -> frozenset[int]:
+        """Indices of the subgroup generated by the given element indices.
+
+        It grows from ``base``, a subgroup H whose generators are among
+        ``gens`` (by default the trivial group), one whole right coset Ht at a
+        time, until every coset representative times every generator lies in
+        a coset already added (Dimino's algorithm).
+        """
         gen_list = list(gens)
-        while queue:
-            row = self.products[queue.pop()]
+        if base is None:
+            base = (self.identity_index,)
+        products, columns = self.products, self.columns
+        seen = set(base)
+        reps = [self.identity_index]
+        for t in reps:  # grows while new cosets are found
+            row = products[t]
             for g in gen_list:
                 y = row[g]
                 if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
+                    seen.update(map(columns[y].__getitem__, base))
+                    reps.append(y)
         return frozenset(seen)
 
 
@@ -215,6 +221,8 @@ def group_generate(gens: Sequence[tuple[int, ...]], name: str = "", budget: int 
 
 def matrix_group_table(f: FieldSpec, n: int, override_budget: bool = False) -> FiniteGroupTable:
     """GL_n over a small field as permutations of the nonzero column vectors."""
+    from .fforacle import enumerate_invertible, mat_vec  # here, so that the CLI's group lab never loads the oracle
+
     vectors = [v for v in itertools.product(range(f.size), repeat=n) if any(v)]
     vec_index = {v: i for i, v in enumerate(vectors)}
     perms = []
@@ -343,6 +351,8 @@ def hom_count_profinite_abelian(table: FiniteGroupTable, k: int, primes: Iterabl
     """
     if k < 1:
         raise ValueError("rank must be >= 1")
+    if k > HOM_RANK_CEILING:
+        raise BudgetExceeded(f"hom rank {decimal_str(k)} exceeds the ceiling {HOM_RANK_CEILING}")
     prime_set = frozenset(primes)
     if any(not _is_prime(p) for p in prime_set):
         raise ValueError(f"prime set {sorted(prime_set)} contains a non-prime")
@@ -482,7 +492,7 @@ def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], Subgrou
             if at in covered or c in current:
                 continue
             gens = entry.gens + (c,)
-            joined = table.subgroup_closure(gens)
+            joined = table.subgroup_closure(gens, current)
             if joined not in known:
                 add_class(joined, gens)
             covered.update(cyclic_of[conjugators[x][c]] for x in entry.normalizer)
@@ -522,32 +532,28 @@ def coset_lemma_sweep(table: FiniteGroupTable) -> tuple[CosetLemmaCheck, ...]:
     replaced by y^-1 x y.
     """
     subgroups = enumerate_subgroups(table)  # refuses past the ceiling before the Cayley table is built
-    products, columns, inverses, orders = table.products, table.columns, table.inverses, table.orders
+    products, columns, inverses = table.products, table.columns, table.inverses
     primes = _prime_factors(len(table))
-    class_checks: dict[frozenset[int], list[tuple[int, list[tuple[int, int, int]]]]] = {}
+    # p_power[p][i]: whether element i has p-power order (1 counts)
+    p_power = {p: [_is_prime_power_or_one(order, p) for order in table.orders] for p in primes}
+    class_checks: dict[frozenset[int], list[tuple[int, int, list[tuple[int, int]]]]] = {}
     results = []
     for subgroup, entry in subgroups.items():
-        checks = class_checks.get(entry.rep)
+        rep = entry.rep
+        checks = class_checks.get(rep)
         if checks is None:
-            checks = class_checks[entry.rep] = [
-                (p, [(x, *_coset_count(table, entry.rep, x, p))
-                     for x in entry.normalizer if _is_prime_power_or_one(orders[x], p)])
+            # the coset Hx is columns[x][h] over h in H; its p-power elements are counted at C level
+            checks = class_checks[rep] = [
+                (p, p ** _valuation(len(rep), p),
+                 [(x, sum(map(p_power[p].__getitem__, map(columns[x].__getitem__, rep))))
+                  for x in entry.normalizer if p_power[p][x]])
                 for p in primes
             ]
+        order = len(subgroup)
         y_inv_times, times_y = products[inverses[entry.conjugator]], columns[entry.conjugator]
-        for p, rep_checks in checks:
-            for x, count, required in sorted((times_y[y_inv_times[x]], count, required)
-                                             for x, count, required in rep_checks):
-                results.append(
-                    CosetLemmaCheck(
-                        subgroup_order=len(subgroup),
-                        prime=p,
-                        coset_rep=x,
-                        count=count,
-                        required_divisor=required,
-                        ok=count % required == 0,
-                    )
-                )
+        for p, required, rep_checks in checks:
+            for x, count in sorted((times_y[y_inv_times[x]], count) for x, count in rep_checks):
+                results.append(CosetLemmaCheck(order, p, x, count, required, count % required == 0))
     return tuple(results)
 
 

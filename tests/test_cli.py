@@ -1,7 +1,9 @@
 """The monodromy command line: subcommands, exit codes, determinism."""
 
+import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -245,6 +247,32 @@ def test_divisibility_sweep_ceiling_exit_two(capsys, tmp_path):
     corpus.write_text("S6xC2 8 (1 2); (1 2 3 4 5 6); (7 8)\n", encoding="utf-8")
     status, out, err = run(capsys, "divisibility", "--corpus", str(corpus))
     assert (status, out, err) == (2, "", "error: subgroup sweep on order 1440 exceeds 720\n")
+
+
+def test_divisibility_rank_ceiling_exit_two():
+    # the tuple count runs k - 1 levels, so a rank past the ceiling is refused before any count
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "monodromy.cli", "divisibility", "--group", "S3", "--k", "1000000000"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: hom rank 1000000000 exceeds the ceiling 10000\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_group_lab_requests_match_benchmark_goldens(capsys, monkeypatch, tmp_path, seed):
+    # the benchmark's group-lab pass for this seed: the packaged corpus and the relabelled generated one
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    goldens = checks.load_goldens()
+    requests = workloads.build("group-lab", random.Random(seed), tmp_path / "corpus.txt")
+    assert [r.key for r in requests] == ["packaged", "generated"]
+    for request in requests:
+        status, out, err = run(capsys, *request.argv)
+        assert err == ""
+        assert checks.check_output(request, status, out, goldens) is None, request.key
 
 
 def test_scan_budget_exit_two(capsys):

@@ -12,6 +12,7 @@ import pytest
 from monodromy.fforacle import MODE_ALL_SEMISIMPLE, brute_hom_count, field_make
 from monodromy.groupdiv import (
     CORPUS_DOMAIN_CEILING,
+    HOM_RANK_CEILING,
     BudgetExceeded,
     ClosureBudgetExceeded,
     CosetLemmaCheck,
@@ -267,6 +268,42 @@ def _reference_closure(table, gens):
                 seen.add(row[g])
                 queue.append(row[g])
     return frozenset(seen)
+
+
+def _closure_table(name):
+    if name == "S4":
+        return s4()
+    if name == "GL2F3":
+        return next(t for t in load_corpus() if t.name == name)
+    domain, *gens = GENERATED[name]
+    return make(name, domain, *gens)
+
+
+CLOSURE_GROUPS = ["S4", "GL2F3", "A5", "D12"]
+
+
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+def test_closure_from_a_base_matches_reference(name):
+    # Dimino's join, from the class representative H one coset at a time, against a closure from the identity
+    table = _closure_table(name)
+    subgroups = enumerate_subgroups(table)
+    cyclic_gens = [entry.gens for entry in subgroups.values() if len(entry.gens) == 1]
+    joins = 0
+    for subgroup, entry in subgroups.items():
+        if subgroup != entry.rep:
+            continue
+        for (c,) in cyclic_gens:
+            gens = entry.gens + (c,)
+            assert table.subgroup_closure(gens, subgroup) == _reference_closure(table, gens), (table.name, gens)
+            joins += 1
+    assert joins > len(subgroups)
+
+
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+def test_closure_of_one_element_matches_reference(name):
+    table = _closure_table(name)
+    for i in range(len(table)):
+        assert table.subgroup_closure([i]) == _reference_closure(table, [i])
 
 
 def _reference_subgroups(table):
@@ -541,6 +578,15 @@ def test_hom_count_deep_rank():
     c12 = make("C12", 12, "(1 2 3 4 5 6 7 8 9 10 11 12)")
     assert hom_count_profinite_abelian(c12, 1500, ()) == 12**1500
     assert hom_count_profinite_abelian(c12, 1500, (2,)) == 3**1500
+
+
+def test_hom_rank_ceiling():
+    c2 = make("C2", 2, "(1 2)")
+    assert hom_count_profinite_abelian(c2, HOM_RANK_CEILING, ()) == 2**HOM_RANK_CEILING
+    with pytest.raises(BudgetExceeded, match=r"^hom rank 10001 exceeds the ceiling 10000$"):
+        hom_count_profinite_abelian(c2, HOM_RANK_CEILING + 1, ())
+    with pytest.raises(BudgetExceeded):  # named in the message although str() refuses its 5001 digits
+        hom_count_profinite_abelian(c2, 10**5000, ())
 
 
 def test_is_prime_matches_trial_division():
