@@ -33,17 +33,20 @@ in two kinds that differ only in the leaf and the type factor F(t):
 
 The memo is keyed by (kind, level, r) and holds the value at q; a child
 needed at q^d is the stored value with q^d substituted, so the field power
-is not part of the key.
+is not part of the key.  Each level sum is one product of Python ints per
+type: every polynomial is evaluated at one power of two, wide enough that
+the sum's coefficients read back exactly (Kronecker substitution).
 
 Integrality is certified inside the recursion.  Each type count comes as
 an integer polynomial D_t * N_t over a known denominator D_t, so each level
 sum is accumulated with every N_t scaled by the lcm of the D_t for that
-weight and divided back exactly; the centralizer index is an exact division
-by a monic polynomial.  Either division leaving a remainder raises
-IntegralityViolation instead of rounding, since it would mean the recursion
-or the type combinatorics is wrong.  Results become ``UnivariatePoly`` only
-at the ``CountingPolynomial`` boundary, which checks once more that every
-coefficient is an integer.
+weight and divided back exactly, coefficient by coefficient.  The
+centralizer index is |GL_r| over the centralizer order, both a power of q
+times factors q^m - 1, divided one factor at a time.  Either division
+leaving a remainder raises IntegralityViolation instead of rounding, since
+it would mean the recursion or the type combinatorics is wrong.  Results
+become ``UnivariatePoly`` only at the ``CountingPolynomial`` boundary,
+which checks once more that every coefficient is an int.
 
 ``ss_weight`` and ``mixed_weight`` present the same values in the older
 per-block weight form, as rational functions at a field power q^m; they are
@@ -53,8 +56,9 @@ views for callers, not part of the counting path.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
-from typing import Literal, Optional
+from typing import Literal
 
 from . import Refusal, record
 from .exactpoly import (  # noqa: F401  (to_laurent: perfbench/spans.py looks up engine.to_laurent)
@@ -103,13 +107,6 @@ class WeightCache(dict):
 # integer polynomial arithmetic for the recursion
 
 
-def _add_into(acc: list[int], term: IntPoly) -> None:
-    if len(acc) < len(term):
-        acc.extend([0] * (len(term) - len(acc)))
-    for i, c in enumerate(term):
-        acc[i] += c
-
-
 def _strip(coeffs: list[int]) -> IntPoly:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -125,32 +122,68 @@ def _compose(a: IntPoly, d: int) -> IntPoly:
     return tuple(out)
 
 
-def _exact_div(num: IntPoly, den: IntPoly) -> Optional[IntPoly]:
-    """num / den in Z[q], or None when the quotient is not an integer polynomial."""
-    rem = list(num)
-    top = den[-1]
-    width = len(den) - 1
-    terms = [(i, c) for i, c in enumerate(den) if c]
-    quo = [0] * max(len(num) - width, 0)
-    for shift in range(len(quo) - 1, -1, -1):
-        factor, residue = divmod(rem[shift + width], top)
-        if residue:
+def _times_qm_minus_1(p: list[int], m: int) -> list[int]:
+    """p * (q^m - 1): one shift and one subtraction."""
+    out = [0] * m + p
+    for i, c in enumerate(p):
+        out[i] -= c
+    return out
+
+
+def _over_qm_minus_1(p: list[int], m: int) -> list[int] | None:
+    """p / (q^m - 1) in Z[q], or None when the division leaves a remainder.
+
+    From p = Q * (q^m - 1), p_i = Q_{i-m} - Q_i, so Q_i = Q_{i-m} - p_i
+    from the bottom up; the top m coefficients of p are what remains, and
+    each must equal Q_{i-m}.
+    """
+    size = len(p) - m
+    if size < 0:
+        return None if any(p) else []
+    quo = [-c for c in p[:size]]
+    for i in range(m, size):
+        quo[i] += quo[i - m]
+    for i in range(size, len(p)):
+        if p[i] != (quo[i - m] if i >= m else 0):
             return None
-        if factor:
-            quo[shift] = factor
-            for i, c in terms:
-                rem[shift + i] -= factor * c
-    if any(rem):
-        return None
-    return tuple(quo)
+    return quo
 
 
-def _certified_quotient(numerator: IntPoly, denominator: IntPoly) -> IntPoly:
-    """Exact division in Z[q] that reports failure as IntegralityViolation."""
-    quotient = _exact_div(numerator, denominator)
-    if quotient is None:
-        raise IntegralityViolation(f"{numerator} is not divisible by {denominator} over the integers")
-    return quotient
+def _certified_quotient(numerator: IntPoly, scale: int) -> IntPoly:
+    """numerator / scale in Z[q], coefficient by coefficient; a remainder is an IntegralityViolation."""
+    if any(c % scale for c in numerator):
+        raise IntegralityViolation(f"{numerator} is not divisible by {scale} over the integers")
+    return tuple(c // scale for c in numerator)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: an integer polynomial as one integer, its value at
+# X = 2^(8 * width) for a slot of ``width`` bytes.  A signed coefficient c
+# with |c| < 2^(8 * width - 1) sits in its slot as c + 2^(8 * width - 1),
+# so packing and unpacking are one pass of fixed-width bytes each.
+
+
+def _pack(coeffs: IntPoly, width: int) -> int:
+    """The value at X = 2^(8 * width); every |c| must be below 2^(8 * width - 1)."""
+    half = 1 << (8 * width - 1)
+    slots = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    offset = half.to_bytes(width, "little") * len(coeffs)
+    return int.from_bytes(slots, "little") - int.from_bytes(offset, "little")
+
+
+def _unpack(value: int, width: int) -> list[int]:
+    """The coefficients of the polynomial S with S(X) = ``value`` at X = 2^(8 * width); [0] for S = 0.
+
+    Exact when every coefficient lies strictly between -X/2 and X/2.  Then
+    the degree D is read off the bit length: the lower terms sum to less
+    than X^D / 2 in absolute value, so X^D / 2 < |value| < X^(D+1) / 2 and
+    ``value.bit_length() // (8 * width)`` is D.
+    """
+    half = 1 << (8 * width - 1)
+    count = value.bit_length() // (8 * width) + 1
+    value += int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    data = value.to_bytes(width * count, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, width * count, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +193,10 @@ def _certified_quotient(numerator: IntPoly, denominator: IntPoly) -> IntPoly:
 @lru_cache(maxsize=None)
 def _gl_order_int(n: int) -> IntPoly:
     """|GL_n(q)| = q^(n(n-1)/2) * prod (q^i - 1) for i <= n."""
-    result: IntPoly = (0,) * (n * (n - 1) // 2) + (1,)
+    result = [1]
     for i in range(1, n + 1):
-        result = int_mul((-1,) + (0,) * (i - 1) + (1,), result)
-    return result
+        result = _times_qm_minus_1(result, i)
+    return (0,) * (n * (n - 1) // 2) + tuple(result)
 
 
 @lru_cache(maxsize=None)
@@ -181,19 +214,38 @@ def _type_count_at_power(t: FactorizationType, m: int) -> UnivariatePoly:
 
 
 def _centralizer_index(r: int, pairs: tuple[tuple[int, int], ...]) -> IntPoly:
-    """[GL_r : prod GL_s(F_{q^d})] over the (d, s) pairs of a type."""
-    centralizer: IntPoly = (1,)
-    for d, s in pairs:
-        centralizer = int_mul(_compose(_gl_order_int(s), d), centralizer)
-    return _certified_quotient(_gl_order_int(r), centralizer)
+    """[GL_r : prod GL_s(F_{q^d})] over the (d, s) pairs of a type.
+
+    Both orders are a power of q times factors q^m - 1:
+
+        q^a prod_{i <= r} (q^i - 1)  /  q^b prod_{(d, s)} prod_{j <= s} (q^(d j) - 1)
+
+    with a = r(r-1)/2 and b the sum of d s(s-1)/2.  The exponents m common
+    to both sides cancel as multisets; each one left above is a shift and a
+    subtraction, and each one left below an exact division by q^m - 1.
+    """
+    top = Counter(range(1, r + 1))
+    bottom = Counter(d * j for d, s in pairs for j in range(1, s + 1))
+    power = r * (r - 1) // 2 - sum(d * s * (s - 1) // 2 for d, s in pairs)
+    index = [1]
+    for m in (top - bottom).elements():
+        index = _times_qm_minus_1(index, m)
+    for m in (bottom - top).elements():
+        index = _over_qm_minus_1(index, m)
+        if index is None:
+            break
+    if index is None or power < 0:
+        raise IntegralityViolation(f"|GL_{r}| is not divisible by the centralizer order of {pairs} over the integers")
+    return (0,) * power + tuple(index)
 
 
 @lru_cache(maxsize=None)
-def _type_table(kind: str, r: int) -> tuple[int, tuple[tuple[IntPoly, tuple[tuple[int, int], ...]], ...]]:
+def _type_table(kind: str, r: int) -> tuple[int, tuple[tuple[IntPoly, int, tuple[tuple[int, int], ...]], ...]]:
     """The factors F(t) of every type of weight r, scaled by ``scale`` into Z[q].
 
-    Returns ``(scale, rows)`` with one ``(scale * F(t), type_pairs(t))`` row
-    per type; ``scale`` is the lcm of the known denominators D_t of the N_t.
+    Returns ``(scale, rows)`` with one ``(scale * F(t), its L1 norm,
+    type_pairs(t))`` row per type; ``scale`` is the lcm of the known
+    denominators D_t of the N_t.
     """
     types = enumerate_types(r)
     counts = [scaled_type_count(t) for t in types]
@@ -204,8 +256,19 @@ def _type_table(kind: str, r: int) -> tuple[int, tuple[tuple[IntPoly, tuple[tupl
         factor = tuple(c * (scale // denominator) for c in numerator)
         if kind == "ss":
             factor = int_mul(factor, _centralizer_index(r, pairs))
-        rows.append((factor, pairs))
+        rows.append((factor, sum(map(abs, factor)), pairs))
     return scale, tuple(rows)
+
+
+@lru_cache(maxsize=32)
+def _packed_factors(kind: str, r: int, width: int) -> tuple[int, ...]:
+    """The factors of ``_type_table(kind, r)`` packed at ``width`` bytes a slot.
+
+    A level sum's width depends only on (kind, level, r), so a process that
+    repeats counts, each with a fresh memo, packs each table once per level.
+    The entry limit caps what a single large count leaves behind.
+    """
+    return tuple(_pack(factor, width) for factor, _, _ in _type_table(kind, r)[1])
 
 
 def _weight(kind: str, level: int, r: int, cache: WeightCache) -> IntPoly:
@@ -230,17 +293,42 @@ def _weight(kind: str, level: int, r: int, cache: WeightCache) -> IntPoly:
 
 
 def _level_value(kind: str, level: int, r: int, below: dict[int, IntPoly]) -> IntPoly:
-    """V_kind(level, r) at q from the values ``below[s]`` = V_kind(level - 1, s)."""
+    """V_kind(level, r) at q from the values ``below[s]`` = V_kind(level - 1, s).
+
+    The scaled sum S = sum_t F(t) prod_{(d, s)} below[s](q^d) is computed at
+    the single point X = 2^(8 * width) (Kronecker substitution): each factor
+    is packed into one integer, the products and the sum are Python int
+    arithmetic, and the coefficients of S are unpacked once.
+
+    The slot width is sound because ||a b||_1 <= ||a||_1 ||b||_1 and
+    substituting q^d keeps ||.||_1, so every coefficient of S is at most the
+    L1 bound L = sum_t ||F(t)||_1 prod ||below[s]||_1 in absolute value.
+    The slot holds at least bit_length(L) + 2 bits, so |c| <= L <
+    2^(8 * width - 1) for every coefficient c of S and of each packed factor
+    (a nonzero integer polynomial has norm at least 1, so each factor's own
+    norm is at most L); the unpacking is then exact.
+    """
     if level == 0:
         return (1,) if kind == "ss" else (0,) * (r - 1) + (-1, 1)
     scale, rows = _type_table(kind, r)
-    total: list[int] = []
-    for factor, pairs in rows:
-        term = factor
-        for d, s in pairs:
-            term = int_mul(term, _compose(below[s], d))
-        _add_into(total, term)
-    return _certified_quotient(_strip(total), (scale,))
+    norms = {s: sum(map(abs, value)) for s, value in below.items()}
+    bound = 0
+    for _, term, pairs in rows:
+        for _, s in pairs:
+            term *= norms[s]
+        bound += term
+    width = (bound.bit_length() + 2 + 7) // 8
+    packed: dict[tuple[int, int], int] = {}
+    total = 0
+    for (_, _, pairs), term in zip(rows, _packed_factors(kind, r, width)):
+        for pair in pairs:
+            value = packed.get(pair)
+            if value is None:
+                d, s = pair
+                value = packed[pair] = _pack(below[s], width * d)
+            term *= value
+        total += term
+    return _certified_quotient(_strip(_unpack(total, width)), scale)
 
 
 def _memo(cache: WeightCache | None) -> WeightCache:
@@ -289,8 +377,10 @@ class CountingPolynomial:
             raise IntegralityViolation(f"non-integer coefficients in {self.poly}")
 
     def evaluate(self, q: int) -> int:
-        value = self.poly.evaluate(q)
-        return value.numerator  # integer coefficients, so denominator is 1
+        value = 0
+        for c in reversed(self.poly.coeffs):  # every coefficient is an int
+            value = value * q + c
+        return value
 
 
 def count_semisimple_tuples(n: int, k: int, cache: WeightCache | None = None) -> CountingPolynomial:
@@ -395,17 +485,8 @@ def check_degree_monic(cp: CountingPolynomial) -> DegreeReport:
     degree_exact = degree == bound
     if k == 2 and not (is_monic and degree_exact):
         raise MonicViolation(f"k=2 count must be monic of degree {bound}, got degree {degree}")
-    return DegreeReport(
-        n=n,
-        k=k,
-        degree=degree,
-        bound=bound,
-        bound_met=bound_met,
-        bound_enforced=enforced,
-        monic_checked=k == 2,
-        is_monic=is_monic,
-        degree_exact=degree_exact,
-    )
+    # positional, in field order: a keyword call goes through record's slower argument binding
+    return DegreeReport(n, k, degree, bound, bound_met, enforced, k == 2, is_monic, degree_exact)
 
 
 def check_laurent_quotient(cp: CountingPolynomial) -> LaurentPoly:
@@ -418,8 +499,9 @@ def check_laurent_quotient(cp: CountingPolynomial) -> LaurentPoly:
     """
     if cp.mode not in (MODE_SEMISIMPLE, MODE_MIXED):
         raise ValueError("Laurent quotient applies to tuple counts, not class counts")
-    shift = cp.n * (cp.n - 1) // 2
-    quotient = _exact_div(tuple(c.numerator for c in cp.poly.coeffs), _gl_order_int(cp.n)[shift:])
-    if quotient is None:
-        raise NotLaurent(f"{cp.poly} is not divisible by prod (q^i - 1) for i <= {cp.n}")
-    return LaurentPoly(-shift, quotient)
+    quotient = list(cp.poly.coeffs)
+    for m in range(1, cp.n + 1):
+        quotient = _over_qm_minus_1(quotient, m)
+        if quotient is None:
+            raise NotLaurent(f"{cp.poly} is not divisible by prod (q^i - 1) for i <= {cp.n}")
+    return LaurentPoly(-(cp.n * (cp.n - 1) // 2), quotient)

@@ -1,12 +1,15 @@
 """Exact arithmetic for univariate polynomials and rational functions over
 the rationals, and the Laurent polynomials that quotients print as.
 
-Polynomials are dense ascending coefficient tuples of `fractions.Fraction`
-values, and the formal variable is always printed as ``q``.  The zero
-polynomial is the empty tuple, which makes equality and degree structural.
-Everything here is exact; no floating point is ever involved.  The type
-counts and the engine's recursion stay in Z[q] instead, as plain ``IntPoly``
-coefficient tuples multiplied by ``int_mul``.
+Polynomials are dense ascending coefficient tuples, and the formal variable
+is always printed as ``q``.  Each coefficient is stored in one canonical
+form: an integer value as an ``int``, any other rational as a
+``fractions.Fraction``, so every count the engine returns holds plain ints.
+``Fraction(3) == 3`` and both hash alike, so the form changes no equality
+or hash.  The zero polynomial is the empty tuple, which makes equality and
+degree structural.  Everything here is exact; no floating point is ever
+involved.  The type counts and the engine's recursion stay in Z[q] instead,
+as plain ``IntPoly`` coefficient tuples.
 
 Wire format, written and never read back: a polynomial serializes to
 ``{"var": "q", "coeffs": [[num, den], ...]}``, ascending by degree; a Laurent
@@ -48,22 +51,33 @@ def _encode_int(value: int) -> int | str:
     return value if _I64_MIN <= value <= _I64_MAX else decimal_str(value)
 
 
+def _scalar(value) -> Scalar:
+    """A coefficient that is not an int, as an int when it is integral and else as a Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _canonical(coeffs) -> list:
+    cs = [c if type(c) is int else _scalar(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
 @record
 class UnivariatePoly:
     """Dense univariate polynomial over Q.
 
     ``coeffs[d]`` is the coefficient of ``q**d``.  The stored tuple is
-    canonical: coerced to ``Fraction`` and stripped of trailing zeros, so two
-    polynomials are equal exactly when their tuples are.
+    canonical: integral coefficients as ``int``, the rest as ``Fraction``,
+    stripped of trailing zeros, so two polynomials are equal exactly when
+    their tuples are.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    coeffs: tuple[Scalar, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_canonical(self.coeffs)))
 
     # ---- constructors ----
 
@@ -73,22 +87,22 @@ class UnivariatePoly:
 
     @classmethod
     def one(cls) -> "UnivariatePoly":
-        return cls((Fraction(1),))
+        return cls((1,))
 
     @classmethod
     def variable(cls) -> "UnivariatePoly":
         """The polynomial ``q``."""
-        return cls((Fraction(0), Fraction(1)))
+        return cls((0, 1))
 
     @classmethod
     def monomial(cls, coeff: Scalar, degree: int) -> "UnivariatePoly":
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls((Fraction(0),) * degree + (Fraction(coeff),))
+        return cls((0,) * degree + (coeff,))
 
     @classmethod
     def constant(cls, value: Scalar) -> "UnivariatePoly":
-        return cls((Fraction(value),))
+        return cls((value,))
 
     # ---- structure ----
 
@@ -102,7 +116,7 @@ class UnivariatePoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         if not self.coeffs:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -111,8 +125,8 @@ class UnivariatePoly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def is_integer(self) -> bool:
-        """True when every coefficient has denominator 1."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        """True when every coefficient is an integer: in canonical form, an ``int``."""
+        return all(type(c) is int for c in self.coeffs)
 
     # ---- arithmetic ----
 
@@ -151,7 +165,7 @@ class UnivariatePoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return UnivariatePoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -179,9 +193,9 @@ class UnivariatePoly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quo = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        quo = [0] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
         rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
+        dlead = Fraction(other.coeffs[-1])  # so that two ints divide exactly, never as a float
         dlen = len(other.coeffs)
         while len(rem) >= dlen:
             factor = rem[-1] / dlead
@@ -208,9 +222,8 @@ class UnivariatePoly:
             raise ValueError("monomial substitution requires m >= 1")
         if m == 1 or not self.coeffs:
             return self
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * m + 1)
-        for d, c in enumerate(self.coeffs):
-            out[d * m] = c
+        out = [0] * ((len(self.coeffs) - 1) * m + 1)
+        out[::m] = self.coeffs
         return UnivariatePoly(tuple(out))
 
     def evaluate(self, x: Scalar) -> Fraction:
@@ -254,11 +267,11 @@ def _as_poly(value) -> UnivariatePoly:
     if isinstance(value, UnivariatePoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return UnivariatePoly((Fraction(value),))
+        return UnivariatePoly((value,))
     return NotImplemented
 
 
-def _render_terms(terms: list[tuple[int, Fraction]]) -> str:
+def _render_terms(terms: list[tuple[int, Scalar]]) -> str:
     """Human form, highest degree first, e.g. ``q^2 - q - 1 + q^-1``."""
     parts: list[str] = []
     for deg, c in sorted(terms, reverse=True):
@@ -405,23 +418,21 @@ class LaurentPoly:
     """
 
     min_degree: int
-    coeffs: tuple[Fraction, ...] = ()
+    coeffs: tuple[Scalar, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coeffs]
+        cs = _canonical(self.coeffs)
         low = self.min_degree
         while cs and cs[0] == 0:
             cs.pop(0)
             low += 1
-        while cs and cs[-1] == 0:
-            cs.pop()
         if not cs:
             low = 0
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "min_degree", low)
 
     def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def to_json(self) -> dict:
         return {

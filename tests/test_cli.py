@@ -275,6 +275,34 @@ def test_group_lab_requests_match_benchmark_goldens(capsys, monkeypatch, tmp_pat
         assert checks.check_output(request, status, out, goldens) is None, request.key
 
 
+def test_engine_small_counts_match_benchmark_goldens(monkeypatch):
+    # the benchmark's library counts, each through the same document builder the benchmark uses
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    child = importlib.import_module("child")
+    goldens = checks.load_goldens()
+    requests = workloads.build("engine-small", None, None)
+    assert len(requests) == len(workloads.ENGINE_SMALL_CASES) == 70
+    for request, (n, k, mode) in zip(requests, workloads.ENGINE_SMALL_CASES):
+        doc = child.poly_doc(engine, n, k, mode)
+        assert checks.check_doc(request, doc, goldens) is None, request.key
+
+
+def test_engine_large_requests_match_benchmark_goldens(capsys, monkeypatch):
+    # the benchmark's CLI poly requests at n = 6 and 7, run in process
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    goldens = checks.load_goldens()
+    requests = workloads.build("engine-large", None, None)
+    assert len(requests) == len(workloads.ENGINE_LARGE_CASES)
+    for request in requests:
+        status, out, err = run(capsys, *request.argv)
+        assert err == ""
+        assert checks.check_output(request, status, out, goldens) is None, request.key
+
+
 def test_scan_budget_exit_two(capsys):
     # |GL_3(F_4)| = 181440 is past the ceiling on |GL_n(F_q)|
     status, _, err = run(capsys, "verify", "--n", "3", "--k", "2", "--mode", "ss", "--q", "4")

@@ -27,7 +27,7 @@ from monodromy.engine import (
     mixed_weight,
     ss_weight,
 )
-from monodromy.exactpoly import LaurentPoly, RationalFunction, UnivariatePoly
+from monodromy.exactpoly import LaurentPoly, NotLaurent, RationalFunction, UnivariatePoly, int_mul
 from monodromy.typecomb import count_monic_with_type, enumerate_types, type_pairs
 
 Q = UnivariatePoly.variable()
@@ -261,8 +261,10 @@ def test_matches_rational_function_reference(mode, count):
 @pytest.fixture
 def fresh_type_tables():
     engine._type_table.cache_clear()
+    engine._packed_factors.cache_clear()
     yield
     engine._type_table.cache_clear()
+    engine._packed_factors.cache_clear()
 
 
 def test_fractional_type_count_fails_level_sum(monkeypatch, fresh_type_tables):
@@ -290,7 +292,7 @@ def _rational_type_table(kind, r):
         factor = tuple((c * scale).numerator for c in coeffs)
         if kind == "ss":
             factor = engine.int_mul(factor, engine._centralizer_index(r, pairs))
-        rows.append((factor, pairs))
+        rows.append((factor, sum(map(abs, factor)), pairs))
     return scale, tuple(rows)
 
 
@@ -307,6 +309,7 @@ def _memo_tables(cache):
 def test_integer_type_table_keeps_memo_tables(monkeypatch, fresh_type_tables):
     integer = _memo_tables(WeightCache())
     monkeypatch.setattr(engine, "_type_table", functools.lru_cache(maxsize=None)(_rational_type_table))
+    engine._packed_factors.cache_clear()
     assert _memo_tables(WeightCache()) == integer
 
 
@@ -316,6 +319,141 @@ def test_non_exact_centralizer_index(monkeypatch, fresh_type_tables):
     monkeypatch.setattr(engine, "type_pairs", lambda t: real(t) + ((1, 1),) if t.weight == 2 else real(t))
     with pytest.raises(IntegralityViolation):
         count_semisimple_tuples(2, 1)
+
+
+def _long_division(num, den):
+    """num / den in Z[q] by schoolbook long division; None on a remainder."""
+    rem, quo = list(num), [0] * (len(num) - len(den) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        factor, residue = divmod(rem[shift + len(den) - 1], den[-1])
+        if residue:
+            return None
+        quo[shift] = factor
+        for i, c in enumerate(den):
+            rem[shift + i] -= factor * c
+    return None if any(rem) else tuple(quo)
+
+
+def _gl_order_reference(n):
+    """|GL_n(q)| = prod_{j<n} (q^n - q^j), as schoolbook products."""
+    result = (1,)
+    for j in range(n):
+        result = int_mul(result, (0,) * j + (-1,) + (0,) * (n - j - 1) + (1,))
+    return result
+
+
+def test_cyclotomic_centralizer_index_matches_long_division():
+    checked = 0
+    for r in range(1, 11):
+        for t in enumerate_types(r):
+            pairs = type_pairs(t)
+            centralizer = (1,)
+            for d, s in pairs:
+                centralizer = int_mul(centralizer, engine._compose(_gl_order_reference(s), d))
+            expected = _long_division(_gl_order_reference(r), centralizer)
+            assert expected is not None
+            assert engine._centralizer_index(r, pairs) == expected, pairs
+            checked += 1
+    assert checked == sum(len(enumerate_types(r)) for r in range(1, 11))
+
+
+def test_division_by_q_power_minus_one():
+    p = int_mul((3, -1, 0, 4), (-1, 0, 1))  # times q^2 - 1
+    assert engine._over_qm_minus_1(list(p), 2) == [3, -1, 0, 4]
+    assert engine._over_qm_minus_1(list(p), 1) == list(int_mul((3, -1, 0, 4), (1, 1)))  # times q + 1
+    assert engine._over_qm_minus_1(list(p), 3) is None
+    assert engine._over_qm_minus_1([1, 2], 3) is None
+    assert engine._over_qm_minus_1([0, 0], 3) == []
+    assert engine._times_qm_minus_1([3, -1, 0, 4], 2) == list(p)
+
+
+@pytest.mark.parametrize("count", [count_semisimple_tuples, count_mixed_tuples])
+def test_laurent_check_refuses_a_count_off_by_one(count):
+    cp = count(3, 2)
+    off = CountingPolynomial(cp.poly + 1, cp.n, cp.k, cp.mode)
+    with pytest.raises(NotLaurent):
+        check_laurent_quotient(off)
+    # q^(n(n-1)/2) is not a factor the check divides by: a shift keeps the quotient Laurent
+    shifted = CountingPolynomial(cp.poly * Q, cp.n, cp.k, cp.mode)
+    assert check_laurent_quotient(shifted) == LaurentPoly(
+        check_laurent_quotient(cp).min_degree + 1, check_laurent_quotient(cp).coeffs
+    )
+
+
+# Reference: each level sum coefficient by coefficient, as schoolbook
+# products of the composed values below, summed and divided by the scale.
+
+
+def _schoolbook_level_value(kind, level, r, below):
+    if level == 0:
+        return (1,) if kind == "ss" else (0,) * (r - 1) + (-1, 1)
+    scale, rows = engine._type_table(kind, r)
+    total = []
+    for factor, _, pairs in rows:
+        term = factor
+        for d, s in pairs:
+            term = int_mul(term, engine._compose(below[s], d))
+        total.extend([0] * (len(term) - len(total)))
+        for i, c in enumerate(term):
+            total[i] += c
+    while total and total[-1] == 0:
+        total.pop()
+    quotient = [divmod(c, scale) for c in total]
+    assert all(residue == 0 for _, residue in quotient)
+    return tuple(c for c, _ in quotient)
+
+
+def _level_memo():
+    cache = WeightCache()
+    for kind in ("ss", "mixed"):
+        for r in range(1, 9):
+            engine._weight(kind, 8, r, cache)
+    return cache
+
+
+def test_one_point_level_sums_match_schoolbook(monkeypatch):
+    one_point = _level_memo()
+    monkeypatch.setattr(engine, "_level_value", _schoolbook_level_value)
+    schoolbook = _level_memo()
+    assert len(one_point) == 2 * 9 * 8
+    assert list(one_point) == list(schoolbook)
+    for key, value in schoolbook.items():
+        assert one_point[key] == value, key
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 17])
+def test_pack_round_trips_slot_edges(width):
+    edge = 2 ** (8 * width - 1) - 1
+    for coeffs in [(edge,), (-edge,), (edge, -edge), (-edge, 0, edge), (0, 0, -edge), (1, -edge, edge, -1, edge)]:
+        for stride in (1, 3):
+            # packing at a stride of whole slots is the value at X of the polynomial composed with q^stride
+            packed = engine._pack(coeffs, width * stride)
+            assert engine._strip(engine._unpack(packed, width * stride)) == coeffs
+            assert engine._strip(engine._unpack(packed, width)) == engine._compose(coeffs, stride)
+    assert engine._unpack(0, width) == [0]
+
+
+@pytest.mark.parametrize("bound", [63, 64, 127, 128, 255, 256, 2**15 - 1, 2**15, 2**16, 2**63, 3**40])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_level_reaching_the_l1_bound_decodes(monkeypatch, fresh_type_tables, bound, sign):
+    # Every value below and every factor is a monomial, and every term lands
+    # on q^5 with one sign, so the coefficient of q^5 is the whole L1 bound.
+    below = {1: (0, 1), 2: (0, 0, 2), 3: (0, 0, 0, 0, 5)}
+    a2, a3 = bound // 7, bound // 11
+    a1 = bound - 2 * a2 - 5 * a3 - 2
+    rows = tuple(
+        ((0,) * degree + (sign * a,), a, pairs)
+        for degree, a, pairs in [
+            (2, a1, ((1, 1), (1, 1), (1, 1))),  # q^2 * q * q * q
+            (2, a2, ((1, 1), (1, 2))),  # q^2 * q * 2q^2
+            (1, a3, ((1, 3),)),  # q * 5q^4
+            (2, 1, ((2, 1), (1, 1))),  # q^2 * q^2 * q
+            (2, 1, ((3, 1),)),  # q^2 * q^3
+        ]
+    )
+    assert a1 + 2 * a2 + 5 * a3 + 2 == bound
+    monkeypatch.setattr(engine, "_type_table", functools.lru_cache(maxsize=None)(lambda kind, r: (1, rows)))
+    assert engine._level_value("ss", 1, 3, below) == (0,) * 5 + (sign * bound,)
 
 
 def test_degree_check_even_k():

@@ -32,6 +32,41 @@ def test_canonical_form():
     assert poly(1, -2, 1) == (Q - 1) ** 2
 
 
+def test_integral_coefficients_are_ints():
+    p = P((Fraction(4, 2), Fraction(1, 2)))
+    assert p.coeffs == (2, Fraction(1, 2))
+    assert type(p.coeffs[0]) is int and type(p.coeffs[1]) is Fraction
+    # the stored form changes neither equality nor the hash of the field tuple
+    assert hash(p) == hash(((Fraction(2), Fraction(1, 2)),))
+    assert p == P((2, Fraction(1, 2)))
+    assert [type(c) for c in (Q**2 - 3).coeffs] == [int, int, int]
+    assert [type(c) for c in LaurentPoly(-1, (Fraction(6, 3), 0, Fraction(1, 3))).coeffs] == [int, int, Fraction]
+    assert P.one().is_integer() and not p.is_integer()
+
+
+def test_integer_division_never_yields_a_float():
+    # int / int in true division is a float; 1/3 as a float is not one third
+    assert divmod(P((1,)), P((3,))) == (P((Fraction(1, 3),)), P.zero())
+    assert divmod(P((1, 0, 3)), P((0, 2))) == (P((0, Fraction(3, 2))), P((1,)))
+    assert (Q**2 - 1).exact_div(3 * Q - 3) == P((Fraction(1, 3), Fraction(1, 3)))
+    assert poly_gcd(3 * Q**2 - 3, 6 * Q + 6) == Q + 1
+    rng = random.Random(2026)
+
+    def rand_int_poly():
+        return P(tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 6))) + (rng.choice((-3, -1, 1, 2, 5)),))
+
+    def scalars(*polys):
+        return {type(c) for poly in polys for c in poly.coeffs}
+
+    for _ in range(60):
+        a, b = rand_int_poly(), rand_int_poly()
+        quo, rem = divmod(a, b)
+        assert quo * b + rem == a
+        assert scalars(quo, rem) <= {int, Fraction}
+        assert (a * b).exact_div(b) == a and scalars((a * b).exact_div(b)) == {int}
+        assert scalars(poly_gcd(a, b)) <= {int, Fraction}
+
+
 def test_zero_degree_sentinel():
     assert P.zero().degree == NEG_INFINITY
     assert P.zero().degree < -(10**9)
