@@ -5,10 +5,11 @@ cases by brute force over explicit finite fields; the group module checks
 the divisibility phenomena the counts exhibit in arbitrary finite groups.
 
 ``Refusal``, ``record`` and ``decimal_str`` are defined here for every
-layer, and so are ``BudgetExceeded`` and ``count_commuting_tuples``, which
-the oracle and the group lab share; the other names load on first use
-(PEP 562), so importing the package, or one of its modules, compiles only
-what that use needs.
+layer, and so is ``BudgetExceeded``, which the oracle and the group lab
+share; they share ``count_commuting_tuples`` too, from the small
+``commuting`` module.  The other names load on first use (PEP 562), so
+importing the package, or one of its modules, compiles only what that use
+needs.
 """
 
 import importlib
@@ -115,33 +116,8 @@ def decimal_str(value) -> str:
     return decimal_str(high) + decimal_str(low).zfill(half)
 
 
-def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | None = None) -> int:
-    """Commuting k-tuples drawn from ``allowed``, followed by one from ``free`` if given.
-
-    ``cents`` holds, per index, the indices of the elements commuting with
-    it.  Partial tuples are extended through intersections of centralizer
-    sets, never by raw enumeration of every candidate tuple.  The count runs
-    level by level, so each (allowed, free) subproblem of a level is counted
-    once, with the number of partial tuples that reach it, and no call
-    recurses k deep.
-    """
-    if k == 0:
-        return 1 if free is None else len(free)
-    level = {(allowed, free): 1}
-    for _ in range(k - 1):
-        nxt: dict = {}
-        for (a, f), ways in level.items():
-            for x in a:
-                c = cents[x]
-                key = (a & c, None if f is None else f & c)
-                nxt[key] = nxt.get(key, 0) + ways
-        level = nxt
-    if free is None:
-        return sum(ways * len(a) for (a, _), ways in level.items())
-    return sum(ways * sum(len(f & cents[x]) for x in a) for (a, f), ways in level.items())
-
-
 _EXPORTS = {
+    "commuting": ("count_commuting_tuples",),
     "exactpoly": (
         "LaurentPoly", "NotDivisible", "NotLaurent", "RationalFunction", "UnivariatePoly", "to_laurent",
     ),
@@ -166,7 +142,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = ["Refusal", "BudgetExceeded", "count_commuting_tuples", *_MODULE_OF]
+__all__ = ["Refusal", "BudgetExceeded", *_MODULE_OF]
 __version__ = "0.1.0"
 
 

@@ -227,14 +227,14 @@ def _cmd_census(args) -> int:
     if args.n < 1:
         raise Refusal("--n must be >= 1")
     from . import fforacle
-    from .typecomb import count_monic_with_type
+    from .typecomb import count_monic_with_type_at
 
     params = _resolve_q_list(args.q, fforacle.check_census_budget, args.n, args.budget_override)
     rows = []
     all_match = True
     for q, p, e in params:
         for record in fforacle.poly_type_census(fforacle.field_make(p, e), args.n, args.budget_override):
-            predicted = count_monic_with_type(record.type).evaluate(q)
+            predicted = count_monic_with_type_at(record.type, q)
             match = predicted == record.count
             all_match = all_match and match
             rows.append({

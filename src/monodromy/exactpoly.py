@@ -9,7 +9,10 @@ form: an integer value as an ``int``, any other rational as a
 or hash.  The zero polynomial is the empty tuple, which makes equality and
 degree structural.  Everything here is exact; no floating point is ever
 involved.  The type counts and the engine's recursion stay in Z[q] instead,
-as plain ``IntPoly`` coefficient tuples.
+as plain ``IntPoly`` coefficient tuples.  ``fractions`` is imported only
+inside the functions that can make a non-integer, so a run that never
+does (every ``poly``, ``verify`` and ``census`` request) never loads it,
+nor the ``decimal`` and ``numbers`` modules it imports.
 
 Wire format, written and never read back: a polynomial serializes to
 ``{"var": "q", "coeffs": [[num, den], ...]}``, ascending by degree; a Laurent
@@ -20,12 +23,14 @@ range are written as decimal strings, so no JSON reader rounds them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from . import decimal_str, record
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 #: Integer polynomial: ascending coefficients with no trailing zeros.
 IntPoly = tuple[int, ...]
@@ -53,6 +58,8 @@ def _encode_int(value: int) -> int | str:
 
 def _scalar(value) -> Scalar:
     """A coefficient that is not an int, as an int when it is integral and else as a Fraction."""
+    from fractions import Fraction
+
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -189,6 +196,8 @@ class UnivariatePoly:
         return result
 
     def __divmod__(self, other: "UnivariatePoly") -> tuple["UnivariatePoly", "UnivariatePoly"]:
+        from fractions import Fraction
+
         if not isinstance(other, UnivariatePoly):
             return NotImplemented
         if other.is_zero():
@@ -233,6 +242,8 @@ class UnivariatePoly:
         denominators, so at an int point every step is int arithmetic (L is 1
         for every count); the value is that sum over L.
         """
+        from fractions import Fraction
+
         scale = math.lcm(*(c.denominator for c in self.coeffs))
         acc = 0
         for c in reversed(self.coeffs):
@@ -264,6 +275,8 @@ def int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _as_poly(value) -> UnivariatePoly:
+    from fractions import Fraction
+
     if isinstance(value, UnivariatePoly):
         return value
     if isinstance(value, (int, Fraction)):
@@ -295,6 +308,8 @@ def _render_terms(terms: list[tuple[int, Scalar]]) -> str:
 
 def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
+    from fractions import Fraction
+
     while not b.is_zero():
         a, b = b, divmod(a, b)[1]
     if a.is_zero():
@@ -314,6 +329,8 @@ class RationalFunction:
     den: UnivariatePoly
 
     def __post_init__(self) -> None:
+        from fractions import Fraction
+
         num, den = self.num, self.den
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
@@ -401,6 +418,8 @@ class RationalFunction:
 
 
 def _as_ratfun(value) -> RationalFunction:
+    from fractions import Fraction
+
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, (UnivariatePoly, int, Fraction)):

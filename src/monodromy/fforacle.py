@@ -6,16 +6,21 @@ commutant ker(Y -> XY - YX).  All linear algebra is one span (``_span``)
 and one elimination (``_rref``): GL_n(F_q) is built row by row from
 vectors outside the span of the rows before, inverses reduce [M | I], and
 every element X is keyed by its algebra F_q[X], the reduced span of
-I, X, ..., X^(n-1).  The bicommutant of X is F_q[X], so equal algebras
-mean equal commutants: each distinct commutant is F_q[X] itself when that
-has dimension n, and is otherwise solved once by elimination.  The point is
-to be an independent check on the polynomial engine, so nothing is shared
-with it beyond the factorization-type vocabulary.
+I, X, ..., X^(n-1).  Each algebra is spanned once, from the first element
+that generates it, and every element of that span that generates it takes
+its id, so the elimination runs once per algebra rather than once per
+element.  The bicommutant of X is F_q[X], so equal algebras mean equal
+commutants: each distinct commutant is F_q[X] itself when that has
+dimension n, and is otherwise solved once by elimination.  Commuting
+tuples are counted once per distinct centralizer set (``commuting``).  The
+point is to be an independent check on the polynomial engine, so nothing
+is shared with it beyond the factorization-type vocabulary.
 
 A matrix is semisimple here when its order is prime to p, the
-characteristic: ``is_semisimple`` tests m^(r+1) == m, with r the part of
-|GL_n(F_q)| prime to p.  X is semisimple exactly when F_q[X] has no
-nonzero nilpotent, so one test per algebra flags all of it.
+characteristic: ``is_semisimple`` tests m^(r+1) == m, with r the lcm of
+q^i - 1 for i <= n, which every semisimple order divides.  X is semisimple
+exactly when F_q[X] has no nonzero nilpotent, so one test per algebra
+flags all of it.
 
 The factorization census is built by multiplication, never by division:
 every product of irreducible powers is formed once, degree by degree, and
@@ -32,9 +37,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
-from . import BudgetExceeded, Refusal, count_commuting_tuples, record
+from . import BudgetExceeded, Refusal, record
+from .commuting import count_commuting_tuples
 from .exactpoly import NotDivisible
 from .typecomb import FactorizationType, enumerate_types, type_pairs
 
@@ -352,17 +358,19 @@ def enumerate_invertible(n: int, f: FieldSpec, override_budget: bool = False):
 
 
 def is_semisimple(m: FFMatrix) -> bool:
-    """Order prime to p, tested as m^(r+1) == m with r the p'-part of |GL_n(F_q)|.
+    """Order prime to p, tested as m^(r+1) == m with r = lcm(q - 1, q^2 - 1, ..., q^n - 1).
 
-    For invertible m the test says that the order of m divides r, and an
-    element of GL_n(F_q) has order prime to p exactly when it is semisimple.
+    For invertible m the test says that the order of m divides r, which is
+    prime to p.  An element of GL_n(F_q) has order prime to p exactly when
+    it is semisimple, and then F_q[m] is a product of fields F_{q^d} with
+    d <= n, in each of which m^(q^d - 1) = 1, so its order divides r.
     A singular m splits into an invertible part and a nilpotent part (Fitting
     decomposition); a nilpotent N has N^(r+1) == N only when N == 0, so the
     test decides semisimplicity on every square matrix over the field.
     """
     f = m.field
     add_t, mul_t = f.add_table, f.mul_table
-    r = prod(f.size**i - 1 for i in range(1, m.n + 1))
+    r = lcm(*(f.size**i - 1 for i in range(1, m.n + 1)))
     power = base = m.entries
     while r:  # square-and-multiply: power runs from m^1 up to m^(r+1)
         if r & 1:
@@ -429,39 +437,115 @@ def _algebra_key(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[in
 class _GroupContext:
     """Everything enumerated once per (field, n): elements, algebra ids, the semisimple set, centralizers.
 
-    Every element X is keyed by its algebra F_q[X] (``_algebra_key``); equal
-    algebras mean equal commutants.  ``is_semisimple`` runs on the first
-    element of each algebra, and the flag holds for all of it.
+    Every element X is keyed by its algebra F_q[X]; equal algebras mean
+    equal commutants.  The elements are walked in enumeration order, and
+    only one that no earlier algebra has claimed is keyed (``_algebra_key``):
+    its algebra is new, gets the next id, and is spanned once
+    (``_claim_generators``), which gives that id to every element of the
+    span that generates the algebra.  So ids are numbered in order of first
+    element, as keying every element would number them.  ``is_semisimple``
+    runs on the first element of each algebra, and the flag holds for all
+    of it.
     """
 
     def __init__(self, f: FieldSpec, n: int):
         self.field = f
         self.mats = tuple(m.entries for m in enumerate_invertible(n, f, override_budget=True))
-        ids: dict[tuple, int] = {}  # algebra basis -> id, numbered in order of first element
-        self._algebra_ids = [ids.setdefault(_algebra_key(f, m), len(ids)) for m in self.mats]
-        firsts: dict[int, int] = {}
-        for i, c in enumerate(self._algebra_ids):
-            firsts.setdefault(c, i)
-        flags = [is_semisimple(FFMatrix(f, n, self.mats[i])) for i in firsts.values()]
+        self._index = {tuple(itertools.chain.from_iterable(m)): i for i, m in enumerate(self.mats)}
+        self._algebra_ids: list = [None] * len(self.mats)
+        self._firsts: list[int] = []  # first element of each algebra, in id order
+        self._own_centralizers: dict[int, frozenset] = {}  # id -> A^x, for the algebras of dimension n
+        keys: dict[int, tuple] = {}  # element -> key of its algebra, where one was computed
+        for first, x in enumerate(self.mats):
+            if self._algebra_ids[first] is None:
+                keys[first] = keys.get(first) or _algebra_key(f, x)
+                self._claim_generators(first, keys)
+        flags = [is_semisimple(FFMatrix(f, n, self.mats[i])) for i in self._firsts]
         self.ss_set = frozenset(i for i, c in enumerate(self._algebra_ids) if flags[c])
-        self._algebras = tuple(zip(ids, firsts.values()))  # (basis, first element), in id order
         self._centralizers: tuple[frozenset, ...] | None = None
+
+    def _claim_generators(self, first: int, keys: dict[int, tuple]) -> None:
+        """Give the next id to every invertible generator of A = F_q[X], X the element ``first``.
+
+        A is spanned once as F_q I + T, with T the span of the key's rows
+        after the first: they are zero in column 0, where the first row has
+        its pivot, so T is a complement of the scalars.  Y = c I + t
+        generates A exactly when t does, and t exactly when ct does for any
+        c != 0, so one answer holds for the q translates of t and for its
+        multiples.  The generator rule is exact: when dim A <= 2, t
+        generates A exactly when it is nonzero (Y is not scalar); otherwise
+        when F_q[t], keyed by ``_algebra_key``, has dim A rows.  A translate
+        that an earlier algebra claimed generates that algebra, so none of
+        its translates generates A.  Every key computed for a non-generator
+        is kept in ``keys``, so no element is keyed twice.  When dim A = n,
+        A is its own commutant, and its invertible part is kept as the
+        centralizer of every element that generates it.
+        """
+        f, n, ids, index = self.field, len(self.mats[0]), self._algebra_ids, self._index
+        add_t, mul_t = f.add_table, f.mul_table
+        c = len(self._firsts)
+        self._firsts.append(first)
+        key = keys[first]
+        dim = len(key)
+        diagonal = range(0, n * n, n + 1)
+        by_direction: dict[tuple, tuple] = {}  # t scaled to lead with 1 -> key of F_q[t]
+        units = []
+        for t in _span(f, key[1:]) if dim > 1 else [(0,) * (n * n)]:
+            found = []
+            row = list(t)
+            for s in range(f.size):  # the translates t + s I
+                for d in diagonal:
+                    row[d] = add_t[t[d]][s]
+                i = index.get(tuple(row))
+                if i is not None:
+                    found.append(i)
+            if dim == n:
+                units += found
+            if not found or any(ids[i] is not None for i in found):
+                continue
+            if dim == 1:
+                generates = True
+            elif dim == 2 or not any(t):
+                generates = any(t)
+            else:
+                lead = mul_t[f.inv_table[next(filter(None, t))]]
+                direction = tuple(lead[v] for v in t)
+                sub = next((keys[i] for i in found if i in keys), None) or by_direction.get(direction)
+                if sub is None:
+                    sub = _algebra_key(f, tuple(t[r:r + n] for r in range(0, n * n, n)))
+                by_direction[direction] = sub
+                generates = len(sub) == dim
+                if not generates:
+                    keys.update(dict.fromkeys(found, sub))
+            if generates:
+                for i in found:
+                    ids[i] = c
+        if dim == n:
+            self._own_centralizers[c] = frozenset(units)
 
     @property
     def centralizers(self) -> tuple[frozenset, ...]:
         """C(X) as the invertible part of X's commutant, enumerated once per distinct algebra.
 
-        An algebra of dimension n is its own commutant; any other commutant is
-        solved by ``_commutant_basis`` on the algebra's first element.
+        An algebra of dimension n is its own commutant, already spanned; any
+        other commutant is solved by ``_commutant_basis`` on the algebra's
+        first element.  A commutant of dimension n^2 (the scalars') is all of
+        M_n(F_q), so its invertible part is the whole group, not spanned.
         """
         if self._centralizers is None:
-            f, n = self.field, len(self.mats[0])
-            index = {tuple(itertools.chain.from_iterable(m)): i for i, m in enumerate(self.mats)}
+            f, index, order = self.field, self._index, len(self.mats)
             cents = []
-            for algebra, first in self._algebras:
-                basis = algebra if len(algebra) == n else _commutant_basis(f, self.mats[first])
-                cents.append(frozenset(i for i in map(index.get, _span(f, basis)) if i is not None))
+            for c, first in enumerate(self._firsts):
+                own = self._own_centralizers.get(c)
+                if own is None:
+                    basis = _commutant_basis(f, self.mats[first])
+                    if len(basis) == len(basis[0]):
+                        own = frozenset(range(order))
+                    else:
+                        own = frozenset(i for i in map(index.get, _span(f, basis)) if i is not None)
+                cents.append(own)
             self._centralizers = tuple(cents[c] for c in self._algebra_ids)
+            self._index = None  # no span needs it any more
         return self._centralizers
 
 

@@ -22,7 +22,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import BudgetExceeded, Refusal, count_commuting_tuples, decimal_str, record
+from . import BudgetExceeded, Refusal, decimal_str, record
+from .commuting import count_commuting_tuples
 
 if TYPE_CHECKING:
     from .fforacle import FieldSpec

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from . import record
-from .exactpoly import IntPoly, UnivariatePoly, int_mul
+from .exactpoly import IntPoly, NotDivisible, UnivariatePoly, int_mul
 
 Partition = tuple[int, ...]
 
@@ -174,6 +173,8 @@ def count_irreducibles(i: int, exclude_zero_root: bool = False) -> UnivariatePol
     zero is removed, leaving q - 1 at i = 1; irreducibles of degree >= 2
     always have nonzero constant term, so the flag changes nothing there.
     """
+    from fractions import Fraction
+
     if i < 1:
         raise ValueError("irreducible degree must be >= 1")
     return UnivariatePoly(tuple(Fraction(c, i) for c in _irreducible_numerator(i, exclude_zero_root)))
@@ -215,8 +216,26 @@ def scaled_type_count(t: FactorizationType) -> tuple[IntPoly, int]:
 @lru_cache(maxsize=None)
 def count_monic_with_type(t: FactorizationType) -> UnivariatePoly:
     """Monic polynomials over F_q with nonzero constant term of a given type."""
+    from fractions import Fraction
+
     numerator, denominator = scaled_type_count(t)
     return UnivariatePoly(tuple(Fraction(c, denominator) for c in numerator))
+
+
+def count_monic_with_type_at(t: FactorizationType, q: int) -> int:
+    """``count_monic_with_type(t)`` at the integer q, in ints alone.
+
+    The numerator of ``scaled_type_count`` is evaluated at q and divided by
+    D_t, which must leave no remainder: a remainder raises ``NotDivisible``.
+    """
+    numerator, denominator = scaled_type_count(t)
+    value = 0
+    for c in reversed(numerator):
+        value = value * q + c
+    count, remainder = divmod(value, denominator)
+    if remainder:
+        raise NotDivisible(f"the count of type {t.label()} at q = {q} is {value}/{denominator}, not an integer")
+    return count
 
 
 def total_monic_count(n: int) -> UnivariatePoly:

@@ -102,6 +102,17 @@ def test_census(capsys):
     assert {row["actual"] for row in doc["rows"] if row["q"] == 3} == {"3", "2", "1"}
 
 
+def test_census_prediction_with_a_remainder_exits_three(capsys, monkeypatch):
+    # an integer count that the census cannot predict exactly is a broken invariant
+    from monodromy import typecomb
+
+    scaled = typecomb.scaled_type_count
+    monkeypatch.setattr(typecomb, "scaled_type_count", lambda t: (scaled(t)[0], 2 * scaled(t)[1]))
+    status, out, err = run(capsys, "census", "--n", "2", "--q", "3")
+    assert status == 3 and "not an integer" in err
+    assert out == ""
+
+
 def test_divisibility_single_group(capsys):
     status, out, _ = run(capsys, "divisibility", "--group", "S3", "--format", "json")
     assert status == 0

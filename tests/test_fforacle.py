@@ -1,6 +1,8 @@
 """Brute-force oracle: field tables, matrix scans, and the polynomial census."""
 
+import functools
 import itertools
+import os
 import random
 
 import pytest
@@ -419,6 +421,15 @@ def test_oracle_matches_engine_at_gl4_f2():
     assert brute_hom_count(4, f, 2, MODE_LAST_FREE) == count_mixed_tuples(4, 2).evaluate(2)
 
 
+@pytest.mark.skipif(not os.environ.get("MONODROMY_REACH"), reason="opt-in: set MONODROMY_REACH=1 (about 6 s)")
+def test_oracle_matches_engine_at_gl3_f4():
+    # |GL_3(F_4)| = 181440 is past the ceiling; one test, so the context is built once for all three counts
+    f = field_make(2, 2)
+    assert brute_hom_count(3, f, 2, MODE_ALL_SEMISIMPLE, True) == count_semisimple_tuples(3, 2).evaluate(4)
+    assert brute_hom_count(3, f, 2, MODE_LAST_FREE, True) == count_mixed_tuples(3, 2).evaluate(4)
+    assert brute_conj_count(3, f, 2, True) == count_conjugacy_classes(3, 2).evaluate(4)
+
+
 @pytest.mark.parametrize(
     "n,q",
     [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3)],
@@ -445,19 +456,38 @@ def test_context_tests_semisimplicity_once_per_commutant(monkeypatch):
     assert {fforacle._commutant_basis(f, m.entries) for m in calls} == commutants
 
 
-@pytest.mark.parametrize("n,p,e", [(2, 3, 2), (3, 3, 1)], ids=["GL2F9", "GL3F3"])
+@functools.lru_cache(maxsize=None)
+def _keyed_per_element(n, q):
+    """Algebra ids from ``_algebra_key`` of every element, numbered in order of first element, and the keys in id order."""
+    f = field_make(*field_params(q))
+    by_algebra: dict = {}
+    ids = [by_algebra.setdefault(fforacle._algebra_key(f, m.entries), len(by_algebra))
+           for m in enumerate_invertible(n, f, override_budget=True)]
+    return ids, tuple(by_algebra)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3), (4, 2)],
+                         ids=str)
+def test_span_marked_ids_match_per_element_keys(n, q):
+    # the context keys one element per algebra and marks the rest of it from
+    # its span; keying every element gives the same ids
+    f = field_make(*field_params(q))
+    assert fforacle._group_context(f, n)._algebra_ids == _keyed_per_element(n, q)[0]
+
+
+@pytest.mark.parametrize("n,p,e", [(2, 2, 3), (2, 3, 2), (3, 3, 1), (4, 2, 1)],
+                         ids=["GL2F8", "GL2F9", "GL3F3", "GL4F2"])
 def test_algebra_key_partition_matches_commutant_partition(n, p, e):
     # the bicommutant of X is F_q[X]: numbering elements by algebra and by
     # commutant, each in order of first element, gives the same ids
     f = field_make(p, e)
     mats = [m.entries for m in enumerate_invertible(n, f)]
-    by_algebra: dict = {}
     by_commutant: dict = {}
-    algebra_ids = [by_algebra.setdefault(fforacle._algebra_key(f, m), len(by_algebra)) for m in mats]
+    algebra_ids, keys = _keyed_per_element(n, f.size)
     commutant_ids = [by_commutant.setdefault(fforacle._commutant_basis(f, m), len(by_commutant)) for m in mats]
     assert algebra_ids == commutant_ids
-    assert fforacle._GroupContext(f, n)._algebra_ids == algebra_ids
-    for key, basis in zip(by_algebra, by_commutant):  # an n-dimensional algebra is its own commutant
+    assert fforacle._group_context(f, n)._algebra_ids == algebra_ids
+    for key, basis in zip(keys, by_commutant):  # an n-dimensional algebra is its own commutant
         assert (len(key) == n) == (len(basis) == n)
         if len(key) == n:
             assert set(fforacle._span(f, key)) == set(fforacle._span(f, basis))

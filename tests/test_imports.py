@@ -59,7 +59,7 @@ def test_divisibility_loads_only_the_group_lab():
     status, loaded = loaded_after("divisibility", "--group", "S3", "--k", "1")
     assert status == 0
     # monodromy.data is the namespace package that holds the packaged corpus; it has no code to compile
-    assert loaded == {"monodromy.cli", "monodromy.data", "monodromy.groupdiv"}
+    assert loaded == {"monodromy.cli", "monodromy.commuting", "monodromy.data", "monodromy.groupdiv"}
 
 
 def test_oracle_and_group_lab_share_the_package_counter():
@@ -87,6 +87,31 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+COUNTING_MODULES_AFTER = """
+import contextlib, io, sys
+from monodromy import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(sys.argv[1:])
+print(status, sorted({"fractions", "decimal"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("poly", "--n", "3", "--k", "2", "--q", "2,3"),
+    ("poly", "--n", "2", "--k", "3", "--mode", "mixed", "--format", "json"),
+    ("verify", "--n", "2", "--k", "2", "--mode", "conj", "--q", "2,3"),
+    ("verify", "--n", "2", "--k", "2", "--mode", "mixed", "--q", "2", "--format", "json"),
+    ("census", "--n", "4", "--q", "2,3"),
+], ids=["poly", "poly-json", "verify", "verify-json", "census"])
+def test_counting_commands_never_import_fractions(argv):
+    # without site, no site hook can have imported either module first
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", COUNTING_MODULES_AFTER, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_every_exported_name_resolves():

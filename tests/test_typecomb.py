@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from monodromy.exactpoly import UnivariatePoly
+from monodromy import typecomb
+from monodromy.exactpoly import NotDivisible, UnivariatePoly
 from monodromy.typecomb import (
     FactorizationType,
     aut_factor,
     count_irreducibles,
     count_monic_with_type,
+    count_monic_with_type_at,
     enumerate_partitions,
     enumerate_types,
     is_partition,
@@ -162,6 +164,23 @@ def test_scaled_type_count_matches_reference():
             expected = _reference_count_monic_with_type(t)
             assert UnivariatePoly(numerator) * Fraction(1, denominator) == expected, t.label()
             assert count_monic_with_type(t) == expected
+
+
+def test_integer_type_count_matches_the_rational_polynomial():
+    for n in range(1, 9):
+        for t in enumerate_types(n):
+            for q in (2, 3, 4, 5, 7, 8, 9, 1024):
+                value = count_monic_with_type_at(t, q)
+                assert type(value) is int
+                assert value == count_monic_with_type(t).evaluate(q), (t.label(), q)
+
+
+def test_integer_type_count_refuses_a_remainder(monkeypatch):
+    t = FactorizationType((1, 1), ((1, (1, 1)),))
+    numerator, denominator = scaled_type_count(t)
+    monkeypatch.setattr(typecomb, "scaled_type_count", lambda t: (numerator, denominator * 7))
+    with pytest.raises(NotDivisible, match="not an integer"):
+        count_monic_with_type_at(t, 3)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
