@@ -1,52 +1,38 @@
 """Exact counting of commuting matrix tuples in GL_n over finite fields.
 
 The counts are polynomials in the field size q with integer coefficients,
-built by one memoized recursion over factorization types that stays in
-*count space*: every value it produces is itself an integer polynomial, so
-it needs no denominators and no polynomial GCDs.
+each one sum over the factorization types t of weight n, with no recursion
+over the tuple length.
 
-A commuting tuple whose first matrix is semisimple of type t (the
-factorization type of its characteristic polynomial) decomposes the space
-into blocks, one per (degree d, size s) pair of t; on such a block the rest
-of the tuple commutes inside GL_s over the degree-d extension field.  The
-first matrix's centralizer is C_t = prod GL_s(F_{q^d}), and its index
+A commuting k-tuple of semisimple elements of GL_n(F_q) is a semisimple
+module of dimension n over the group algebra of Z^k, that is, over the
+torus G_m^k.  It splits over the closed points of the torus: a point of
+degree d taken with multiplicity s is a block on which the tuple acts by
+scalars of F_{q^d}.  A type t records the (d, s) pairs of such a module,
+the module's stabilizer is C_t = prod GL_s(F_{q^d}), and the torus has
 
-    [GL_r : C_t] = |GL_r(q)| / prod |GL_s(q^d)|
+    d M_d(k) = sum over e | d of mu(d/e) (q^e - 1)^k
 
-is a polynomial with integer coefficients, because the divisor is monic.
-With N_t the number of characteristic polynomials of type t, the recursion
-is
+closed points of degree d, times d.  With N_t^(k) the number of ways to
+choose distinct points for the pairs of t (``typecomb.scaled_type_count``):
 
-    V(j, r) = sum over types t of weight r of
-              F(t) * prod over pairs (d, s) of t of V(j - 1, s)(q^d)
+- all-semisimple k-tuples:  ss(n, k) = sum over t of [GL_n : C_t] N_t^(k);
+- simultaneous-conjugation classes of them:  conj(n, k) = sum over t of N_t^(k);
+- k-tuples whose last matrix is free:  mixed(n, k) = |GL_n| conj(n, k - 1).
 
-in two kinds that differ only in the leaf and the type factor F(t):
+The index [GL_n : C_t] = |GL_n(q)| / prod |GL_s(q^d)| is a polynomial with
+integer coefficients, because the divisor is monic.
 
-- ``"ss"``: leaf V(0, r) = 1 and F(t) = N_t * [GL_r : C_t].  V(j, r) counts
-  commuting j-tuples of semisimple elements of GL_r(F_q), so the
-  all-semisimple count is V_ss(k, n).
-- ``"mixed"``: leaf V(0, r) = (q - 1) q^(r-1), the number of candidate
-  characteristic polynomials of one free commuting matrix on the block, and
-  F(t) = N_t.  Mixed k-tuples (k - 1 semisimple plus one free) number
-  |GL_n(q)| * V_mixed(k - 2, n), and simultaneous-conjugation classes of
-  commuting semisimple k-tuples number V_mixed(k - 1, n).
-
-The memo is keyed by (kind, level, r) and holds the value at q; a child
-needed at q^d is the stored value with q^d substituted, so the field power
-is not part of the key.  Each level sum is one product of Python ints per
-type: every polynomial is evaluated at one power of two, wide enough that
-the sum's coefficients read back exactly (Kronecker substitution).
-
-Integrality is certified inside the recursion.  Each type count comes as
-an integer polynomial D_t * N_t over a known denominator D_t, so each level
-sum is accumulated with every N_t scaled by the lcm of the D_t for that
-weight and divided back exactly, coefficient by coefficient.  The
-centralizer index is |GL_r| over the centralizer order, both a power of q
+Integrality is certified in each sum.  Each N_t^(k) comes as an integer
+polynomial D_t N_t^(k) over a known denominator D_t, so the sum is
+accumulated with every term scaled by the lcm of the D_t and divided back
+exactly, coefficient by coefficient (``_certified_quotient``).  The
+centralizer index is |GL_n| over the centralizer order, both a power of q
 times factors q^m - 1, divided one factor at a time.  Either division
 leaving a remainder raises IntegralityViolation instead of rounding, since
-it would mean the recursion or the type combinatorics is wrong.  Results
-become ``UnivariatePoly`` only at the ``CountingPolynomial`` boundary,
-which checks once more that every coefficient is an int.
+it would mean the type combinatorics is wrong.  Results become
+``UnivariatePoly`` only at the ``CountingPolynomial`` boundary, which checks
+once more that every coefficient is an int.
 
 ``ss_weight`` and ``mixed_weight`` present the same values in the older
 per-block weight form, as rational functions at a field power q^m; they are
@@ -96,15 +82,15 @@ class MonicViolation(AssertionError):
 
 
 class WeightCache(dict):
-    """The memo of the recursion: V_kind(level, r) at q, an ``IntPoly``, keyed by ``(kind, level, r)``.
+    """Unused: the counts keep no memo.
 
-    Shared use is benign: values are keyed deterministically, so a duplicated
-    computation under concurrent access inserts the same value twice.
+    This class and the trailing ``cache`` parameter of every count stay
+    accepted only because perfbench/child.py passes a WeightCache to each count.
     """
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial arithmetic for the recursion
+# integer polynomial arithmetic
 
 
 def _strip(coeffs: list[int]) -> IntPoly:
@@ -157,37 +143,7 @@ def _certified_quotient(numerator: IntPoly, scale: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker substitution: an integer polynomial as one integer, its value at
-# X = 2^(8 * width) for a slot of ``width`` bytes.  A signed coefficient c
-# with |c| < 2^(8 * width - 1) sits in its slot as c + 2^(8 * width - 1),
-# so packing and unpacking are one pass of fixed-width bytes each.
-
-
-def _pack(coeffs: IntPoly, width: int) -> int:
-    """The value at X = 2^(8 * width); every |c| must be below 2^(8 * width - 1)."""
-    half = 1 << (8 * width - 1)
-    slots = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    offset = half.to_bytes(width, "little") * len(coeffs)
-    return int.from_bytes(slots, "little") - int.from_bytes(offset, "little")
-
-
-def _unpack(value: int, width: int) -> list[int]:
-    """The coefficients of the polynomial S with S(X) = ``value`` at X = 2^(8 * width); [0] for S = 0.
-
-    Exact when every coefficient lies strictly between -X/2 and X/2.  Then
-    the degree D is read off the bit length: the lower terms sum to less
-    than X^D / 2 in absolute value, so X^D / 2 < |value| < X^(D+1) / 2 and
-    ``value.bit_length() // (8 * width)`` is D.
-    """
-    half = 1 << (8 * width - 1)
-    count = value.bit_length() // (8 * width) + 1
-    value += int.from_bytes(half.to_bytes(width, "little") * count, "little")
-    data = value.to_bytes(width * count, "little")
-    return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, width * count, width)]
-
-
-# ---------------------------------------------------------------------------
-# the recursion
+# the sums over types
 
 
 @lru_cache(maxsize=None)
@@ -240,99 +196,26 @@ def _centralizer_index(r: int, pairs: tuple[tuple[int, int], ...]) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def _type_table(kind: str, r: int) -> tuple[int, tuple[tuple[IntPoly, int, tuple[tuple[int, int], ...]], ...]]:
-    """The factors F(t) of every type of weight r, scaled by ``scale`` into Z[q].
+def _centralizer_indices(n: int) -> tuple[IntPoly, ...]:
+    """[GL_n : C_t] for every type t of weight n, in ``enumerate_types`` order."""
+    return tuple(_centralizer_index(n, type_pairs(t)) for t in enumerate_types(n))
 
-    Returns ``(scale, rows)`` with one ``(scale * F(t), its L1 norm,
-    type_pairs(t))`` row per type; ``scale`` is the lcm of the known
-    denominators D_t of the N_t.
+
+def _type_sum(n: int, k: int, indexed: bool) -> IntPoly:
+    """sum over types t of weight n of N_t^(k), times [GL_n : C_t] when ``indexed``.
+
+    Every term is scaled into Z[q] by the lcm of the denominators D_t, and
+    the sum is divided back once.
     """
-    types = enumerate_types(r)
-    counts = [scaled_type_count(t) for t in types]
+    counts = [scaled_type_count(t, k) for t in enumerate_types(n)]
     scale = math.lcm(*(denominator for _, denominator in counts))
-    rows = []
-    for t, (numerator, denominator) in zip(types, counts):
-        pairs = type_pairs(t)
-        factor = tuple(c * (scale // denominator) for c in numerator)
-        if kind == "ss":
-            factor = int_mul(factor, _centralizer_index(r, pairs))
-        rows.append((factor, sum(map(abs, factor)), pairs))
-    return scale, tuple(rows)
-
-
-@lru_cache(maxsize=32)
-def _packed_factors(kind: str, r: int, width: int) -> tuple[int, ...]:
-    """The factors of ``_type_table(kind, r)`` packed at ``width`` bytes a slot.
-
-    A level sum's width depends only on (kind, level, r), so a process that
-    repeats counts, each with a fresh memo, packs each table once per level.
-    The entry limit caps what a single large count leaves behind.
-    """
-    return tuple(_pack(factor, width) for factor, _, _ in _type_table(kind, r)[1])
-
-
-def _weight(kind: str, level: int, r: int, cache: WeightCache) -> IntPoly:
-    """V_kind(level, r) at q, memoized in ``cache``.
-
-    Levels fill bottom-up, every block size s <= r below ``level`` (each is
-    the size of some block of a type of weight r), so no call recurses once
-    per level and the memo holds the same entries a top-down descent stores.
-    """
-    below: dict[int, IntPoly] = {}
-    for lvl in range(level + 1):
-        row: dict[int, IntPoly] = {}
-        for s in range(1, r + 1) if lvl < level else (r,):
-            key = (kind, lvl, s)
-            value = cache.get(key)
-            if value is None:
-                value = _level_value(kind, lvl, s, below)
-                cache[key] = value
-            row[s] = value
-        below = row
-    return below[r]
-
-
-def _level_value(kind: str, level: int, r: int, below: dict[int, IntPoly]) -> IntPoly:
-    """V_kind(level, r) at q from the values ``below[s]`` = V_kind(level - 1, s).
-
-    The scaled sum S = sum_t F(t) prod_{(d, s)} below[s](q^d) is computed at
-    the single point X = 2^(8 * width) (Kronecker substitution): each factor
-    is packed into one integer, the products and the sum are Python int
-    arithmetic, and the coefficients of S are unpacked once.
-
-    The slot width is sound because ||a b||_1 <= ||a||_1 ||b||_1 and
-    substituting q^d keeps ||.||_1, so every coefficient of S is at most the
-    L1 bound L = sum_t ||F(t)||_1 prod ||below[s]||_1 in absolute value.
-    The slot holds at least bit_length(L) + 2 bits, so |c| <= L <
-    2^(8 * width - 1) for every coefficient c of S and of each packed factor
-    (a nonzero integer polynomial has norm at least 1, so each factor's own
-    norm is at most L); the unpacking is then exact.
-    """
-    if level == 0:
-        return (1,) if kind == "ss" else (0,) * (r - 1) + (-1, 1)
-    scale, rows = _type_table(kind, r)
-    norms = {s: sum(map(abs, value)) for s, value in below.items()}
-    bound = 0
-    for _, term, pairs in rows:
-        for _, s in pairs:
-            term *= norms[s]
-        bound += term
-    width = (bound.bit_length() + 2 + 7) // 8
-    packed: dict[tuple[int, int], int] = {}
-    total = 0
-    for (_, _, pairs), term in zip(rows, _packed_factors(kind, r, width)):
-        for pair in pairs:
-            value = packed.get(pair)
-            if value is None:
-                d, s = pair
-                value = packed[pair] = _pack(below[s], width * d)
-            term *= value
-        total += term
-    return _certified_quotient(_strip(_unpack(total, width)), scale)
-
-
-def _memo(cache: WeightCache | None) -> WeightCache:
-    return WeightCache() if cache is None else cache
+    indices = _centralizer_indices(n) if indexed else [(1,)] * len(counts)
+    total = [0] * (max(map(len, indices)) + max(len(numerator) for numerator, _ in counts) - 1)
+    for (numerator, denominator), index in zip(counts, indices):
+        factor = scale // denominator
+        for i, c in enumerate(int_mul(index, numerator)):
+            total[i] += factor * c
+    return _certified_quotient(_strip(total), scale)
 
 
 def _check_weight_args(name: str, level: int, r: int, m: int) -> None:
@@ -341,24 +224,24 @@ def _check_weight_args(name: str, level: int, r: int, m: int) -> None:
 
 
 def ss_weight(level: int, r: int, m: int, cache: WeightCache | None = None) -> RationalFunction:
-    """Block weight for all-semisimple commuting tuples: V_ss(level, r) / |GL_r|, at q^m.
+    """Block weight for all-semisimple commuting tuples: ss(r, level) / |GL_r|, at q^m.
 
     Level 0 is 1/|GL_r(q^m)|; the all-semisimple count of k-tuples is
     |GL_n(q)| * ss_weight(k, n, 1).
     """
     _check_weight_args("ss_weight", level, r, m)
-    value = _weight("ss", level, r, _memo(cache))
+    value = _type_sum(r, level, indexed=True)
     return RationalFunction(UnivariatePoly(_compose(value, m)), gl_order(r).compose_monomial(m))
 
 
 def mixed_weight(level: int, r: int, m: int, cache: WeightCache | None = None) -> RationalFunction:
-    """Block weight when the last matrix is merely invertible: V_mixed(level, r) at q^m.
+    """Block weight when the last matrix is merely invertible: conj(r, level + 1) at q^m.
 
     Level 0 counts the candidate characteristic polynomials of the free
     matrix on the block: (q^m - 1) * q^(m*(r-1)).
     """
     _check_weight_args("mixed_weight", level, r, m)
-    return RationalFunction.from_poly(UnivariatePoly(_compose(_weight("mixed", level, r, _memo(cache)), m)))
+    return RationalFunction.from_poly(UnivariatePoly(_compose(_type_sum(r, level + 1, indexed=False), m)))
 
 
 @record
@@ -392,9 +275,7 @@ def count_semisimple_tuples(n: int, k: int, cache: WeightCache | None = None) ->
         raise InvalidArity("matrix size n must be >= 1")
     if k < 0:
         raise InvalidArity("tuple length k must be >= 0")
-    if k == 0:
-        return CountingPolynomial(UnivariatePoly.one(), n, 0, MODE_SEMISIMPLE)
-    poly = _weight("ss", k, n, _memo(cache))
+    poly = _type_sum(n, k, indexed=True)
     return CountingPolynomial(UnivariatePoly(poly), n, k, MODE_SEMISIMPLE)
 
 
@@ -407,7 +288,7 @@ def count_mixed_tuples(n: int, k: int, cache: WeightCache | None = None) -> Coun
         raise InvalidArity("matrix size n must be >= 1")
     if k < 2:
         raise InvalidArity("mixed tuples need k >= 2")
-    poly = int_mul(_gl_order_int(n), _weight("mixed", k - 2, n, _memo(cache)))
+    poly = int_mul(_gl_order_int(n), _type_sum(n, k - 1, indexed=False))
     return CountingPolynomial(UnivariatePoly(poly), n, k, MODE_MIXED)
 
 
@@ -417,7 +298,7 @@ def count_conjugacy_classes(n: int, k: int, cache: WeightCache | None = None) ->
         raise InvalidArity("matrix size n must be >= 1")
     if k < 1:
         raise InvalidArity("conjugacy classes need k >= 1")
-    poly = _weight("mixed", k - 1, n, _memo(cache))
+    poly = _type_sum(n, k, indexed=False)
     return CountingPolynomial(UnivariatePoly(poly), n, k, MODE_CONJUGACY)
 
 

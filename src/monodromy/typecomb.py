@@ -6,13 +6,19 @@ of n lists the degrees of the irreducible factors with multiplicity, and for
 each distinct degree i a refinement partition of that degree's multiplicity
 records how many distinct degree-i factors occur and with which exponents.
 
-``count_monic_with_type`` turns a type into an exact polynomial in q giving
-the number of monic polynomials over F_q with nonzero constant term that
-factor that way.  Summed over all types of weight n this recovers
-(q - 1) q^(n-1), the number of monic degree-n polynomials with nonzero
-constant term.  The count is built in Z[q] over a known denominator
-(``scaled_type_count``), the form the engine sums; the rational polynomial
-is that integer polynomial divided once.
+The same combinatorics counts configurations of closed points.  The torus
+G_m^k over F_q has d M_d(k) = sum over e | d of mu(d/e) (q^e - 1)^k
+closed points of degree d, times d; at k = 1 these are the monic
+irreducibles of degree d with nonzero constant term.  A type then describes
+a choice of distinct points, one per part of each refinement, taken with
+that part as multiplicity, and ``scaled_type_count(t, k)`` counts those
+choices in Z[q] over a known denominator, the form the engine sums.
+
+``count_monic_with_type`` is the k = 1 count: the number of monic
+polynomials over F_q with nonzero constant term that factor as type t, as a
+rational polynomial (the integer polynomial divided once).  Summed over all
+types of weight n it recovers (q - 1) q^(n-1), the number of monic degree-n
+polynomials with nonzero constant term.
 """
 
 from __future__ import annotations
@@ -150,17 +156,27 @@ def _mobius(k: int) -> int:
     return result
 
 
-def _irreducible_numerator(i: int, exclude_zero_root: bool) -> IntPoly:
-    """i times the number of monic irreducible degree-i polynomials: sum over e | i of mu(i/e) q^e.
-
-    Excluding the zero root subtracts the lone irreducible q, of degree 1.
-    """
+def _irreducible_numerator(i: int) -> IntPoly:
+    """i times the number of monic irreducible degree-i polynomials: sum over e | i of mu(i/e) q^e."""
     coeffs = [0] * (i + 1)
     for e in range(1, i + 1):
         if i % e == 0:
             coeffs[e] += _mobius(i // e)
-    if exclude_zero_root and i == 1:
-        coeffs[0] -= 1
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _point_numerator(d: int, k: int) -> IntPoly:
+    """d M_d(k), d times the closed points of degree d on G_m^k: sum over e | d of mu(d/e) (q^e - 1)^k.
+
+    Each (q^e - 1)^k enters by its binomial expansion.  At k = 1 this is the
+    irreducible numerator without the root zero, (q - 1) at d = 1.
+    """
+    coeffs = [0] * (d * k + 1)
+    for e in range(1, d + 1):
+        if d % e == 0:
+            for i in range(k + 1):
+                coeffs[e * i] += _mobius(d // e) * (-1) ** (k - i) * math.comb(k, i)
     return tuple(coeffs)
 
 
@@ -177,7 +193,8 @@ def count_irreducibles(i: int, exclude_zero_root: bool = False) -> UnivariatePol
 
     if i < 1:
         raise ValueError("irreducible degree must be >= 1")
-    return UnivariatePoly(tuple(Fraction(c, i) for c in _irreducible_numerator(i, exclude_zero_root)))
+    numerator = _point_numerator(i, 1) if exclude_zero_root else _irreducible_numerator(i)
+    return UnivariatePoly(tuple(Fraction(c, i) for c in numerator))
 
 
 def aut_factor(ref: Partition) -> int:
@@ -192,21 +209,23 @@ def aut_factor(ref: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def scaled_type_count(t: FactorizationType) -> tuple[IntPoly, int]:
-    """``(D_t * N_t, D_t)``: the type count N_t as an integer polynomial over a known denominator.
+def scaled_type_count(t: FactorizationType, k: int) -> tuple[IntPoly, int]:
+    """``(D_t * N_t, D_t)``: N_t^(k) as an integer polynomial over a known denominator.
 
-    For each distinct factor degree d, the L parts of its refinement pick
-    the exponents of L distinct degree-d irreducibles: an ordered choice is
-    the falling factorial of the irreducible count I_d, and permuting parts
-    with equal exponent gives the same polynomial, hence the division by
+    N_t^(k) counts the ways to pick, for each distinct degree d of t, one
+    distinct degree-d closed point of G_m^k per part of the refinement: an
+    ordered choice is the falling factorial of M_d(k), and permuting parts
+    with equal multiplicity gives the same choice, hence the division by
     ``aut_factor``.  Scaling each factor by d puts it in Z[q]:
-    d^L * prod_{j<L} (I_d - j) = prod_{j<L} (d I_d - j d), so
-    D_t = prod over degrees of d^L * aut_factor(refinement).
+    d^L * prod_{j<L} (M_d - j) = prod_{j<L} (d M_d - j d), so
+    D_t = prod over degrees of d^L * aut_factor(refinement).  At k = 1,
+    N_t is the number of monic polynomials with nonzero constant term of
+    type t.
     """
     numerator: IntPoly = (1,)
     denominator = 1
     for d, ref in t.refinements:
-        base = _irreducible_numerator(d, exclude_zero_root=True)
+        base = _point_numerator(d, k)
         for j in range(len(ref)):
             numerator = int_mul(numerator, (base[0] - j * d,) + base[1:])
         denominator *= d ** len(ref) * aut_factor(ref)
@@ -218,7 +237,7 @@ def count_monic_with_type(t: FactorizationType) -> UnivariatePoly:
     """Monic polynomials over F_q with nonzero constant term of a given type."""
     from fractions import Fraction
 
-    numerator, denominator = scaled_type_count(t)
+    numerator, denominator = scaled_type_count(t, 1)
     return UnivariatePoly(tuple(Fraction(c, denominator) for c in numerator))
 
 
@@ -228,7 +247,7 @@ def count_monic_with_type_at(t: FactorizationType, q: int) -> int:
     The numerator of ``scaled_type_count`` is evaluated at q and divided by
     D_t, which must leave no remainder: a remainder raises ``NotDivisible``.
     """
-    numerator, denominator = scaled_type_count(t)
+    numerator, denominator = scaled_type_count(t, 1)
     value = 0
     for c in reversed(numerator):
         value = value * q + c

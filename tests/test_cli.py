@@ -107,7 +107,7 @@ def test_census_prediction_with_a_remainder_exits_three(capsys, monkeypatch):
     from monodromy import typecomb
 
     scaled = typecomb.scaled_type_count
-    monkeypatch.setattr(typecomb, "scaled_type_count", lambda t: (scaled(t)[0], 2 * scaled(t)[1]))
+    monkeypatch.setattr(typecomb, "scaled_type_count", lambda t, k: (scaled(t, k)[0], 2 * scaled(t, k)[1]))
     status, out, err = run(capsys, "census", "--n", "2", "--q", "3")
     assert status == 3 and "not an integer" in err
     assert out == ""

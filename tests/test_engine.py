@@ -1,6 +1,5 @@
 """The exact counting engine: weights, counts, and structural checks."""
 
-import functools
 import json
 import math
 from fractions import Fraction
@@ -183,7 +182,7 @@ class NullCache(WeightCache):
 
 
 def test_null_cache_transparency():
-    # results must not depend on memoization at all
+    # a cache argument is still accepted, and results do not depend on it
     for n, k in [(1, 2), (2, 2), (2, 3), (3, 2)]:
         assert count_semisimple_tuples(n, k, NullCache()).poly == count_semisimple_tuples(n, k).poly
     assert count_mixed_tuples(2, 3, NullCache()).poly == count_mixed_tuples(2, 3).poly
@@ -191,26 +190,15 @@ def test_null_cache_transparency():
 
 
 def test_deep_rank_does_not_recurse_per_level():
-    # at n = 1 the count is (q - 1)^k; levels fill bottom-up, so k far past
-    # the interpreter's recursion limit is fine
+    # at n = 1 the count is (q - 1)^k; each count is one sum over types, so
+    # k far past the interpreter's recursion limit is fine
     assert count_semisimple_tuples(1, 1200).evaluate(3) == 2**1200
-
-
-def test_weight_cache_round_trip():
-    cache = WeightCache()
-    count_semisimple_tuples(2, 2, cache)
-    count_mixed_tuples(2, 2, cache)
-    assert len(cache) > 0
-    stored = UnivariatePoly(cache["ss", 1, 2])
-    assert RationalFunction(stored, gl_order(2)) == ss_weight(1, 2, 1)
-    # a preloaded cache reproduces the same polynomial
-    assert count_semisimple_tuples(2, 2, cache).poly == count_semisimple_tuples(2, 2).poly
 
 
 # Reference: the per-block weight recursion over GCD-reduced rational
 # functions (leaf 1/|GL_r| for the semisimple kind, every field power q^m
-# kept apart), an independent formulation of what the engine's integer
-# recursion computes.
+# kept apart), an independent formulation of what the engine's sums over
+# types compute.
 
 
 def _reference_weight(kind, level, r, m, memo):
@@ -258,59 +246,65 @@ def test_matches_rational_function_reference(mode, count):
             assert count(n, k).poly == _reference_count(n, k, mode, _REFERENCE_MEMO), (n, k)
 
 
+# Reference: the zeta function of the torus G_m^k,
+#   Z(u) = prod_{i=0..k} (1 - q^i u)^(-(-1)^(k-i) C(k, i)),
+# whose u^n coefficient counts effective 0-cycles of degree n, that is the
+# classes of commuting semisimple k-tuples in GL_n.  It is expanded at an
+# integer q as a power series and shares no code with the types.
+
+
+def _torus_zeta_coefficient(n, k, q):
+    series = [1] + [0] * n
+    for i in range(k + 1):
+        exponent, a = -((-1) ** (k - i)) * math.comb(k, i), q**i
+        for _ in range(abs(exponent)):
+            if exponent > 0:  # times (1 - a u)
+                for j in range(n, 0, -1):
+                    series[j] -= a * series[j - 1]
+            else:  # times 1 / (1 - a u)
+                for j in range(1, n + 1):
+                    series[j] += a * series[j - 1]
+    return series[n]
+
+
+def _gl_order_at(n, q):
+    return math.prod(q**n - q**j for j in range(n))
+
+
+def test_conjugacy_and_mixed_match_the_torus_zeta_function():
+    checked = 0
+    for n in range(1, 6):
+        for k in range(1, 5):
+            conj, mixed = count_conjugacy_classes(n, k), count_mixed_tuples(n, k + 1)
+            for q in (2, 3, 4, 5):
+                zeta = _torus_zeta_coefficient(n, k, q)
+                assert conj.evaluate(q) == zeta, (n, k, q)
+                assert mixed.evaluate(q) == _gl_order_at(n, q) * zeta, (n, k + 1, q)
+                checked += 1
+    assert checked == 5 * 4 * 4
+
+
 @pytest.fixture
 def fresh_type_tables():
-    engine._type_table.cache_clear()
-    engine._packed_factors.cache_clear()
+    engine._centralizer_indices.cache_clear()
     yield
-    engine._type_table.cache_clear()
-    engine._packed_factors.cache_clear()
+    engine._centralizer_indices.cache_clear()
 
 
 def test_fractional_type_count_fails_level_sum(monkeypatch, fresh_type_tables):
-    # one more in a numerator D_t * N_t leaves N_t off by 1/D_t, a fraction
+    # one more in a numerator D_t * N_t leaves N_t off by 1/D_t, a fraction the sum over types refuses
     real = engine.scaled_type_count
     poisoned = enumerate_types(2)[0]
 
-    def scaled(t):
-        numerator, denominator = real(t)
+    def scaled(t, k):
+        numerator, denominator = real(t, k)
         return ((numerator[0] + 1,) + numerator[1:], denominator) if t == poisoned else (numerator, denominator)
 
     monkeypatch.setattr(engine, "scaled_type_count", scaled)
     with pytest.raises(IntegralityViolation):
         count_conjugacy_classes(2, 2)
-
-
-def _rational_type_table(kind, r):
-    """The type table scaled by the lcm of the coefficient denominators of the rational N_t."""
-    types = enumerate_types(r)
-    counts = [count_monic_with_type(t).coeffs for t in types]
-    scale = math.lcm(*(c.denominator for coeffs in counts for c in coeffs))
-    rows = []
-    for t, coeffs in zip(types, counts):
-        pairs = type_pairs(t)
-        factor = tuple((c * scale).numerator for c in coeffs)
-        if kind == "ss":
-            factor = engine.int_mul(factor, engine._centralizer_index(r, pairs))
-        rows.append((factor, sum(map(abs, factor)), pairs))
-    return scale, tuple(rows)
-
-
-def _memo_tables(cache):
-    for n in range(1, 7):
-        for k in range(1, 7):
-            count_semisimple_tuples(n, k, cache)
-            count_conjugacy_classes(n, k, cache)
-            if k >= 2:
-                count_mixed_tuples(n, k, cache)
-    return dict(cache)
-
-
-def test_integer_type_table_keeps_memo_tables(monkeypatch, fresh_type_tables):
-    integer = _memo_tables(WeightCache())
-    monkeypatch.setattr(engine, "_type_table", functools.lru_cache(maxsize=None)(_rational_type_table))
-    engine._packed_factors.cache_clear()
-    assert _memo_tables(WeightCache()) == integer
+    with pytest.raises(IntegralityViolation):
+        count_semisimple_tuples(2, 2)
 
 
 def test_non_exact_centralizer_index(monkeypatch, fresh_type_tables):
@@ -380,82 +374,6 @@ def test_laurent_check_refuses_a_count_off_by_one(count):
     )
 
 
-# Reference: each level sum coefficient by coefficient, as schoolbook
-# products of the composed values below, summed and divided by the scale.
-
-
-def _schoolbook_level_value(kind, level, r, below):
-    if level == 0:
-        return (1,) if kind == "ss" else (0,) * (r - 1) + (-1, 1)
-    scale, rows = engine._type_table(kind, r)
-    total = []
-    for factor, _, pairs in rows:
-        term = factor
-        for d, s in pairs:
-            term = int_mul(term, engine._compose(below[s], d))
-        total.extend([0] * (len(term) - len(total)))
-        for i, c in enumerate(term):
-            total[i] += c
-    while total and total[-1] == 0:
-        total.pop()
-    quotient = [divmod(c, scale) for c in total]
-    assert all(residue == 0 for _, residue in quotient)
-    return tuple(c for c, _ in quotient)
-
-
-def _level_memo():
-    cache = WeightCache()
-    for kind in ("ss", "mixed"):
-        for r in range(1, 9):
-            engine._weight(kind, 8, r, cache)
-    return cache
-
-
-def test_one_point_level_sums_match_schoolbook(monkeypatch):
-    one_point = _level_memo()
-    monkeypatch.setattr(engine, "_level_value", _schoolbook_level_value)
-    schoolbook = _level_memo()
-    assert len(one_point) == 2 * 9 * 8
-    assert list(one_point) == list(schoolbook)
-    for key, value in schoolbook.items():
-        assert one_point[key] == value, key
-
-
-@pytest.mark.parametrize("width", [1, 2, 3, 8, 17])
-def test_pack_round_trips_slot_edges(width):
-    edge = 2 ** (8 * width - 1) - 1
-    for coeffs in [(edge,), (-edge,), (edge, -edge), (-edge, 0, edge), (0, 0, -edge), (1, -edge, edge, -1, edge)]:
-        for stride in (1, 3):
-            # packing at a stride of whole slots is the value at X of the polynomial composed with q^stride
-            packed = engine._pack(coeffs, width * stride)
-            assert engine._strip(engine._unpack(packed, width * stride)) == coeffs
-            assert engine._strip(engine._unpack(packed, width)) == engine._compose(coeffs, stride)
-    assert engine._unpack(0, width) == [0]
-
-
-@pytest.mark.parametrize("bound", [63, 64, 127, 128, 255, 256, 2**15 - 1, 2**15, 2**16, 2**63, 3**40])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_level_reaching_the_l1_bound_decodes(monkeypatch, fresh_type_tables, bound, sign):
-    # Every value below and every factor is a monomial, and every term lands
-    # on q^5 with one sign, so the coefficient of q^5 is the whole L1 bound.
-    below = {1: (0, 1), 2: (0, 0, 2), 3: (0, 0, 0, 0, 5)}
-    a2, a3 = bound // 7, bound // 11
-    a1 = bound - 2 * a2 - 5 * a3 - 2
-    rows = tuple(
-        ((0,) * degree + (sign * a,), a, pairs)
-        for degree, a, pairs in [
-            (2, a1, ((1, 1), (1, 1), (1, 1))),  # q^2 * q * q * q
-            (2, a2, ((1, 1), (1, 2))),  # q^2 * q * 2q^2
-            (1, a3, ((1, 3),)),  # q * 5q^4
-            (2, 1, ((2, 1), (1, 1))),  # q^2 * q^2 * q
-            (2, 1, ((3, 1),)),  # q^2 * q^3
-        ]
-    )
-    assert a1 + 2 * a2 + 5 * a3 + 2 == bound
-    monkeypatch.setattr(engine, "_type_table", functools.lru_cache(maxsize=None)(lambda kind, r: (1, rows)))
-    assert engine._level_value("ss", 1, 3, below) == (0,) * 5 + (sign * bound,)
-
-
 def test_degree_check_even_k():
     report = check_degree_monic(count_semisimple_tuples(2, 2))
     assert report.bound == 6
@@ -505,7 +423,8 @@ def test_laurent_quotient_mixed_and_guard():
         check_laurent_quotient(count_conjugacy_classes(2, 2))
 
 
-@pytest.mark.parametrize("n,k", [(1, 4), (2, 3), (2, 4), (3, 3), (4, 2)])
+# (6, 100) and (10, 20) reach deep k
+@pytest.mark.parametrize("n,k", [(1, 4), (2, 3), (2, 4), (3, 3), (4, 2), (6, 100), (10, 20)])
 def test_integrality_and_structure_bigger(n, k):
     cp = count_semisimple_tuples(n, k)
     assert cp.poly.is_integer()

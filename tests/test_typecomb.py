@@ -159,11 +159,25 @@ def _reference_count_monic_with_type(t):
 def test_scaled_type_count_matches_reference():
     for n in range(1, 11):
         for t in enumerate_types(n):
-            numerator, denominator = scaled_type_count(t)
+            numerator, denominator = scaled_type_count(t, 1)
             assert all(isinstance(c, int) for c in numerator)
             expected = _reference_count_monic_with_type(t)
             assert UnivariatePoly(numerator) * Fraction(1, denominator) == expected, t.label()
             assert count_monic_with_type(t) == expected
+
+
+def test_closed_points_of_the_torus_add_up_to_its_rational_points():
+    # a type with one part d and refinement (1) is one closed point of degree d, so its
+    # scaled count is d M_d(k), and the points of degree d | m are the F_{q^m}-points of G_m^k
+    for m in range(1, 9):
+        for k in range(7):
+            total = UnivariatePoly.zero()
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    numerator, denominator = scaled_type_count(FactorizationType((d,), ((d, (1,)),)), k)
+                    assert denominator == d
+                    total = total + UnivariatePoly(numerator)
+            assert total == (UnivariatePoly.monomial(1, m) - 1) ** k, (m, k)
 
 
 def test_integer_type_count_matches_the_rational_polynomial():
@@ -177,8 +191,8 @@ def test_integer_type_count_matches_the_rational_polynomial():
 
 def test_integer_type_count_refuses_a_remainder(monkeypatch):
     t = FactorizationType((1, 1), ((1, (1, 1)),))
-    numerator, denominator = scaled_type_count(t)
-    monkeypatch.setattr(typecomb, "scaled_type_count", lambda t: (numerator, denominator * 7))
+    numerator, denominator = scaled_type_count(t, 1)
+    monkeypatch.setattr(typecomb, "scaled_type_count", lambda t, k: (numerator, denominator * 7))
     with pytest.raises(NotDivisible, match="not an integer"):
         count_monic_with_type_at(t, 3)
 
