@@ -118,17 +118,16 @@ def decimal_str(value) -> str:
 
 _EXPORTS = {
     "commuting": ("count_commuting_tuples",),
-    "exactpoly": (
-        "LaurentPoly", "NotDivisible", "NotLaurent", "RationalFunction", "UnivariatePoly", "to_laurent",
-    ),
+    "exactpoly": ("LaurentPoly", "NotDivisible", "NotLaurent", "UnivariatePoly"),
     "engine": (
         "CountingPolynomial", "DegreeViolation", "IntegralityViolation", "InvalidArity", "MonicViolation",
         "WeightCache", "check_degree_monic", "check_laurent_quotient", "count_conjugacy_classes",
-        "count_mixed_tuples", "count_semisimple_tuples", "gl_order", "hom_count", "mixed_weight", "ss_weight",
+        "count_mixed_tuples", "count_semisimple_tuples", "hom_count",
     ),
-    "typecomb": (
-        "FactorizationType", "aut_factor", "count_irreducibles", "count_monic_with_type",
-        "enumerate_partitions", "enumerate_types", "type_pairs",
+    "typecomb": ("FactorizationType", "aut_factor", "enumerate_partitions", "enumerate_types", "type_pairs"),
+    "rational": (
+        "RationalFunction", "count_irreducibles", "count_monic_with_type", "gl_order", "mixed_weight",
+        "ss_weight", "to_laurent",
     ),
     "fforacle": (
         "CensusRecord", "FFMatrix", "FieldSpec", "UnsupportedField", "brute_conj_count",

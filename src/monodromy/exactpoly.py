@@ -1,5 +1,5 @@
-"""Exact arithmetic for univariate polynomials and rational functions over
-the rationals, and the Laurent polynomials that quotients print as.
+"""Exact arithmetic for univariate polynomials over the rationals, and the
+Laurent polynomials that quotients print as.
 
 Polynomials are dense ascending coefficient tuples, and the formal variable
 is always printed as ``q``.  Each coefficient is stored in one canonical
@@ -8,11 +8,16 @@ form: an integer value as an ``int``, any other rational as a
 ``Fraction(3) == 3`` and both hash alike, so the form changes no equality
 or hash.  The zero polynomial is the empty tuple, which makes equality and
 degree structural.  Everything here is exact; no floating point is ever
-involved.  The type counts and the engine's recursion stay in Z[q] instead,
+involved.  The type counts and the engine's sums stay in Z[q] instead,
 as plain ``IntPoly`` coefficient tuples.  ``fractions`` is imported only
 inside the functions that can make a non-integer, so a run that never
 does (every ``poly``, ``verify`` and ``census`` request) never loads it,
 nor the ``decimal`` and ``numbers`` modules it imports.
+
+Rational functions (``RationalFunction``, ``poly_gcd``, ``to_laurent``) live
+in ``monodromy.rational``, which no CLI path imports, so no subcommand
+compiles them.  ``poly_gcd`` is still forwarded from here (PEP 562
+``__getattr__``), because perfbench/spans.py looks it up in this module.
 
 Wire format, written and never read back: a polynomial serializes to
 ``{"var": "q", "coeffs": [[num, den], ...]}``, ascending by degree; a Laurent
@@ -306,127 +311,6 @@ def _render_terms(terms: list[tuple[int, Scalar]]) -> str:
     return " ".join(parts)
 
 
-def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
-    from fractions import Fraction
-
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return a * (Fraction(1) / a.leading())
-
-
-@record
-class RationalFunction:
-    """Quotient of two polynomials, kept fully reduced.
-
-    Canonical form: gcd(num, den) = 1, den monic, all rational content pushed
-    into the numerator.  Equality is therefore structural.
-    """
-
-    num: UnivariatePoly
-    den: UnivariatePoly
-
-    def __post_init__(self) -> None:
-        from fractions import Fraction
-
-        num, den = self.num, self.den
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        g = poly_gcd(num, den)
-        if not g.is_zero() and g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lead = den.leading()
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num * inv
-            den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def from_poly(cls, p: UnivariatePoly | Scalar) -> "RationalFunction":
-        return cls(_as_poly(p), UnivariatePoly.one())
-
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(UnivariatePoly.zero(), UnivariatePoly.one())
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(UnivariatePoly.one(), UnivariatePoly.one())
-
-    def is_polynomial(self) -> bool:
-        return self.den == UnivariatePoly.one()
-
-    def as_poly(self) -> UnivariatePoly:
-        if not self.is_polynomial():
-            raise NotDivisible(f"{self} is not a polynomial")
-        return self.num
-
-    def __add__(self, other) -> "RationalFunction":
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def evaluate(self, x: Scalar) -> Fraction:
-        den = self.den.evaluate(x)
-        if den == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num.evaluate(x) / den
-
-    def __str__(self) -> str:
-        if self.is_polynomial():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-
-def _as_ratfun(value) -> RationalFunction:
-    from fractions import Fraction
-
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, (UnivariatePoly, int, Fraction)):
-        return RationalFunction.from_poly(value)
-    return NotImplemented
-
-
 @record
 class LaurentPoly:
     """Polynomial in ``q`` and ``q**-1``: coeffs ascending from min_degree.
@@ -464,16 +348,11 @@ class LaurentPoly:
         return _render_terms([(self.min_degree + i, c) for i, c in enumerate(self.coeffs)])
 
 
-def to_laurent(a: UnivariatePoly, b: UnivariatePoly) -> LaurentPoly:
-    """Quotient a/b as a Laurent polynomial.
+def __getattr__(name: str):
+    # perfbench/spans.py wraps exactpoly.poly_gcd, which moved to ``rational``;
+    # this hook leaves with the next change to the benchmark (ROADMAP direction 1)
+    if name == "poly_gcd":
+        from . import rational
 
-    The fraction is reduced first; the result exists exactly when the reduced
-    denominator is a monomial ``q**m``, and then equals the reduced numerator
-    shifted down by m.  Raises NotLaurent otherwise.
-    """
-    rf = RationalFunction(a, b)
-    den = rf.den
-    if any(c != 0 for c in den.coeffs[:-1]):
-        raise NotLaurent(f"reduced denominator {den} is not a monomial")
-    shift = len(den.coeffs) - 1
-    return LaurentPoly(-shift, rf.num.coeffs)
+        return rational.poly_gcd
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,8 +4,8 @@ Everything here is deliberately naive: explicit field tables, explicit
 matrix enumeration, centralizers as the invertible elements of each
 commutant ker(Y -> XY - YX).  All linear algebra is one span (``_span``)
 and one elimination (``_rref``): GL_n(F_q) is built row by row from
-vectors outside the span of the rows before, inverses reduce [M | I], and
-every element X is keyed by its algebra F_q[X], the reduced span of
+vectors outside the span of the rows before, and every element X is
+keyed by its algebra F_q[X], the reduced span of
 I, X, ..., X^(n-1).  Each algebra is spanned once, from the first element
 that generates it, and every element of that span that generates it takes
 its id, so the elimination runs once per algebra rather than once per
@@ -248,10 +248,6 @@ class FFMatrix:
             raise ValueError("entry out of range for the field")
 
 
-def identity_matrix(f: FieldSpec, n: int) -> FFMatrix:
-    return FFMatrix(f, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
 def _mat_mul_raw(add_t, mul_t, a, b) -> tuple[tuple[int, ...], ...]:
     cols = tuple(zip(*b))
     out = []
@@ -264,12 +260,6 @@ def _mat_mul_raw(add_t, mul_t, a, b) -> tuple[tuple[int, ...], ...]:
             orow.append(acc)
         out.append(tuple(orow))
     return tuple(out)
-
-
-def mat_mul(a: FFMatrix, b: FFMatrix) -> FFMatrix:
-    if a.field != b.field or a.n != b.n:
-        raise ValueError("matrix shapes or fields differ")
-    return FFMatrix(a.field, a.n, _mat_mul_raw(a.field.add_table, a.field.mul_table, a.entries, b.entries))
 
 
 def mat_vec(m: FFMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -321,15 +311,6 @@ def _span(f: FieldSpec, basis) -> list[tuple[int, ...]]:
         multiples = [tuple(mul_t[c][v] for v in b) for c in range(1, f.size)]
         vectors += [tuple(add_t[v][w] for v, w in zip(u, m)) for u in vectors for m in multiples]
     return vectors
-
-
-def mat_inv(m: FFMatrix) -> FFMatrix:
-    """Inverse by reducing [M | I]; M is singular exactly when the pivots are not 0 .. n-1."""
-    f, n = m.field, m.n
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
-    if _rref(f, rows) != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return FFMatrix(f, n, tuple(tuple(row[n:]) for row in rows))
 
 
 def enumerate_invertible(n: int, f: FieldSpec, override_budget: bool = False):

@@ -18,7 +18,6 @@ import itertools
 import math
 import operator
 import re
-from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -26,6 +25,8 @@ from . import BudgetExceeded, Refusal, decimal_str, record
 from .commuting import count_commuting_tuples
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .fforacle import FieldSpec
 
 CLOSURE_BUDGET = 10_000
@@ -393,16 +394,20 @@ class DivisibilityReport:
 
     @property
     def quotient(self) -> Fraction:
+        from fractions import Fraction  # here: to_json writes the quotient without it, so the CLI never loads it
+
         return Fraction(self.hom_count, self.group_order)
 
     def to_json(self) -> dict:
+        common = math.gcd(self.hom_count, self.group_order)
+        num, den = self.hom_count // common, self.group_order // common
         return {
             "group": self.group_name,
             "order": self.group_order,
             "k": self.k,
             "S": list(self.primes),
             "homCount": decimal_str(self.hom_count),
-            "quotient": decimal_str(self.quotient),
+            "quotient": decimal_str(num) if den == 1 else f"{decimal_str(num)}/{decimal_str(den)}",
             "checks": [c.to_json() for c in self.checks],
             "ok": self.passed,
         }

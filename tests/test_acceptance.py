@@ -14,7 +14,6 @@ from monodromy.engine import (
     count_conjugacy_classes,
     count_mixed_tuples,
     count_semisimple_tuples,
-    gl_order,
 )
 from monodromy.exactpoly import UnivariatePoly
 from monodromy.fforacle import (
@@ -33,7 +32,8 @@ from monodromy.groupdiv import (
     load_corpus,
     matrix_group_table,
 )
-from monodromy.typecomb import count_monic_with_type, enumerate_types, total_monic_count
+from monodromy.rational import count_monic_with_type, gl_order, total_monic_count
+from monodromy.typecomb import enumerate_types
 
 Q = UnivariatePoly.variable()
 

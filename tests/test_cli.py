@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from monodromy import Refusal, cli, decimal_str, engine, fforacle, groupdiv
+from monodromy import Refusal, cli, cli_oracle, decimal_str, engine, fforacle, groupdiv
 from monodromy.exactpoly import UnivariatePoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -332,7 +332,7 @@ def test_q_list_refused_before_any_work(capsys, monkeypatch, argv):
 
     for name in ("brute_hom_count", "brute_conj_count", "poly_type_census"):
         monkeypatch.setattr(fforacle, name, must_not_run)
-    monkeypatch.setattr(cli, "_count_for", must_not_run)
+    monkeypatch.setattr(cli_oracle, "count_for", must_not_run)  # verify looks the count up here
     status, out, err = run(capsys, *argv)
     assert status == 2 and out == "" and err.startswith("error: ")
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from monodromy import engine
+from monodromy import engine, rational
 from monodromy.engine import (
     MODE_CONJUGACY,
     MODE_MIXED,
@@ -21,13 +21,11 @@ from monodromy.engine import (
     count_conjugacy_classes,
     count_mixed_tuples,
     count_semisimple_tuples,
-    gl_order,
     hom_count,
-    mixed_weight,
-    ss_weight,
 )
-from monodromy.exactpoly import LaurentPoly, NotLaurent, RationalFunction, UnivariatePoly, int_mul
-from monodromy.typecomb import count_monic_with_type, enumerate_types, type_pairs
+from monodromy.exactpoly import LaurentPoly, NotLaurent, UnivariatePoly, int_mul
+from monodromy.rational import RationalFunction, count_monic_with_type, gl_order, mixed_weight, ss_weight
+from monodromy.typecomb import enumerate_types, type_pairs
 
 Q = UnivariatePoly.variable()
 
@@ -343,7 +341,7 @@ def test_cyclotomic_centralizer_index_matches_long_division():
             pairs = type_pairs(t)
             centralizer = (1,)
             for d, s in pairs:
-                centralizer = int_mul(centralizer, engine._compose(_gl_order_reference(s), d))
+                centralizer = int_mul(centralizer, rational._compose(_gl_order_reference(s), d))
             expected = _long_division(_gl_order_reference(r), centralizer)
             assert expected is not None
             assert engine._centralizer_index(r, pairs) == expected, pairs

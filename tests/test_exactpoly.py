@@ -6,16 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from monodromy.exactpoly import (
-    NEG_INFINITY,
-    LaurentPoly,
-    NotDivisible,
-    NotLaurent,
-    RationalFunction,
-    UnivariatePoly,
-    poly_gcd,
-    to_laurent,
-)
+from monodromy.exactpoly import NEG_INFINITY, LaurentPoly, NotDivisible, NotLaurent, UnivariatePoly
+from monodromy.rational import RationalFunction, poly_gcd, to_laurent
 
 P = UnivariatePoly
 Q = P.variable()

@@ -25,15 +25,13 @@ from monodromy.fforacle import (
     field_make,
     field_params,
     gl_order_int,
-    identity_matrix,
     is_semisimple,
-    mat_inv,
-    mat_mul,
     mat_vec,
     poly_type_census,
 )
 from monodromy.groupdiv import compose_perms, group_generate, parse_cycles
-from monodromy.typecomb import FactorizationType, enumerate_types, total_monic_count
+from monodromy.rational import count_monic_with_type, total_monic_count
+from monodromy.typecomb import FactorizationType, enumerate_types
 
 
 def test_field_make_supported():
@@ -228,6 +226,29 @@ def test_field_of_size():
             field_params(q)
     with pytest.raises(UnsupportedField):
         field_make(*field_params(16))
+
+
+# Matrix helpers only the tests use: the oracle itself multiplies raw entry
+# tuples (``_mat_mul_raw``) and never inverts.
+
+
+def identity_matrix(f: FieldSpec, n: int) -> FFMatrix:
+    return FFMatrix(f, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def mat_mul(a: FFMatrix, b: FFMatrix) -> FFMatrix:
+    if a.field != b.field or a.n != b.n:
+        raise ValueError("matrix shapes or fields differ")
+    return FFMatrix(a.field, a.n, fforacle._mat_mul_raw(a.field.add_table, a.field.mul_table, a.entries, b.entries))
+
+
+def mat_inv(m: FFMatrix) -> FFMatrix:
+    """Inverse by reducing [M | I]; M is singular exactly when the pivots are not 0 .. n-1."""
+    f, n = m.field, m.n
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    if fforacle._rref(f, rows) != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return FFMatrix(f, n, tuple(tuple(row[n:]) for row in rows))
 
 
 def test_mat_inverse_round_trip():
@@ -601,8 +622,6 @@ def test_census_totals(p, e, n):
     records = poly_type_census(f, n)
     assert sum(r.count for r in records) == total_monic_count(n).evaluate(f.size)
     # each tally is reproduced by the type's counting polynomial
-    from monodromy.typecomb import count_monic_with_type
-
     for r in records:
         assert count_monic_with_type(r.type).evaluate(f.size) == r.count
 
@@ -615,8 +634,6 @@ def test_census_past_the_degree_cutoff(p, n):
     records = poly_type_census(f, n)
     assert [r.type for r in records] == list(enumerate_types(n))
     assert sum(r.count for r in records) == (p - 1) * p ** (n - 1)
-    from monodromy.typecomb import count_monic_with_type
-
     for r in records:
         assert count_monic_with_type(r.type).evaluate(p) == r.count
 

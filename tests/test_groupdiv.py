@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from monodromy import decimal_str
 from monodromy.fforacle import MODE_ALL_SEMISIMPLE, brute_hom_count, field_make
 from monodromy.groupdiv import (
     CORPUS_DOMAIN_CEILING,
@@ -492,6 +493,18 @@ def test_divisibility_report_full_sweep():
         for k in (1, 2, 3):
             for primes in ((), (2,), (3,), (2, 3)):
                 assert divisibility_report(table, k, primes).passed
+
+
+def test_report_json_quotient_is_the_fraction_in_lowest_terms():
+    # to_json writes hom_count/|G| with math.gcd, without building the Fraction that ``quotient`` returns
+    fractional = 0
+    for table in load_corpus():
+        for k in (1, 2, 3):
+            for primes in ((), (2,), (3,), (2, 3)):
+                report = divisibility_report(table, k, primes)
+                assert report.to_json()["quotient"] == decimal_str(report.quotient), (table.name, k, primes)
+                fractional += report.quotient.denominator != 1
+    assert fractional > 0
 
 
 def test_parse_corpus():

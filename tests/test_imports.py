@@ -59,7 +59,9 @@ def test_divisibility_loads_only_the_group_lab():
     status, loaded = loaded_after("divisibility", "--group", "S3", "--k", "1")
     assert status == 0
     # monodromy.data is the namespace package that holds the packaged corpus; it has no code to compile
-    assert loaded == {"monodromy.cli", "monodromy.commuting", "monodromy.data", "monodromy.groupdiv"}
+    assert loaded == {
+        "monodromy.cli", "monodromy.cli_grouplab", "monodromy.commuting", "monodromy.data", "monodromy.groupdiv",
+    }
 
 
 def test_oracle_and_group_lab_share_the_package_counter():
@@ -104,7 +106,9 @@ print(status, sorted({"fractions", "decimal"} & set(sys.modules)))
     ("verify", "--n", "2", "--k", "2", "--mode", "conj", "--q", "2,3"),
     ("verify", "--n", "2", "--k", "2", "--mode", "mixed", "--q", "2", "--format", "json"),
     ("census", "--n", "4", "--q", "2,3"),
-], ids=["poly", "poly-json", "verify", "verify-json", "census"])
+    ("divisibility", "--group", "S3"),  # quotients 1/2, 2/3 and 1/6 among the reports
+    ("divisibility", "--group", "A4", "--k", "2", "--S", "2", "--format", "json"),
+], ids=["poly", "poly-json", "verify", "verify-json", "census", "divisibility", "divisibility-json"])
 def test_counting_commands_never_import_fractions(argv):
     # without site, no site hook can have imported either module first
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -112,6 +116,56 @@ def test_counting_commands_never_import_fractions(argv):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
+
+
+# the package's modules each subcommand imports, as ``python -X importtime -m monodromy.cli`` logs them
+IMPORTED_BY_COMMAND = {
+    ("poly", "--n", "3", "--k", "2", "--q", "2,3"): {
+        "monodromy", "monodromy.cli_engine", "monodromy.engine", "monodromy.exactpoly", "monodromy.typecomb",
+    },
+    ("verify", "--n", "2", "--k", "2", "--mode", "mixed", "--q", "2", "--format", "json"): {
+        "monodromy", "monodromy.cli_engine", "monodromy.cli_oracle", "monodromy.commuting", "monodromy.engine",
+        "monodromy.exactpoly", "monodromy.fforacle", "monodromy.typecomb",
+    },
+    ("census", "--n", "3", "--q", "2"): {
+        "monodromy", "monodromy.cli_engine", "monodromy.cli_oracle", "monodromy.commuting", "monodromy.exactpoly",
+        "monodromy.fforacle", "monodromy.typecomb",
+    },
+    ("divisibility", "--group", "S3", "--k", "1"): {
+        "monodromy", "monodromy.cli_grouplab", "monodromy.commuting", "monodromy.groupdiv",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(IMPORTED_BY_COMMAND), ids=[argv[0] for argv in IMPORTED_BY_COMMAND])
+def test_each_command_imports_only_its_front_end_and_layers(argv):
+    # without bytecode on disk a process compiles every module it imports, so this set is what it compiles
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "monodromy.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    ours = [name for name in names if name.split(".")[0] == "monodromy"]
+    # run as __main__, cli.py would compile and run a second time if a front end imported it by name
+    assert "monodromy.cli" not in ours
+    assert len(ours) == len(set(ours)), ours
+    assert "monodromy.rational" not in ours
+    assert set(ours) == IMPORTED_BY_COMMAND[argv]
+
+
+def test_moved_names_are_forwarded_from_their_old_modules():
+    from monodromy import engine, exactpoly, rational, typecomb
+
+    assert exactpoly.poly_gcd is rational.poly_gcd
+    for name in ("ss_weight", "mixed_weight", "to_laurent", "_type_count_at_power"):
+        assert getattr(engine, name) is getattr(rational, name), name
+    assert engine.count_monic_with_type is typecomb.count_monic_with_type is rational.count_monic_with_type
+    for module in (engine, exactpoly, typecomb):
+        with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'no_such_name'"):
+            module.no_such_name  # noqa: B018
+    # only the names the benchmark looks up are forwarded
+    assert not hasattr(exactpoly, "RationalFunction") and not hasattr(engine, "gl_order")
+    assert not hasattr(typecomb, "count_irreducibles")
 
 
 def test_every_exported_name_resolves():

@@ -7,9 +7,10 @@ import pytest
 
 from monodromy import record
 from monodromy.engine import MODE_SEMISIMPLE, CountingPolynomial, DegreeReport
-from monodromy.exactpoly import LaurentPoly, RationalFunction, UnivariatePoly
+from monodromy.exactpoly import LaurentPoly, UnivariatePoly
 from monodromy.fforacle import CensusRecord, FFMatrix, field_make
 from monodromy.groupdiv import CosetLemmaCheck, DivisibilityReport, PrimeValuation
+from monodromy.rational import RationalFunction
 from monodromy.typecomb import FactorizationType
 
 Q = UnivariatePoly.variable()

@@ -10,17 +10,15 @@ from monodromy.exactpoly import NotDivisible, UnivariatePoly
 from monodromy.typecomb import (
     FactorizationType,
     aut_factor,
-    count_irreducibles,
-    count_monic_with_type,
     count_monic_with_type_at,
     enumerate_partitions,
     enumerate_types,
     is_partition,
     multiplicities,
     scaled_type_count,
-    total_monic_count,
     type_pairs,
 )
+from monodromy.rational import count_irreducibles, count_monic_with_type, total_monic_count
 
 Q = UnivariatePoly.variable()
 
