@@ -1,58 +1,58 @@
 """Exact counting of commuting matrix tuples in GL_n over finite fields.
 
 The counts are polynomials in the field size q with integer coefficients,
-each one sum over the factorization types t of weight n, with no recursion
-over the tuple length.
+each one recurrence over n in Z[q], with no recursion over the tuple length.
 
 A commuting k-tuple of semisimple elements of GL_n(F_q) is a semisimple
-module of dimension n over the group algebra of Z^k, that is, over the
-torus G_m^k.  It splits over the closed points of the torus: a point of
-degree d taken with multiplicity s is a block on which the tuple acts by
-scalars of F_{q^d}.  A type t records the (d, s) pairs of such a module,
-the module's stabilizer is C_t = prod GL_s(F_{q^d}), and the torus has
+module of dimension n over the torus G_m^k.  It splits over the torus's
+closed points, of which there are M_d(k) of degree d, with d M_d(k) = sum
+over e | d of mu(d/e) (q^e - 1)^k (``typecomb._point_numerator``); a point
+of degree d carries a block GL_s(F_{q^d}).  With G_m(x) = |GL_m(F_x)| and
+F(x; u) = sum over s of u^s / G_s(x), the generating functions are
 
-    d M_d(k) = sum over e | d of mu(d/e) (q^e - 1)^k
+    sum over n of ss(n, k) u^n / G_n(q) = prod over d of F(q^d; u^d)^M_d(k),
+    sum over n of conj(n, k) u^n = prod over d of (1 - u^d)^-M_d(k),
 
-closed points of degree d, times d.  With N_t^(k) the number of ways to
-choose distinct points for the pairs of t (``typecomb.scaled_type_count``):
+and u d/du of their logarithms (Newton's identities) gives one recurrence
+per count, every term in Z[q]:
 
-- all-semisimple k-tuples:  ss(n, k) = sum over t of [GL_n : C_t] N_t^(k);
-- simultaneous-conjugation classes of them:  conj(n, k) = sum over t of N_t^(k);
-- k-tuples whose last matrix is free:  mixed(n, k) = |GL_n| conj(n, k - 1).
+- n conj(n, k) = sum over j <= n of (q^j - 1)^k conj(n - j, k), since the
+  d M_d(k) over d | j add up to (q^j - 1)^k;
+- n ss(n, k) = sum over j <= n of P_j L(j, n - j) ss(n - j, k), with the
+  Levi index L(a, b) = G_{a+b} / (G_a G_b) = q^(ab) [a+b choose a]_q,
+  Lambda_m = m - sum over i < m of Lambda_i L(i, m - i) (G_m times
+  m [u^m] log F), and P_j = sum over d | j of d M_d(k) Lambda_{j/d}(q^d)
+  [GL_j(q) : GL_{j/d}(q^d)];
+- mixed(n, k) = |GL_n| conj(n, k - 1): k-tuples whose last matrix is free.
 
-The index [GL_n : C_t] = |GL_n(q)| / prod |GL_s(q^d)| is a polynomial with
-integer coefficients, because the divisor is monic.
+Integrality is certified at every step: each sum must divide by n exactly,
+coefficient by coefficient (``_certified_quotient``), and the Levi index
+divides out each factor q^m - 1 exactly.  A remainder raises
+IntegralityViolation instead of rounding, since it would mean a wrong term.
+``CountingPolynomial`` checks once more that every coefficient is an int.
 
-Integrality is certified in each sum.  Each N_t^(k) comes as an integer
-polynomial D_t N_t^(k) over a known denominator D_t, so the sum is
-accumulated with every term scaled by the lcm of the D_t and divided back
-exactly, coefficient by coefficient (``_certified_quotient``).  The
-centralizer index is |GL_n| over the centralizer order, both a power of q
-times factors q^m - 1, divided one factor at a time.  Either division
-leaving a remainder raises IntegralityViolation instead of rounding, since
-it would mean the type combinatorics is wrong.  Results become
-``UnivariatePoly`` only at the ``CountingPolynomial`` boundary, which checks
-once more that every coefficient is an int.
+ss(m, k) and conj(m, k) are kept per k, in lists filled bottom-up over m,
+because counts at one k share every lower n: after ss(5, 3), ss(m, 3) for
+m <= 5 is a lookup, and mixed(n, k) reuses the conj list at k - 1.
 
-The rational views of the same values (``gl_order`` as a polynomial, and
-``ss_weight``/``mixed_weight``, the older per-block weights as rational
-functions at a field power q^m) live in ``monodromy.rational``, which no
-count and no CLI path imports.  Five names stay reachable here through a
-PEP 562 ``__getattr__`` that forwards to it, only because perfbench/spans.py
-wraps them in this module: ``ss_weight``, ``mixed_weight``, ``to_laurent``,
-``_type_count_at_power`` and ``count_monic_with_type``.
+The rational views of these values (``gl_order``, and the per-block
+weights ``ss_weight``/``mixed_weight`` at a field power q^m) live in
+``monodromy.rational``, which no count and no CLI path imports.  A PEP 562
+``__getattr__`` forwards six names that perfbench/spans.py wraps in this
+module: ``ss_weight``, ``mixed_weight``, ``to_laurent``,
+``_type_count_at_power`` and ``count_monic_with_type`` from ``rational``,
+``enumerate_types`` from ``typecomb``.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
+import itertools
 from functools import lru_cache
 from typing import Literal
 
 from . import Refusal, record
 from .exactpoly import IntPoly, LaurentPoly, NotLaurent, UnivariatePoly, int_mul
-from .typecomb import enumerate_types, scaled_type_count, type_pairs
+from .typecomb import _point_numerator
 
 MODE_SEMISIMPLE = "all-semisimple"
 MODE_MIXED = "mixed"
@@ -77,7 +77,7 @@ class MonicViolation(AssertionError):
 
 
 class WeightCache(dict):
-    """Unused: the counts keep no memo.
+    """Unused: the counts keep their memo in this module, per k.
 
     This class and the trailing ``cache`` parameter of every count stay
     accepted only because perfbench/child.py passes a WeightCache to each count.
@@ -129,7 +129,11 @@ def _certified_quotient(numerator: IntPoly, scale: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# the sums over types
+# the recurrences
+
+
+def _sum(polys) -> IntPoly:
+    return _strip([sum(column) for column in itertools.zip_longest(*polys, fillvalue=0)])
 
 
 @lru_cache(maxsize=None)
@@ -141,53 +145,76 @@ def _gl_order_int(n: int) -> IntPoly:
     return (0,) * (n * (n - 1) // 2) + tuple(result)
 
 
-def _centralizer_index(r: int, pairs: tuple[tuple[int, int], ...]) -> IntPoly:
-    """[GL_r : prod GL_s(F_{q^d})] over the (d, s) pairs of a type.
-
-    Both orders are a power of q times factors q^m - 1:
-
-        q^a prod_{i <= r} (q^i - 1)  /  q^b prod_{(d, s)} prod_{j <= s} (q^(d j) - 1)
-
-    with a = r(r-1)/2 and b the sum of d s(s-1)/2.  The exponents m common
-    to both sides cancel as multisets; each one left above is a shift and a
-    subtraction, and each one left below an exact division by q^m - 1.
-    """
-    top = Counter(range(1, r + 1))
-    bottom = Counter(d * j for d, s in pairs for j in range(1, s + 1))
-    power = r * (r - 1) // 2 - sum(d * s * (s - 1) // 2 for d, s in pairs)
+@lru_cache(maxsize=None)
+def _levi_index(a: int, b: int) -> IntPoly:
+    """L(a, b) = |GL_{a+b}| / (|GL_a| |GL_b|): the factors q^m - 1 above max(a, b) over those up to min(a, b)."""
+    small, large = sorted((a, b))
     index = [1]
-    for m in (top - bottom).elements():
+    for m in range(large + 1, a + b + 1):
         index = _times_qm_minus_1(index, m)
-    for m in (bottom - top).elements():
+    for m in range(1, small + 1):
         index = _over_qm_minus_1(index, m)
         if index is None:
-            break
-    if index is None or power < 0:
-        raise IntegralityViolation(f"|GL_{r}| is not divisible by the centralizer order of {pairs} over the integers")
-    return (0,) * power + tuple(index)
+            raise IntegralityViolation(f"|GL_{a + b}| is not divisible by |GL_{a}| |GL_{b}| over the integers")
+    return (0,) * (a * b) + tuple(index)
 
 
 @lru_cache(maxsize=None)
-def _centralizer_indices(n: int) -> tuple[IntPoly, ...]:
-    """[GL_n : C_t] for every type t of weight n, in ``enumerate_types`` order."""
-    return tuple(_centralizer_index(n, type_pairs(t)) for t in enumerate_types(n))
+def _descent_index(j: int, d: int) -> IntPoly:
+    """[GL_j(q) : GL_{j/d}(q^d)]: the factors q^m - 1 of |GL_j(q)| with d not dividing m, and a power of q."""
+    index = [1]
+    for m in range(1, j + 1):
+        if m % d:
+            index = _times_qm_minus_1(index, m)
+    e = j // d
+    return (0,) * (j * (j - 1) // 2 - d * e * (e - 1) // 2) + tuple(index)
 
 
-def _type_sum(n: int, k: int, indexed: bool) -> IntPoly:
-    """sum over types t of weight n of N_t^(k), times [GL_n : C_t] when ``indexed``.
+@lru_cache(maxsize=None)
+def _lambda(m: int) -> IntPoly:
+    """Lambda_m = m - sum over i < m of Lambda_i L(i, m - i)."""
+    return _sum([(m,)] + [tuple(-c for c in int_mul(_lambda(i), _levi_index(i, m - i))) for i in range(1, m)])
 
-    Every term is scaled into Z[q] by the lcm of the denominators D_t, and
-    the sum is divided back once.
-    """
-    counts = [scaled_type_count(t, k) for t in enumerate_types(n)]
-    scale = math.lcm(*(denominator for _, denominator in counts))
-    indices = _centralizer_indices(n) if indexed else [(1,)] * len(counts)
-    total = [0] * (max(map(len, indices)) + max(len(numerator) for numerator, _ in counts) - 1)
-    for (numerator, denominator), index in zip(counts, indices):
-        factor = scale // denominator
-        for i, c in enumerate(int_mul(index, numerator)):
-            total[i] += factor * c
-    return _certified_quotient(_strip(total), scale)
+
+@lru_cache(maxsize=None)
+def _point_sum(j: int, k: int) -> IntPoly:
+    """P_j = sum over d | j of d M_d(k) Lambda_{j/d}(q^d) [GL_j(q) : GL_{j/d}(q^d)]."""
+    terms = []
+    for d in range(1, j + 1):
+        if j % d == 0:
+            spread = [0] * (d * (len(_lambda(j // d)) - 1) + 1)
+            spread[::d] = _lambda(j // d)
+            terms.append(int_mul(_point_numerator(d, k), int_mul(tuple(spread), _descent_index(j, d))))
+    return _sum(terms)
+
+
+@lru_cache(maxsize=None)
+def _torus_points(j: int, k: int) -> IntPoly:
+    """(q^j - 1)^k, the F_{q^j}-points of G_m^k: (q - 1)^k, which is M_1(k), at q^j."""
+    coeffs = [0] * (j * k + 1)
+    coeffs[::j] = _point_numerator(1, k)
+    return tuple(coeffs)
+
+
+# ss(m, k) and conj(m, k) for m = 0, 1, 2, ...: one list per k, extended bottom-up
+_SEMISIMPLE: dict[int, list[IntPoly]] = {}
+_CLASSES: dict[int, list[IntPoly]] = {}
+
+
+def _recurrence(memo: dict[int, list[IntPoly]], term, n: int, k: int) -> IntPoly:
+    """memo[k][m] = (1/m) sum over j <= m of term(j, m, k) memo[k][m - j] for every m <= n, each division certified."""
+    values = memo.setdefault(k, [(1,)])
+    for m in range(len(values), n + 1):
+        values.append(_certified_quotient(_sum([int_mul(term(j, m, k), values[m - j]) for j in range(1, m + 1)]), m))
+    return values[n]
+
+
+def _semisimple(n: int, k: int) -> IntPoly:
+    return _recurrence(_SEMISIMPLE, lambda j, m, k: int_mul(_point_sum(j, k), _levi_index(j, m - j)), n, k)
+
+
+def _classes(n: int, k: int) -> IntPoly:
+    return _recurrence(_CLASSES, lambda j, m, k: _torus_points(j, k), n, k)
 
 
 @record
@@ -221,8 +248,7 @@ def count_semisimple_tuples(n: int, k: int, cache: WeightCache | None = None) ->
         raise InvalidArity("matrix size n must be >= 1")
     if k < 0:
         raise InvalidArity("tuple length k must be >= 0")
-    poly = _type_sum(n, k, indexed=True)
-    return CountingPolynomial(UnivariatePoly(poly), n, k, MODE_SEMISIMPLE)
+    return CountingPolynomial(UnivariatePoly(_semisimple(n, k)), n, k, MODE_SEMISIMPLE)
 
 
 def count_mixed_tuples(n: int, k: int, cache: WeightCache | None = None) -> CountingPolynomial:
@@ -234,8 +260,7 @@ def count_mixed_tuples(n: int, k: int, cache: WeightCache | None = None) -> Coun
         raise InvalidArity("matrix size n must be >= 1")
     if k < 2:
         raise InvalidArity("mixed tuples need k >= 2")
-    poly = int_mul(_gl_order_int(n), _type_sum(n, k - 1, indexed=False))
-    return CountingPolynomial(UnivariatePoly(poly), n, k, MODE_MIXED)
+    return CountingPolynomial(UnivariatePoly(int_mul(_gl_order_int(n), _classes(n, k - 1))), n, k, MODE_MIXED)
 
 
 def count_conjugacy_classes(n: int, k: int, cache: WeightCache | None = None) -> CountingPolynomial:
@@ -244,8 +269,7 @@ def count_conjugacy_classes(n: int, k: int, cache: WeightCache | None = None) ->
         raise InvalidArity("matrix size n must be >= 1")
     if k < 1:
         raise InvalidArity("conjugacy classes need k >= 1")
-    poly = _type_sum(n, k, indexed=False)
-    return CountingPolynomial(UnivariatePoly(poly), n, k, MODE_CONJUGACY)
+    return CountingPolynomial(UnivariatePoly(_classes(n, k)), n, k, MODE_CONJUGACY)
 
 
 def hom_count(n: int, g: int, prank: int, cache: WeightCache | None = None) -> CountingPolynomial:
@@ -334,12 +358,17 @@ def check_laurent_quotient(cp: CountingPolynomial) -> LaurentPoly:
     return LaurentPoly(-(cp.n * (cp.n - 1) // 2), quotient)
 
 
-# perfbench/spans.py wraps these names here, though they moved to ``rational``;
-# this hook leaves with the next change to the benchmark (ROADMAP direction 1)
+# perfbench/spans.py wraps these names here, though they moved to ``rational``, and
+# ``enumerate_types`` of ``typecomb``; this hook leaves with the next change to the
+# benchmark (ROADMAP direction 1)
 _FORWARDED = frozenset({"ss_weight", "mixed_weight", "to_laurent", "_type_count_at_power", "count_monic_with_type"})
 
 
 def __getattr__(name: str):
+    if name == "enumerate_types":
+        from .typecomb import enumerate_types
+
+        return enumerate_types
     if name in _FORWARDED:
         from . import rational
 

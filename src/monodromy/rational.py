@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import record
-from .engine import WeightCache, _gl_order_int, _type_sum
+from .engine import WeightCache, _classes, _gl_order_int, _semisimple
 from .exactpoly import IntPoly, LaurentPoly, NotDivisible, NotLaurent, Scalar, UnivariatePoly, _as_poly
 from .typecomb import FactorizationType, _mobius, _point_numerator, scaled_type_count
 
@@ -200,8 +200,7 @@ def ss_weight(level: int, r: int, m: int, cache: WeightCache | None = None) -> R
     |GL_n(q)| * ss_weight(k, n, 1).
     """
     _check_weight_args("ss_weight", level, r, m)
-    value = _type_sum(r, level, indexed=True)
-    return RationalFunction(UnivariatePoly(_compose(value, m)), gl_order(r).compose_monomial(m))
+    return RationalFunction(UnivariatePoly(_compose(_semisimple(r, level), m)), gl_order(r).compose_monomial(m))
 
 
 def mixed_weight(level: int, r: int, m: int, cache: WeightCache | None = None) -> RationalFunction:
@@ -211,7 +210,7 @@ def mixed_weight(level: int, r: int, m: int, cache: WeightCache | None = None) -
     matrix on the block: (q^m - 1) * q^(m*(r-1)).
     """
     _check_weight_args("mixed_weight", level, r, m)
-    return RationalFunction.from_poly(UnivariatePoly(_compose(_type_sum(r, level + 1, indexed=False), m)))
+    return RationalFunction.from_poly(UnivariatePoly(_compose(_classes(r, level + 1), m)))
 
 
 # ---------------------------------------------------------------------------

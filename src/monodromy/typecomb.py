@@ -8,11 +8,12 @@ records how many distinct degree-i factors occur and with which exponents.
 
 The same combinatorics counts configurations of closed points.  The torus
 G_m^k over F_q has d M_d(k) = sum over e | d of mu(d/e) (q^e - 1)^k
-closed points of degree d, times d; at k = 1 these are the monic
-irreducibles of degree d with nonzero constant term.  A type then describes
-a choice of distinct points, one per part of each refinement, taken with
-that part as multiplicity, and ``scaled_type_count(t, k)`` counts those
-choices in Z[q] over a known denominator, the form the engine sums.
+closed points of degree d, times d (``_point_numerator``, all the engine
+takes from here); at k = 1 these are the monic irreducibles of degree d
+with nonzero constant term.  A type then describes a choice of distinct
+points, one per part of each refinement, taken with that part as
+multiplicity, and ``scaled_type_count(t, k)`` counts those choices in Z[q]
+over a known denominator.
 
 At k = 1 a type count is the number of monic polynomials over F_q with
 nonzero constant term that factor as type t; summed over all types of

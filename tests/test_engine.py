@@ -1,8 +1,11 @@
 """The exact counting engine: weights, counts, and structural checks."""
 
+import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -16,6 +19,10 @@ from monodromy.engine import (
     IntegralityViolation,
     InvalidArity,
     WeightCache,
+    _certified_quotient,
+    _over_qm_minus_1,
+    _strip,
+    _times_qm_minus_1,
     check_degree_monic,
     check_laurent_quotient,
     count_conjugacy_classes,
@@ -25,7 +32,7 @@ from monodromy.engine import (
 )
 from monodromy.exactpoly import LaurentPoly, NotLaurent, UnivariatePoly, int_mul
 from monodromy.rational import RationalFunction, count_monic_with_type, gl_order, mixed_weight, ss_weight
-from monodromy.typecomb import enumerate_types, type_pairs
+from monodromy.typecomb import enumerate_types, scaled_type_count, type_pairs
 
 Q = UnivariatePoly.variable()
 
@@ -282,35 +289,163 @@ def test_conjugacy_and_mixed_match_the_torus_zeta_function():
     assert checked == 5 * 4 * 4
 
 
+# Reference: the paper's explicit formula, one sum over the factorization
+# types t of weight n,
+#   ss(n, k) = sum over t of [GL_n : C_t] N_t^(k),  conj(n, k) = sum over t of N_t^(k),
+# with the engine's integer helpers but none of its recurrences.
+
+
+def _centralizer_index(r, pairs):
+    """[GL_r : prod GL_s(F_{q^d})] over the (d, s) pairs of a type.
+
+    Both orders are a power of q times factors q^m - 1:
+
+        q^a prod_{i <= r} (q^i - 1)  /  q^b prod_{(d, s)} prod_{j <= s} (q^(d j) - 1)
+
+    with a = r(r-1)/2 and b the sum of d s(s-1)/2.  The exponents m common
+    to both sides cancel as multisets; each one left above is a shift and a
+    subtraction, and each one left below an exact division by q^m - 1.
+    """
+    top = Counter(range(1, r + 1))
+    bottom = Counter(d * j for d, s in pairs for j in range(1, s + 1))
+    power = r * (r - 1) // 2 - sum(d * s * (s - 1) // 2 for d, s in pairs)
+    index = [1]
+    for m in (top - bottom).elements():
+        index = _times_qm_minus_1(index, m)
+    for m in (bottom - top).elements():
+        index = _over_qm_minus_1(index, m)
+        if index is None:
+            break
+    if index is None or power < 0:
+        raise IntegralityViolation(f"|GL_{r}| is not divisible by the centralizer order of {pairs} over the integers")
+    return (0,) * power + tuple(index)
+
+
+@lru_cache(maxsize=None)
+def _centralizer_indices(n):
+    """[GL_n : C_t] for every type t of weight n, in ``enumerate_types`` order."""
+    return tuple(_centralizer_index(n, type_pairs(t)) for t in enumerate_types(n))
+
+
+def _type_sum(n, k, indexed):
+    """sum over types t of weight n of N_t^(k), times [GL_n : C_t] when ``indexed``.
+
+    Every term is scaled into Z[q] by the lcm of the denominators D_t, and
+    the sum is divided back once.
+    """
+    counts = [scaled_type_count(t, k) for t in enumerate_types(n)]
+    scale = math.lcm(*(denominator for _, denominator in counts))
+    indices = _centralizer_indices(n) if indexed else [(1,)] * len(counts)
+    total = [0] * (max(map(len, indices)) + max(len(numerator) for numerator, _ in counts) - 1)
+    for (numerator, denominator), index in zip(counts, indices):
+        factor = scale // denominator
+        for i, c in enumerate(int_mul(index, numerator)):
+            total[i] += factor * c
+    return _certified_quotient(_strip(total), scale)
+
+
+def test_recurrences_match_the_type_sum():
+    checked = 0
+    for n in range(1, 11):
+        for k in range(7):
+            assert count_semisimple_tuples(n, k).poly.coeffs == _type_sum(n, k, indexed=True), (n, k)
+            if k >= 1:
+                assert count_conjugacy_classes(n, k).poly.coeffs == _type_sum(n, k, indexed=False), (n, k)
+            if k >= 2:
+                mixed = int_mul(_gl_order_reference(n), _type_sum(n, k - 1, indexed=False))
+                assert count_mixed_tuples(n, k).poly.coeffs == mixed, (n, k)
+            checked += 1
+    assert checked == 10 * 7
+
+
+def test_levi_and_descent_indices_are_centralizer_indices():
+    # L(a, b) = [GL_{a+b} : GL_a x GL_b] and [GL_j(q) : GL_{j/d}(q^d)], against the reference index
+    for r in range(1, 13):
+        for a in range(r + 1):
+            assert engine._levi_index(a, r - a) == _centralizer_index(r, ((1, a), (1, r - a))), (a, r - a)
+        for d in range(1, r + 1):
+            if r % d == 0:
+                assert engine._descent_index(r, d) == _centralizer_index(r, ((d, r // d),)), (r, d)
+
+
+# sha256 of json.dumps(cp.poly.to_json()) for ss counts past the CLI's size
+# ceiling, as the type sum above computed them
+WALL_DIGESTS = {
+    (7, 8): "6aadde3ebaeb4a1564745689cc76511b3c8e086d63002b1a509b041d19b67c4d",
+    (10, 20): "79dd8aec9a729fd88221748c2affee2707dd89098a9a6ba2720b70eeccd80975",
+    (14, 2): "0f83f86a539ef0153843c868074c4ff4d645f4232f2e21ea3aa76a2bfb2606c3",
+    (18, 2): "e5fe9ed86717292058168fcb374d59701de919f90b53dbea281d601047b22172",
+    (6, 100): "de1b82f43d04e44d05bd8458963505c747d5d52726edc1770eabd93bfb2cddcf",
+    (1, 1200): "3e80deef3d01a68d5258ec82fd19ef6c60c702bcf56c93d20e513c3305d647cd",
+}
+
+
+def test_wall_counts_match_their_type_sum_digests():
+    for (n, k), digest in WALL_DIGESTS.items():
+        text = json.dumps(count_semisimple_tuples(n, k).poly.to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, k)
+
+
+def _clear_engine_memos():
+    engine._SEMISIMPLE.clear()
+    engine._CLASSES.clear()
+    for value in vars(engine).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 @pytest.fixture
-def fresh_type_tables():
-    engine._centralizer_indices.cache_clear()
+def fresh_engine_memos():
+    _clear_engine_memos()
     yield
-    engine._centralizer_indices.cache_clear()
+    _clear_engine_memos()
 
 
-def test_fractional_type_count_fails_level_sum(monkeypatch, fresh_type_tables):
-    # one more in a numerator D_t * N_t leaves N_t off by 1/D_t, a fraction the sum over types refuses
-    real = engine.scaled_type_count
-    poisoned = enumerate_types(2)[0]
+def _poisoned(monkeypatch, name):
+    """Add 1 to the constant coefficient of an engine term at j = 1 (its first argument).
 
-    def scaled(t, k):
-        numerator, denominator = real(t, k)
-        return ((numerator[0] + 1,) + numerator[1:], denominator) if t == poisoned else (numerator, denominator)
+    Only at j = 1: adding 1 to (q^j - 1)^k at every j gives the point counts
+    of the torus with one more F_q-point, whose counts are integers again.
+    """
+    real = getattr(engine, name)
 
-    monkeypatch.setattr(engine, "scaled_type_count", scaled)
+    def term(j, *rest):
+        value = real(j, *rest)
+        return (value[0] + 1,) + value[1:] if j == 1 else value
+
+    monkeypatch.setattr(engine, name, term)
+
+
+@pytest.mark.parametrize("name", ["_point_sum", "_levi_index"])
+def test_poisoned_semisimple_term_fails_the_step_certificate(monkeypatch, fresh_engine_memos, name):
+    # a term off by one leaves some n * ss(n) not divisible by n
+    _poisoned(monkeypatch, name)
+    for k in (1, 2, 3):
+        with pytest.raises(IntegralityViolation):
+            count_semisimple_tuples(4, k)
+
+
+def test_poisoned_torus_points_fail_the_step_certificate(monkeypatch, fresh_engine_memos):
+    _poisoned(monkeypatch, "_torus_points")
     with pytest.raises(IntegralityViolation):
         count_conjugacy_classes(2, 2)
     with pytest.raises(IntegralityViolation):
-        count_semisimple_tuples(2, 2)
+        count_mixed_tuples(2, 3)
 
 
-def test_non_exact_centralizer_index(monkeypatch, fresh_type_tables):
-    # one block too many: (q - 1)^3 does not divide |GL_2(q)| = q (q - 1)^2 (q + 1)
-    real = engine.type_pairs
-    monkeypatch.setattr(engine, "type_pairs", lambda t: real(t) + ((1, 1),) if t.weight == 2 else real(t))
+@pytest.mark.parametrize("name,count", [
+    ("_point_sum", count_semisimple_tuples), ("_levi_index", count_semisimple_tuples),
+    ("_torus_points", count_conjugacy_classes),
+])
+def test_clearing_the_memos_drops_every_poisoned_value(monkeypatch, fresh_engine_memos, name, count):
+    # the values below the failing step passed their own certificates and stay in the per-k lists
+    _poisoned(monkeypatch, name)
     with pytest.raises(IntegralityViolation):
-        count_semisimple_tuples(2, 1)
+        count(3, 2)
+    monkeypatch.undo()
+    _clear_engine_memos()
+    assert count_semisimple_tuples(3, 2).poly.coeffs == _type_sum(3, 2, indexed=True)
+    assert count_conjugacy_classes(3, 2).poly.coeffs == _type_sum(3, 2, indexed=False)
 
 
 def _long_division(num, den):
@@ -344,7 +479,7 @@ def test_cyclotomic_centralizer_index_matches_long_division():
                 centralizer = int_mul(centralizer, rational._compose(_gl_order_reference(s), d))
             expected = _long_division(_gl_order_reference(r), centralizer)
             assert expected is not None
-            assert engine._centralizer_index(r, pairs) == expected, pairs
+            assert _centralizer_index(r, pairs) == expected, pairs
             checked += 1
     assert checked == sum(len(enumerate_types(r)) for r in range(1, 11))
 

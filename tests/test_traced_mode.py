@@ -29,8 +29,9 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["poly", "--n", "2", "--k", "2"]),
         cli.main(["verify", "--n", "2", "--k", "2", "--q", "2"]),
         cli.main(["divisibility", "--group", "S3"]),
+        cli.main(["census", "--n", "2", "--q", "2"]),  # poly and verify count without types; the census sieves them
     ]
-assert statuses == [0, 0, 0], statuses
+assert statuses == [0, 0, 0, 0], statuses
 tracer.dump(sys.argv[1])
 """
 
