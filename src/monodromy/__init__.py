@@ -136,7 +136,7 @@ _EXPORTS = {
     "groupdiv": (
         "ClosureBudgetExceeded", "DivisibilityReport", "FiniteGroupTable", "PreconditionViolated",
         "coset_p_power_count", "divisibility_report", "frobenius_count", "group_generate",
-        "hom_count_profinite_abelian", "load_corpus", "matrix_group_table",
+        "hom_count_profinite_abelian", "load_corpus",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -53,7 +53,7 @@ def divisibility(args):
                 all_ok = False
             frob_rows.append({"n": n, "count": count, "divides": divides, "binding": binding})
         sweep = groupdiv.coset_lemma_sweep(table)
-        failures = [c.to_json() for c in sweep if not c.ok]
+        failures = [c.to_json() for c in sweep.failures]
         if failures:
             all_ok = False
         reports = []

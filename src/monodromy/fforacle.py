@@ -262,22 +262,6 @@ def _mat_mul_raw(add_t, mul_t, a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def mat_vec(m: FFMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply the matrix to a column vector."""
-    f = m.field
-    return tuple(
-        _dot(f, row, v)
-        for row in m.entries
-    )
-
-
-def _dot(f: FieldSpec, row, col) -> int:
-    acc = 0
-    for x, y in zip(row, col):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
-
-
 def _rref(f: FieldSpec, rows: list[list[int]]) -> list[int]:
     """Bring the rows to reduced row-echelon form in place; return the pivot columns, one per nonzero row."""
     add_t, mul_t, neg_t = f.add_table, f.mul_table, f.neg_table

@@ -27,13 +27,13 @@ from .commuting import count_commuting_tuples
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .fforacle import FieldSpec
-
 CLOSURE_BUDGET = 10_000
 HOM_GROUP_BUDGET = 2_000
 HOM_RANK_CEILING = 10_000  # largest hom rank k; the tuple count runs k - 1 levels
 SWEEP_GROUP_BUDGET = 720
 CORPUS_DOMAIN_CEILING = 1_000  # most points a corpus group may act on; the packaged corpus needs 12
+# parse_cycles' syntax: a cycle's body is blank or starts with a digit, so a string matches in one way only
+CYCLES_PATTERN = r"(\(\s*(?:[0-9][0-9\s,]*)?\)\s*)+"
 
 
 class ClosureBudgetExceeded(Refusal, RuntimeError):
@@ -60,7 +60,7 @@ def parse_cycles(text: str, domain: int) -> tuple[int, ...]:
     """
     perm = tuple(range(domain))
     body = text.strip()
-    if not re.fullmatch(r"(\(\s*([0-9]+[\s,]*)*\)\s*)+", body):
+    if not re.fullmatch(CYCLES_PATTERN, body):
         raise ValueError(f"bad cycle notation: {text!r}")
     for cycle_text in re.findall(r"\(([^)]*)\)", body):
         points = [int(tok) for tok in re.split(r"[\s,]+", cycle_text.strip()) if tok]
@@ -91,12 +91,6 @@ def _cycles(perm: tuple[int, ...]) -> Iterator[list[int]]:
         yield cycle
 
 
-def cycle_string(perm: tuple[int, ...]) -> str:
-    """Inverse of parse_cycles; fixed points omitted, identity is ``()``."""
-    text = "".join("(" + " ".join(str(pt + 1) for pt in cycle) + ")" for cycle in _cycles(perm))
-    return text or "()"
-
-
 # ---------------------------------------------------------------------------
 # group tables
 
@@ -125,9 +119,6 @@ class FiniteGroupTable:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def index_of(self, perm: tuple[int, ...]) -> int:
-        return self._index[perm]
 
     @functools.cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -219,18 +210,6 @@ def group_generate(gens: Sequence[tuple[int, ...]], name: str = "", budget: int 
                 seen.add(y)
                 order.append(y)
     return FiniteGroupTable(order, name=name)
-
-
-def matrix_group_table(f: FieldSpec, n: int, override_budget: bool = False) -> FiniteGroupTable:
-    """GL_n over a small field as permutations of the nonzero column vectors."""
-    from .fforacle import enumerate_invertible, mat_vec  # here, so that the CLI's group lab never loads the oracle
-
-    vectors = [v for v in itertools.product(range(f.size), repeat=n) if any(v)]
-    vec_index = {v: i for i, v in enumerate(vectors)}
-    perms = []
-    for m in enumerate_invertible(n, f, override_budget=override_budget):
-        perms.append(tuple(vec_index[mat_vec(m, v)] for v in vectors))
-    return FiniteGroupTable(perms, name=f"GL{n}F{f.size}")
 
 
 # ---------------------------------------------------------------------------
@@ -452,38 +431,50 @@ def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], Subgrou
     """Every subgroup, as an index set mapped to its generators and class data, by size then members.
 
     Cyclic subgroups closed under joins, one conjugacy class at a time (the
-    cyclic extension method); a^y means y^-1 a y.  A new class representative
-    H is conjugated by every element y: the images H^y are the class, each
-    kept with the first y that reaches it, and the y fixing H are its
-    normalizer N.  Only representatives are joined with cyclic subgroups,
-    since <H^y, c> = <H, c^(y^-1)>^y and the known set is closed under
-    conjugation; and H is joined with one cyclic subgroup per N-orbit, since
-    <H, c^x> = <H, c>^x for x in N and a new join brings in its whole class.
+    cyclic extension method); a^y means y^-1 a y.  Each element's cyclic
+    subgroup is read off its powers, once for all the generators i^m of it
+    with m prime to the order of i.  A new class representative H has
+    normalizer N, the y conjugating each generator of H into H.  The image
+    H^y depends only on the right coset Ny, so H is conjugated once per
+    coset, by its least element: the images are the class, each kept with
+    the first y that reaches it.  Only representatives are joined with
+    cyclic subgroups, since <H^y, c> = <H, c^(y^-1)>^y and the known set is
+    closed under conjugation; and H is joined with one cyclic subgroup per
+    N-orbit, since <H, c^x> = <H, c>^x for x in N and a new join brings in
+    its whole class.
     """
     if len(table) > SWEEP_GROUP_BUDGET:
         raise BudgetExceeded(f"subgroup sweep on order {len(table)} exceeds {SWEEP_GROUP_BUDGET}")
-    products, columns, inverses = table.products, table.columns, table.inverses
+    products, columns, inverses, identity = table.products, table.columns, table.inverses, table.identity_index
     # conjugators[y][h] indexes y^-1 h y
     conjugators = [tuple(map(columns[y].__getitem__, products[inverses[y]])) for y in range(len(table))]
     known: dict[frozenset[int], SubgroupEntry] = {}
     reps: list[frozenset[int]] = []
 
     def add_class(subgroup: frozenset[int], gens: tuple[int, ...]) -> None:
-        normalizer: list[int] = []
-        members: dict[frozenset[int], int] = {}
+        normalizer = tuple(y for y, conj in enumerate(conjugators) if subgroup.issuperset(map(conj.__getitem__, gens)))
+        known[subgroup] = SubgroupEntry(gens, subgroup, identity, normalizer)
+        reached = set(normalizer)  # the cosets Ny already conjugated by their least element
         for y, conj in enumerate(conjugators):
-            image = frozenset(map(conj.__getitem__, subgroup))
-            if image == subgroup:
-                normalizer.append(y)
-            else:
-                members.setdefault(image, y)
-        fixed = tuple(normalizer)
-        known[subgroup] = SubgroupEntry(gens, subgroup, table.identity_index, fixed)
-        for image, y in members.items():
-            known[image] = SubgroupEntry(tuple(map(conjugators[y].__getitem__, gens)), subgroup, y, fixed)
+            if y not in reached:
+                reached.update(map(columns[y].__getitem__, normalizer))
+                image = frozenset(map(conj.__getitem__, subgroup))
+                known[image] = SubgroupEntry(tuple(map(conj.__getitem__, gens)), subgroup, y, normalizer)
         reps.append(subgroup)
 
-    generated = [table.subgroup_closure([i]) for i in range(len(table))]
+    generated: list[Optional[frozenset[int]]] = [None] * len(table)
+    for i in range(len(table)):
+        if generated[i] is None:
+            powers = [identity]  # i^0, i^1, ..., up to the order of i
+            at = i
+            while at != identity:
+                powers.append(at)
+                at = products[at][i]
+            cyc = frozenset(powers)
+            order = len(powers)
+            for m, power in enumerate(powers):
+                if math.gcd(m, order) == 1:
+                    generated[power] = cyc
     for i, cyc in enumerate(generated):
         if cyc not in known:
             add_class(cyc, (i,))
@@ -525,42 +516,78 @@ class CosetLemmaCheck:
         }
 
 
-def coset_lemma_sweep(table: FiniteGroupTable) -> tuple[CosetLemmaCheck, ...]:
+class CosetSweep:
+    """The checks of ``coset_lemma_sweep``, counted per conjugacy class and built on demand.
+
+    ``len()`` is the number of checks and ``failures`` holds the failing ones;
+    iterating yields every check, in the sweep's order.
+    """
+
+    def __init__(self, table: FiniteGroupTable, subgroups: dict[frozenset[int], SubgroupEntry],
+                 class_checks: dict[frozenset[int], list[tuple[int, int, list[tuple[int, int]]]]]):
+        self._table = table
+        self._subgroups = subgroups
+        self._class_checks = class_checks
+        self._size = sum(
+            len(rep_checks) for entry in subgroups.values() for _, _, rep_checks in class_checks[entry.rep]
+        )
+        failing = {
+            rep for rep, checks in class_checks.items()
+            if any(count % required for _, required, rep_checks in checks for _, count in rep_checks)
+        }
+        self.failures = tuple(
+            check
+            for subgroup, entry in subgroups.items() if entry.rep in failing
+            for check in self._checks(subgroup, entry) if not check.ok
+        )
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[CosetLemmaCheck]:
+        for subgroup, entry in self._subgroups.items():
+            yield from self._checks(subgroup, entry)
+
+    def _checks(self, subgroup: frozenset[int], entry: SubgroupEntry) -> Iterator[CosetLemmaCheck]:
+        """One subgroup's checks: its representative's, with each x replaced by y^-1 x y."""
+        table, order = self._table, len(subgroup)
+        y_inv_times, times_y = table.products[table.inverses[entry.conjugator]], table.columns[entry.conjugator]
+        for p, required, rep_checks in self._class_checks[entry.rep]:
+            for x, count in sorted((times_y[y_inv_times[x]], count) for x, count in rep_checks):
+                yield CosetLemmaCheck(order, p, x, count, required, count % required == 0)
+
+
+def coset_lemma_sweep(table: FiniteGroupTable) -> CosetSweep:
     """Run the coset count over every (subgroup, normalizing p-power element, p).
 
     Covers each subgroup H of the group, each prime p dividing |G|, and each
     element x of the normalizer of H whose order is a power of p; checks are
-    ordered by subgroup (size, then members), then p, then x.  The counts are
-    taken once per conjugacy class, on the representative H read off
+    ordered by subgroup (size, then members), then p, then x.  Everything is
+    done once per conjugacy class, on the representative H read off
     ``enumerate_subgroups``: a member y^-1 H y has normalizer y^-1 N_G(H) y,
     and its coset by y^-1 x y holds the conjugates of the p-power-order
-    elements of Hx, so it reports the representative's checks with each x
-    replaced by y^-1 x y.
+    elements of Hx, so it has the representative's checks with each x
+    replaced by y^-1 x y.  The class thus adds |class| times the
+    representative's checks to ``len()``, and a ``CosetLemmaCheck`` is built
+    only when the result is iterated, or for ``failures`` in a class whose
+    representative has a failing check.
     """
     subgroups = enumerate_subgroups(table)  # refuses past the ceiling before the Cayley table is built
-    products, columns, inverses = table.products, table.columns, table.inverses
+    columns = table.columns
     primes = _prime_factors(len(table))
     # p_power[p][i]: whether element i has p-power order (1 counts)
     p_power = {p: [_is_prime_power_or_one(order, p) for order in table.orders] for p in primes}
-    class_checks: dict[frozenset[int], list[tuple[int, int, list[tuple[int, int]]]]] = {}
-    results = []
-    for subgroup, entry in subgroups.items():
-        rep = entry.rep
-        checks = class_checks.get(rep)
-        if checks is None:
-            # the coset Hx is columns[x][h] over h in H; its p-power elements are counted at C level
-            checks = class_checks[rep] = [
-                (p, p ** _valuation(len(rep), p),
-                 [(x, sum(map(p_power[p].__getitem__, map(columns[x].__getitem__, rep))))
-                  for x in entry.normalizer if p_power[p][x]])
-                for p in primes
-            ]
-        order = len(subgroup)
-        y_inv_times, times_y = products[inverses[entry.conjugator]], columns[entry.conjugator]
-        for p, required, rep_checks in checks:
-            for x, count in sorted((times_y[y_inv_times[x]], count) for x, count in rep_checks):
-                results.append(CosetLemmaCheck(order, p, x, count, required, count % required == 0))
-    return tuple(results)
+    # the coset Hx is columns[x][h] over h in H; its p-power elements are counted at C level
+    class_checks = {
+        entry.rep: [
+            (p, p ** _valuation(len(entry.rep), p),
+             [(x, sum(map(p_power[p].__getitem__, map(columns[x].__getitem__, entry.rep))))
+              for x in entry.normalizer if p_power[p][x]])
+            for p in primes
+        ]
+        for subgroup, entry in subgroups.items() if subgroup == entry.rep
+    }
+    return CosetSweep(table, subgroups, class_checks)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,11 @@ from monodromy.groupdiv import (
     frobenius_count,
     hom_count_profinite_abelian,
     load_corpus,
-    matrix_group_table,
 )
 from monodromy.rational import count_monic_with_type, gl_order, total_monic_count
 from monodromy.typecomb import enumerate_types
+
+from matrix_groups import matrix_group_table
 
 Q = UnivariatePoly.variable()
 

@@ -271,6 +271,37 @@ def test_divisibility_rank_ceiling_exit_two():
     assert proc.stderr == "error: hom rank 1000000000 exceeds the ceiling 10000\n"
 
 
+def test_divisibility_long_malformed_cycle_exits_two_at_once(tmp_path):
+    # a pattern that can split the run of 40 digits in 2^39 ways would not refuse it within the timeout
+    digits = "1" * 40
+    corpus = tmp_path / "long.txt"
+    corpus.write_text(f"G 5 ({digits}x)\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "monodromy.cli", "divisibility", "--corpus", str(corpus)],
+        env=env, capture_output=True, text=True, timeout=2,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {corpus}: corpus line 1: bad cycle notation: '({digits}x)'\n"
+
+
+def test_passing_divisibility_builds_no_coset_check(capsys, monkeypatch):
+    built = []
+    check_class = groupdiv.CosetLemmaCheck
+
+    def counted(*args):
+        built.append(args)
+        return check_class(*args)
+
+    monkeypatch.setattr(groupdiv, "CosetLemmaCheck", counted)
+    status, out, _ = run(capsys, "divisibility", "--format", "json")
+    assert status == 0 and json.loads(out)["allOk"]
+    assert built == []
+    # the sweep does build its checks through the patched name once iterated
+    sweep = groupdiv.coset_lemma_sweep(next(t for t in groupdiv.load_corpus() if t.name == "S4"))
+    assert len(list(sweep)) == len(built) == len(sweep) > 0
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_group_lab_requests_match_benchmark_goldens(capsys, monkeypatch, tmp_path, seed):
     # the benchmark's group-lab pass for this seed: the packaged corpus and the relabelled generated one

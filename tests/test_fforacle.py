@@ -26,12 +26,13 @@ from monodromy.fforacle import (
     field_params,
     gl_order_int,
     is_semisimple,
-    mat_vec,
     poly_type_census,
 )
 from monodromy.groupdiv import compose_perms, group_generate, parse_cycles
 from monodromy.rational import count_monic_with_type, total_monic_count
 from monodromy.typecomb import FactorizationType, enumerate_types
+
+from matrix_groups import mat_vec
 
 
 def test_field_make_supported():

@@ -1,18 +1,22 @@
 """Permutation groups, Frobenius counts, coset counts, and hom divisibility."""
 
+import hashlib
 import importlib
 import itertools
+import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from monodromy import decimal_str
+from monodromy import cli, decimal_str, groupdiv
 from monodromy.fforacle import MODE_ALL_SEMISIMPLE, brute_hom_count, field_make
 from monodromy.groupdiv import (
     CORPUS_DOMAIN_CEILING,
+    CYCLES_PATTERN,
     HOM_RANK_CEILING,
     BudgetExceeded,
     ClosureBudgetExceeded,
@@ -20,6 +24,7 @@ from monodromy.groupdiv import (
     FiniteGroupTable,
     PreconditionViolated,
     _coset_count,
+    _cycles,
     _is_prime,
     _is_prime_power_or_one,
     _normalizes,
@@ -27,23 +32,33 @@ from monodromy.groupdiv import (
     compose_perms,
     coset_lemma_sweep,
     coset_p_power_count,
-    cycle_string,
     divisibility_report,
     enumerate_subgroups,
     frobenius_count,
     group_generate,
     hom_count_profinite_abelian,
     load_corpus,
-    matrix_group_table,
     parse_corpus,
     parse_cycles,
 )
+
+from matrix_groups import matrix_group_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def make(name, domain, *cycle_texts):
     return group_generate([parse_cycles(t, domain) for t in cycle_texts], name=name)
+
+
+def index_of(table, perm):
+    return table.elements.index(perm)
+
+
+def cycle_string(perm):
+    """Inverse of parse_cycles; fixed points omitted, identity is ``()``."""
+    text = "".join("(" + " ".join(str(pt + 1) for pt in cycle) + ")" for cycle in _cycles(perm))
+    return text or "()"
 
 
 def s3():
@@ -80,6 +95,22 @@ def test_cycle_string_round_trip():
         assert parse_cycles(cycle_string(perm), domain) == perm
     assert cycle_string((0, 1, 2)) == "()"
     assert cycle_string(parse_cycles("(1 2 3)", 5)) == "(1 2 3)"
+
+
+# the pattern parse_cycles used before: it can split a run of n digits in 2^(n-1) ways before it fails
+OLD_CYCLES_PATTERN = r"(\(\s*([0-9]+[\s,]*)*\)\s*)+"
+
+
+def test_cycles_pattern_accepts_what_the_old_one_did():
+    old, new = re.compile(OLD_CYCLES_PATTERN), re.compile(CYCLES_PATTERN)
+    accepted = 0
+    for length in range(7):  # every string of up to 6 of these characters, tab included
+        for chars in itertools.product("( )1,2x\t", repeat=length):
+            text = "".join(chars)
+            verdict = new.fullmatch(text) is not None
+            assert verdict == (old.fullmatch(text) is not None), repr(text)
+            accepted += verdict
+    assert accepted > 1000
 
 
 def test_group_table_validation():
@@ -163,8 +194,8 @@ def test_frobenius_all_corpus_divisors():
 
 def test_coset_p_power_count_a3():
     g = s3()
-    rot = g.index_of(parse_cycles("(1 2 3)", 3))
-    flip = g.index_of(parse_cycles("(1 2)", 3))
+    rot = index_of(g, parse_cycles("(1 2 3)", 3))
+    flip = index_of(g, parse_cycles("(1 2)", 3))
     # coset A3*(1 2) is the three transpositions, all of 2-power order;
     # the 2-part of |A3| = 3 is 1, so the verdict is trivially true
     assert coset_p_power_count(g, [rot], flip, 2) == (3, True)
@@ -174,9 +205,9 @@ def test_coset_p_power_count_a3():
 
 def test_coset_p_power_count_klein_four():
     g = s4()
-    v1 = g.index_of(parse_cycles("(1 2)(3 4)", 4))
-    v2 = g.index_of(parse_cycles("(1 3)(2 4)", 4))
-    x = g.index_of(parse_cycles("(1 2)", 4))
+    v1 = index_of(g, parse_cycles("(1 2)(3 4)", 4))
+    v2 = index_of(g, parse_cycles("(1 3)(2 4)", 4))
+    x = index_of(g, parse_cycles("(1 2)", 4))
     # the Klein four subgroup is normal; its coset by a transposition holds
     # four 2-power-order elements, divisible by |V| = 4
     assert coset_p_power_count(g, [v1, v2], x, 2) == (4, True)
@@ -184,14 +215,14 @@ def test_coset_p_power_count_klein_four():
 
 def test_coset_p_power_count_preconditions():
     g = s3()
-    rot = g.index_of(parse_cycles("(1 2 3)", 3))
-    flip = g.index_of(parse_cycles("(1 2)", 3))
+    rot = index_of(g, parse_cycles("(1 2 3)", 3))
+    flip = index_of(g, parse_cycles("(1 2)", 3))
     with pytest.raises(PreconditionViolated):
         coset_p_power_count(g, [rot], flip, 4)  # not a prime
     with pytest.raises(PreconditionViolated):
         coset_p_power_count(g, [rot], rot, 2)  # x has order 3
     with pytest.raises(PreconditionViolated):
-        coset_p_power_count(g, [flip], g.index_of(parse_cycles("(1 3)", 3)), 2)  # no normalization
+        coset_p_power_count(g, [flip], index_of(g, parse_cycles("(1 3)", 3)), 2)  # no normalization
 
 
 def test_coset_lemma_sweep_s3():
@@ -404,9 +435,16 @@ def _reference_sweep(table):
     return tuple(results)
 
 
+def _assert_sweep_matches_reference(table):
+    sweep, reference = coset_lemma_sweep(table), _reference_sweep(table)
+    assert tuple(sweep) == reference, table.name
+    assert len(sweep) == len(reference), table.name
+    assert sweep.failures == tuple(c for c in reference if not c.ok), table.name
+
+
 def test_coset_lemma_sweep_matches_reference_sweep():
     for table in (*_sweep_tables(), _a6()):
-        assert coset_lemma_sweep(table) == _reference_sweep(table), table.name
+        _assert_sweep_matches_reference(table)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -415,7 +453,55 @@ def test_coset_lemma_sweep_matches_reference_on_relabelled_corpus(monkeypatch, s
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     for table in parse_corpus(workloads.corpus_text(random.Random(seed))):
-        assert coset_lemma_sweep(table) == _reference_sweep(table), table.name
+        _assert_sweep_matches_reference(table)
+
+
+def test_sweep_failures_are_the_failing_checks(monkeypatch, capsys):
+    # no corpus group fails a coset check, so one power of 3 is added to every 3-part the checks require
+    valuation = groupdiv._valuation
+    monkeypatch.setattr(groupdiv, "_valuation", lambda n, p: valuation(n, p) + (p == 3))
+    for table in (s4(), _closure_table("GL2F3"), _closure_table("D12")):
+        sweep = coset_lemma_sweep(table)
+        failing = tuple(c for c in sweep if not c.ok)
+        assert 0 < len(failing) < len(sweep), table.name
+        assert sweep.failures == failing, table.name
+        _assert_sweep_matches_reference(table)
+    assert cli.main(["divisibility", "--group", "S4", "--format", "json"]) == 1
+    (group,) = json.loads(capsys.readouterr().out)["groups"]
+    assert group["cosetLemma"]["failures"] == [c.to_json() for c in coset_lemma_sweep(s4()).failures]
+
+
+# sha256 of every enumerate_subgroups dict (keys, gens, rep, conjugator, normalizer), recorded when each
+# class representative was still conjugated by every element of the group
+SUBGROUP_DIGESTS = {
+    "S3": "61c371b820c5b31188260fa6592070860ecff8033ffb786415ac8b9f185457a8",
+    "S4": "2a1c46dbb0a3ea23f55b89348d022054f16ccdb2dc7496cf7cd5e6a5787c2beb",
+    "A4": "f23f4ccff3a06214dcc266dc99c0f569fd482441a40dd4cbde9645f0e015e0fb",
+    "D4": "8649b9301992854f91e61ecad7b0a5a83b5d310996787e84ad1f35b542e0b466",
+    "Q8": "e991f94f2fe7ec0ed180052d5fd9529b636ab02a34cdd4d71a6e4ecb6076bf60",
+    "C6": "893932075d8a2c5299f495dde2ad381ad8fbecff972bba61597711a8421ac9e9",
+    "C8": "d780246153664203864e2c6820f07bbc5afbe43f39465c11e8c07b82d9505dba",
+    "C9": "bd8aa7d79ed5c233a56139ccb7b717dd9c7152704decd0f9ff0ad8c54809fcbe",
+    "C12": "50de4720f3cd3ffa478b19fa4b156b7447abb8e957bbdde12143146a48310d32",
+    "GL2F3": "6ad9533c6e3924cea4c27e1359a6998ad69eac37ea0aec16f8f15ff9a1b8d3b9",
+    "S5": "aed11b80e7d5b1c606f904c412bebf18309f93bbca523a0dad73bf30ec423f95",
+    "A5": "fb404bedf9a1e6ebb433c85f57cc270bc03615f2f0724e3a74b156867bfbce40",
+    "D12": "94b89bbeea7f3ba1a2d889578f71df9a682a4b43cd75f091792fab27cbd0972b",
+    "A6": "9cc3879c0d73e3e791ac151acbfce34877fc1c09476eb87ceaf6af34cb03cc4a",
+    "S6": "a1816d7825ad3995290eba4ed761d2ebe3915defa977ab2ae8da0a52c64abe98",
+}
+
+
+def test_enumerate_subgroups_digests_are_pinned():
+    tables = (*load_corpus(), *(_closure_table(name) for name in GENERATED), *parse_corpus(A6_CORPUS + S6_CORPUS))
+    digests = {}
+    for table in tables:
+        h = hashlib.sha256()
+        for subgroup, entry in enumerate_subgroups(table).items():
+            fields = (sorted(subgroup), entry.gens, sorted(entry.rep), entry.conjugator, entry.normalizer)
+            h.update(repr(fields).encode())
+        digests[table.name] = h.hexdigest()
+    assert digests == SUBGROUP_DIGESTS
 
 
 @pytest.mark.parametrize("name", ["S4", "GL2F3", "D12"])
@@ -439,7 +525,7 @@ def test_normalizers_read_off_class_construction(name):
 def test_products_match_compose_perms(name):
     table = next(t for t in _sweep_tables() if t.name == name)
     elems = table.elements
-    assert table.products == tuple(tuple(table.index_of(compose_perms(a, b)) for b in elems) for a in elems)
+    assert table.products == tuple(tuple(index_of(table, compose_perms(a, b)) for b in elems) for a in elems)
     assert table.columns == tuple(zip(*table.products))
 
 
