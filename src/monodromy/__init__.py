@@ -130,7 +130,7 @@ _EXPORTS = {
         "ss_weight", "to_laurent",
     ),
     "fforacle": (
-        "CensusRecord", "FFMatrix", "FieldSpec", "UnsupportedField", "brute_conj_count",
+        "CensusRecord", "FieldSpec", "UnsupportedField", "brute_conj_count",
         "brute_hom_count", "enumerate_invertible", "field_make", "is_semisimple", "poly_type_census",
     ),
     "groupdiv": (

@@ -68,6 +68,7 @@ def poly(args):
     from . import engine
     n, k, flag = resolve_shape(args)
     check_size_ceiling(n, k, args.budget_override)
+    qs = parse_q_list(args.q) if args.q else ()  # refuses a bad --q before the count, as ``verify`` does
     cp = count_for(n, k, flag)
     doc = {
         "command": "poly",
@@ -85,8 +86,8 @@ def poly(args):
         quotient = engine.check_laurent_quotient(cp)
         doc["checks"]["laurentQuotient"] = quotient.to_json()
         doc["checks"]["laurentHuman"] = str(quotient)
-    if args.q:
-        doc["values"] = {str(q): decimal_str(cp.evaluate(q)) for q in parse_q_list(args.q)}
+    if qs:
+        doc["values"] = {str(q): decimal_str(cp.evaluate(q)) for q in qs}
 
     def lines(d):
         yield f"count of {d['mode']} tuples, n={d['n']}, k={d['k']}"

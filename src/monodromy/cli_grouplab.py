@@ -39,6 +39,8 @@ def divisibility(args):
     if any(k < 1 for k in ks):
         raise Refusal("--k must be >= 1")
     prime_sets = _parse_prime_sets(args.S)
+    for k in ks:  # before any group's Frobenius counts and coset sweep
+        groupdiv.check_hom_rank(k)
     group_docs = []
     all_ok = True
     for table in groups:

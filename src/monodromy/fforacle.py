@@ -16,6 +16,12 @@ tuples are counted once per distinct centralizer set (``commuting``).  The
 point is to be an independent check on the polynomial engine, so nothing
 is shared with it beyond the factorization-type vocabulary.
 
+A matrix has one form throughout: a flat row-major tuple of its n^2
+field-element codes.  ``enumerate_invertible`` yields it, the element
+index is keyed by it, and ``_span``, ``_algebra_key`` and
+``_commutant_basis`` read and build it.  ``is_semisimple`` is the one entry
+that takes a matrix from a caller, so it alone checks the length and codes.
+
 A matrix is semisimple here when its order is prime to p, the
 characteristic: ``is_semisimple`` tests m^(r+1) == m, with r the lcm of
 q^i - 1 for i <= n, which every semisimple order divides.  X is semisimple
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 from . import BudgetExceeded, Refusal, record
 from .commuting import count_commuting_tuples
@@ -229,36 +235,20 @@ def _fq_mul(add_t, mul_t, a, b) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# matrices: flat row-major tuples of n^2 field-element codes
 
 
-@record
-class FFMatrix:
-    """Square matrix over a FieldSpec; entries are field-element encodings."""
-
-    field: FieldSpec
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
-            raise ValueError(f"entries are not {self.n}x{self.n}")
-        size = self.field.size
-        if any(not 0 <= v < size for row in self.entries for v in row):
-            raise ValueError("entry out of range for the field")
-
-
-def _mat_mul_raw(add_t, mul_t, a, b) -> tuple[tuple[int, ...], ...]:
-    cols = tuple(zip(*b))
+def _mat_mul_raw(add_t, mul_t, a, b) -> tuple[int, ...]:
+    n = isqrt(len(a))
+    cols = [b[j::n] for j in range(n)]
     out = []
-    for row in a:
-        orow = []
+    for i in range(0, n * n, n):
+        row = a[i:i + n]
         for col in cols:
             acc = 0
             for x, y in zip(row, col):
                 acc = add_t[acc][mul_t[x][y]]
-            orow.append(acc)
-        out.append(tuple(orow))
+            out.append(acc)
     return tuple(out)
 
 
@@ -298,32 +288,35 @@ def _span(f: FieldSpec, basis) -> list[tuple[int, ...]]:
 
 
 def enumerate_invertible(n: int, f: FieldSpec, override_budget: bool = False):
-    """Stream every invertible n x n matrix, deterministically.
+    """Stream every invertible n x n matrix as a flat row-major tuple of n^2 codes, deterministically.
 
     Each matrix is built row by row: the next row is every vector, in
     ``itertools.product`` order, outside the span of the rows chosen so far.
-    So the stream has exactly |GL_n(F_q)| entries, in lexicographic order of
-    the rows, and no singular candidate is ever formed.
+    So the stream has exactly |GL_n(F_q)| entries, in lexicographic order,
+    and no singular candidate is ever formed.
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
     check_gl_budget(f.size, n, override_budget)
     vectors = tuple(itertools.product(range(f.size), repeat=n))
 
-    def extend(rows: tuple):
-        if len(rows) == n:
-            yield FFMatrix(f, n, rows)
+    def extend(prefix: tuple):
+        if len(prefix) == n * n:
+            yield prefix
             return
-        span = set(_span(f, rows)) if rows else {vectors[0]}
+        span = set(_span(f, [prefix[i:i + n] for i in range(0, len(prefix), n)])) if prefix else {vectors[0]}
         for v in vectors:
             if v not in span:
-                yield from extend(rows + (v,))
+                yield from extend(prefix + v)
 
     return extend(())
 
 
-def is_semisimple(m: FFMatrix) -> bool:
-    """Order prime to p, tested as m^(r+1) == m with r = lcm(q - 1, q^2 - 1, ..., q^n - 1).
+def is_semisimple(f: FieldSpec, m) -> bool:
+    """Whether the flat row-major matrix m over f has order prime to p: m^(r+1) == m, r = lcm(q^i - 1, i <= n).
+
+    m is any sequence of n^2 field-element codes, n >= 1; a length that is
+    not a positive square, or a code outside 0 .. q - 1, raises ValueError.
 
     For invertible m the test says that the order of m divides r, which is
     prime to p.  An element of GL_n(F_q) has order prime to p exactly when
@@ -333,17 +326,22 @@ def is_semisimple(m: FFMatrix) -> bool:
     decomposition); a nilpotent N has N^(r+1) == N only when N == 0, so the
     test decides semisimplicity on every square matrix over the field.
     """
-    f = m.field
+    m = tuple(m)
+    n = isqrt(len(m))
+    if not m or n * n != len(m):
+        raise ValueError(f"{len(m)} entries do not make a square matrix")
+    if any(not 0 <= v < f.size for v in m):
+        raise ValueError("entry out of range for the field")
     add_t, mul_t = f.add_table, f.mul_table
-    r = lcm(*(f.size**i - 1 for i in range(1, m.n + 1)))
-    power = base = m.entries
+    r = lcm(*(f.size**i - 1 for i in range(1, n + 1)))
+    power = base = m
     while r:  # square-and-multiply: power runs from m^1 up to m^(r+1)
         if r & 1:
             power = _mat_mul_raw(add_t, mul_t, power, base)
         r >>= 1
         if r:
             base = _mat_mul_raw(add_t, mul_t, base, base)
-    return power == m.entries
+    return power == m
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +351,25 @@ MODE_ALL_SEMISIMPLE = "all-semisimple"
 MODE_LAST_FREE = "last-free"
 
 
-def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of ker(Y -> XY - YX) in M_n(F_q), matrices flattened row-major.
+def _commutant_basis(f: FieldSpec, x: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of ker(Y -> XY - YX) in M_n(F_q), as flat matrices.
 
     Gaussian elimination brings the n^2 x n^2 system to reduced row-echelon
     form; each free coordinate gives one basis vector.  Equal kernels give
     equal bases, so the result can key a memo.
     """
     add_t, neg_t = f.add_table, f.neg_table
-    n = len(x)
-    size = n * n
+    size = len(x)
+    n = isqrt(size)
     rows = []
     for i in range(n):
         for j in range(n):
             # (XY - YX)_ij = sum_a X_ia Y_aj - sum_b Y_ib X_bj
             row = [0] * size
             for a in range(n):
-                row[a * n + j] = x[i][a]
+                row[a * n + j] = x[i * n + a]
             for b in range(n):
-                row[i * n + b] = add_t[row[i * n + b]][neg_t[x[b][j]]]
+                row[i * n + b] = add_t[row[i * n + b]][neg_t[x[b * n + j]]]
             rows.append(row)
     pivots = _rref(f, rows)
     basis = []
@@ -384,18 +382,18 @@ def _commutant_basis(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tupl
     return tuple(basis)
 
 
-def _algebra_key(f: FieldSpec, x: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of F_q[X]: the nonzero reduced-echelon rows of I, X, ..., X^(n-1), flattened row-major.
+def _algebra_key(f: FieldSpec, x: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of F_q[X]: the nonzero reduced-echelon rows of the flat I, X, ..., X^(n-1).
 
     By Cayley-Hamilton these powers span F_q[X].  The bicommutant of X is
     F_q[X], so two elements have the same commutant exactly when they have
     the same key; when the key has n rows, F_q[X] is that commutant.
     """
-    n = len(x)
-    powers = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), x]
+    n = isqrt(len(x))
+    powers = [tuple(int(i % (n + 1) == 0) for i in range(n * n)), x]
     while len(powers) < n:
         powers.append(_mat_mul_raw(f.add_table, f.mul_table, powers[-1], x))
-    rows = [list(itertools.chain.from_iterable(m)) for m in powers[:n]]
+    rows = [list(m) for m in powers[:n]]
     return tuple(map(tuple, rows[:len(_rref(f, rows))]))
 
 
@@ -415,8 +413,9 @@ class _GroupContext:
 
     def __init__(self, f: FieldSpec, n: int):
         self.field = f
-        self.mats = tuple(m.entries for m in enumerate_invertible(n, f, override_budget=True))
-        self._index = {tuple(itertools.chain.from_iterable(m)): i for i, m in enumerate(self.mats)}
+        self.n = n
+        self.mats = tuple(enumerate_invertible(n, f, override_budget=True))
+        self._index = {m: i for i, m in enumerate(self.mats)}
         self._algebra_ids: list = [None] * len(self.mats)
         self._firsts: list[int] = []  # first element of each algebra, in id order
         self._own_centralizers: dict[int, frozenset] = {}  # id -> A^x, for the algebras of dimension n
@@ -425,7 +424,7 @@ class _GroupContext:
             if self._algebra_ids[first] is None:
                 keys[first] = keys.get(first) or _algebra_key(f, x)
                 self._claim_generators(first, keys)
-        flags = [is_semisimple(FFMatrix(f, n, self.mats[i])) for i in self._firsts]
+        flags = [is_semisimple(f, self.mats[i]) for i in self._firsts]
         self.ss_set = frozenset(i for i, c in enumerate(self._algebra_ids) if flags[c])
         self._centralizers: tuple[frozenset, ...] | None = None
 
@@ -446,7 +445,7 @@ class _GroupContext:
         A is its own commutant, and its invertible part is kept as the
         centralizer of every element that generates it.
         """
-        f, n, ids, index = self.field, len(self.mats[0]), self._algebra_ids, self._index
+        f, n, ids, index = self.field, self.n, self._algebra_ids, self._index
         add_t, mul_t = f.add_table, f.mul_table
         c = len(self._firsts)
         self._firsts.append(first)
@@ -477,7 +476,7 @@ class _GroupContext:
                 direction = tuple(lead[v] for v in t)
                 sub = next((keys[i] for i in found if i in keys), None) or by_direction.get(direction)
                 if sub is None:
-                    sub = _algebra_key(f, tuple(t[r:r + n] for r in range(0, n * n, n)))
+                    sub = _algebra_key(f, t)
                 by_direction[direction] = sub
                 generates = len(sub) == dim
                 if not generates:

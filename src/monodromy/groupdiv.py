@@ -324,6 +324,12 @@ def _coset_count(table: FiniteGroupTable, subgroup: frozenset[int], x: int, p: i
     return count, p ** _valuation(len(subgroup), p)
 
 
+def check_hom_rank(k: int) -> None:
+    """Refuse a hom rank past HOM_RANK_CEILING; the front end calls it before any group is swept."""
+    if k > HOM_RANK_CEILING:
+        raise BudgetExceeded(f"hom rank {decimal_str(k)} exceeds the ceiling {HOM_RANK_CEILING}")
+
+
 def hom_count_profinite_abelian(table: FiniteGroupTable, k: int, primes: Iterable[int]) -> int:
     """Commuting k-tuples whose element orders avoid every prime in the set.
 
@@ -332,8 +338,7 @@ def hom_count_profinite_abelian(table: FiniteGroupTable, k: int, primes: Iterabl
     """
     if k < 1:
         raise ValueError("rank must be >= 1")
-    if k > HOM_RANK_CEILING:
-        raise BudgetExceeded(f"hom rank {decimal_str(k)} exceeds the ceiling {HOM_RANK_CEILING}")
+    check_hom_rank(k)
     prime_set = frozenset(primes)
     if any(not _is_prime(p) for p in prime_set):
         raise ValueError(f"prime set {sorted(prime_set)} contains a non-prime")

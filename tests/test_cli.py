@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from monodromy import Refusal, cli, cli_oracle, decimal_str, engine, fforacle, groupdiv
+from monodromy import Refusal, cli, cli_engine, cli_oracle, decimal_str, engine, fforacle, groupdiv
 from monodromy.exactpoly import UnivariatePoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -235,6 +235,20 @@ def test_usage_errors_exit_two(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("q,message", [
+    ("1", "--q needs integers >= 2, got '1'"),
+    ("2,x", "bad --q list '2,x'"),
+    (",", "--q needs integers >= 2, got ','"),
+], ids=["below-two", "not-an-int", "empty"])
+def test_poly_bad_q_refused_before_the_count(capsys, monkeypatch, q, message):
+    def must_not_count(*args, **kwargs):
+        raise AssertionError("the count ran before --q was checked")
+
+    monkeypatch.setattr(cli_engine, "count_for", must_not_count)
+    status, out, err = run(capsys, "poly", "--n", "24", "--k", "2", "--budget-override", "--q", q)
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_size_ceiling_and_override(capsys):
     status, _, err = run(capsys, "poly", "--n", "7", "--k", "2")
     assert status == 2 and "budget-override" in err
@@ -269,6 +283,20 @@ def test_divisibility_rank_ceiling_exit_two():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: hom rank 1000000000 exceeds the ceiling 10000\n"
+
+
+@pytest.mark.parametrize("k", ["10001", "1000000000"])
+def test_divisibility_rank_refused_before_any_group_work(capsys, monkeypatch, tmp_path, k):
+    # S6 first: its Frobenius counts and coset sweep would run before its hom count
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("group work started before the hom rank was checked")
+
+    monkeypatch.setattr(groupdiv, "coset_lemma_sweep", must_not_run)
+    monkeypatch.setattr(groupdiv, "frobenius_count", must_not_run)
+    corpus = tmp_path / "s6.txt"
+    corpus.write_text("S6 6 (1 2); (1 2 3 4 5 6)\nC2 2 (1 2)\n", encoding="utf-8")
+    status, out, err = run(capsys, "divisibility", "--corpus", str(corpus), "--k", k)
+    assert (status, out, err) == (2, "", f"error: hom rank {k} exceeds the ceiling 10000\n")
 
 
 def test_divisibility_long_malformed_cycle_exits_two_at_once(tmp_path):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import os
 import random
 
@@ -15,7 +16,6 @@ from monodromy.fforacle import (
     MODE_LAST_FREE,
     BudgetExceeded,
     CensusRecord,
-    FFMatrix,
     FieldSpec,
     UnsupportedField,
     brute_conj_count,
@@ -151,11 +151,10 @@ def test_gl_order_int():
     assert gl_order_int(2, 3) == 168
 
 
-def _reference_det(m):
-    """Determinant by elimination over the field tables, kept as an independent invertibility test."""
-    f = m.field
-    a = [list(row) for row in m.entries]
-    n = len(a)
+def _reference_det(f, m):
+    """Determinant of a flat matrix by elimination over the field tables, kept as an independent invertibility test."""
+    n = math.isqrt(len(m))
+    a = [list(m[i:i + n]) for i in range(0, n * n, n)]
     det = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
@@ -181,9 +180,10 @@ def test_enumerate_invertible_count(p, e, n):
     f = field_make(p, e)
     mats = list(enumerate_invertible(n, f))
     assert len(mats) == gl_order_int(f.size, n)
-    assert len({m.entries for m in mats}) == len(mats)
+    assert all(isinstance(m, tuple) and len(m) == n * n for m in mats)
+    assert len(set(mats)) == len(mats)
     for m in mats[:20]:
-        assert _reference_det(m) != 0
+        assert _reference_det(f, m) != 0
 
 
 def test_enumerate_invertible_budget():
@@ -208,14 +208,11 @@ def test_enumerate_invertible_budget():
 @pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (7, 1, 2)])
 def test_enumerate_invertible_is_lexicographic(p, e, n):
     # rows built outside the span of the rows before give exactly the
-    # nonzero-determinant row tuples in itertools.product order, so indices
-    # into the stream are stable
+    # nonzero-determinant flat matrices in itertools.product order, so
+    # indices into the stream are stable
     f = field_make(p, e)
-    vectors = list(itertools.product(range(f.size), repeat=n))
-    expected = [
-        rows for rows in itertools.product(vectors, repeat=n) if _reference_det(FFMatrix(f, n, rows))
-    ]
-    assert [m.entries for m in enumerate_invertible(n, f)] == expected
+    expected = [m for m in itertools.product(range(f.size), repeat=n * n) if _reference_det(f, m)]
+    assert list(enumerate_invertible(n, f)) == expected
 
 
 def test_field_of_size():
@@ -229,70 +226,82 @@ def test_field_of_size():
         field_make(*field_params(16))
 
 
-# Matrix helpers only the tests use: the oracle itself multiplies raw entry
-# tuples (``_mat_mul_raw``) and never inverts.
+# Matrix helpers only the tests use, on the oracle's flat row-major tuples:
+# the oracle itself multiplies with ``_mat_mul_raw`` and never inverts.
 
 
-def identity_matrix(f: FieldSpec, n: int) -> FFMatrix:
-    return FFMatrix(f, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+def identity_matrix(n: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for i in range(n) for j in range(n))
 
 
-def mat_mul(a: FFMatrix, b: FFMatrix) -> FFMatrix:
-    if a.field != b.field or a.n != b.n:
-        raise ValueError("matrix shapes or fields differ")
-    return FFMatrix(a.field, a.n, fforacle._mat_mul_raw(a.field.add_table, a.field.mul_table, a.entries, b.entries))
+def mat_mul(f: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if len(a) != len(b):
+        raise ValueError("matrix shapes differ")
+    return fforacle._mat_mul_raw(f.add_table, f.mul_table, a, b)
 
 
-def mat_inv(m: FFMatrix) -> FFMatrix:
+def mat_inv(f: FieldSpec, m: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse by reducing [M | I]; M is singular exactly when the pivots are not 0 .. n-1."""
-    f, n = m.field, m.n
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    n = math.isqrt(len(m))
+    rows = [list(m[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
     if fforacle._rref(f, rows) != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return FFMatrix(f, n, tuple(tuple(row[n:]) for row in rows))
+    return tuple(v for row in rows for v in row[n:])
 
 
 def test_mat_inverse_round_trip():
     f = field_make(3, 1)
     rng = random.Random(11)
-    ident = identity_matrix(f, 3)
+    ident = identity_matrix(3)
     found = 0
     while found < 10:
-        entries = tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3))
-        m = FFMatrix(f, 3, entries)
-        if _reference_det(m) == 0:
+        m = tuple(rng.randrange(3) for _ in range(9))
+        if _reference_det(f, m) == 0:
             continue
         found += 1
-        assert mat_mul(m, mat_inv(m)) == ident
-        assert mat_mul(mat_inv(m), m) == ident
-    singular = FFMatrix(f, 2, ((1, 2), (2, 1)))  # det = 1 - 4 = 0 mod 3
-    assert _reference_det(singular) == 0
+        assert mat_mul(f, m, mat_inv(f, m)) == ident
+        assert mat_mul(f, mat_inv(f, m), m) == ident
+    singular = (1, 2, 2, 1)  # det = 1 - 4 = 0 mod 3
+    assert _reference_det(f, singular) == 0
     with pytest.raises(ZeroDivisionError):
-        mat_inv(singular)
+        mat_inv(f, singular)
+    with pytest.raises(ValueError):
+        mat_mul(f, singular, ident)
 
 
 def test_mat_vec():
     f = field_make(2, 1)
-    m = FFMatrix(f, 2, ((1, 1), (0, 1)))
-    assert mat_vec(m, (1, 1)) == (0, 1)
-    assert mat_vec(identity_matrix(f, 2), (1, 0)) == (1, 0)
+    assert mat_vec(f, (1, 1, 0, 1), (1, 1)) == (0, 1)
+    assert mat_vec(f, identity_matrix(2), (1, 0)) == (1, 0)
 
 
 def test_is_semisimple_cases():
     f2 = field_make(2, 1)
-    assert is_semisimple(identity_matrix(f2, 2))
-    assert not is_semisimple(FFMatrix(f2, 2, ((1, 1), (0, 1))))
-    assert is_semisimple(FFMatrix(f2, 2, ((0, 1), (1, 1))))
+    assert is_semisimple(f2, identity_matrix(2))
+    assert not is_semisimple(f2, (1, 1, 0, 1))
+    assert is_semisimple(f2, (0, 1, 1, 1))
     f3 = field_make(3, 1)
     # distinct eigenvalues 1, 2
-    assert is_semisimple(FFMatrix(f3, 2, ((1, 0), (0, 2))))
-    assert not is_semisimple(FFMatrix(f3, 2, ((1, 1), (0, 1))))
+    assert is_semisimple(f3, (1, 0, 0, 2))
+    assert not is_semisimple(f3, (1, 1, 0, 1))
     # singular 3x3 matrices: semisimple exactly when the nilpotent part is zero
     for f in (f2, f3, field_make(2, 2), field_make(5, 1)):
-        assert is_semisimple(FFMatrix(f, 3, ((0, 0, 0), (0, 0, 0), (0, 0, 0))))
-        assert is_semisimple(FFMatrix(f, 3, ((1, 0, 0), (0, 0, 0), (0, 0, 0))))
-        assert not is_semisimple(FFMatrix(f, 3, ((0, 1, 0), (0, 0, 1), (0, 0, 0))))  # J_3(0)
-        assert not is_semisimple(FFMatrix(f, 3, ((0, 1, 0), (0, 0, 0), (0, 0, 1))))  # J_2(0) + (1)
+        assert is_semisimple(f, (0, 0, 0, 0, 0, 0, 0, 0, 0))
+        assert is_semisimple(f, (1, 0, 0, 0, 0, 0, 0, 0, 0))
+        assert not is_semisimple(f, (0, 1, 0, 0, 0, 1, 0, 0, 0))  # J_3(0)
+        assert not is_semisimple(f, (0, 1, 0, 0, 0, 0, 0, 0, 1))  # J_2(0) + (1)
+    # any sequence of codes is accepted; the answer is the tuple's
+    assert is_semisimple(f3, [1, 0, 0, 2]) and not is_semisimple(f3, [1, 1, 0, 1])
+
+
+def test_is_semisimple_checks_its_input():
+    f3 = field_make(3, 1)
+    for length in (0, 2, 3, 5, 8):  # not a positive square
+        with pytest.raises(ValueError, match="do not make a square matrix"):
+            is_semisimple(f3, (1,) * length)
+    for bad in (3, -1):  # outside F_3's codes 0 .. 2
+        with pytest.raises(ValueError, match="out of range"):
+            is_semisimple(f3, (1, 0, 0, bad))
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -310,7 +319,7 @@ def test_is_semisimple_matches_trace_determinant_2x2(p, e):
             expected = t != 0
         else:
             expected = f.mul(t, t) != f.mul(four, det)
-        assert is_semisimple(FFMatrix(f, 2, ((a, b), (c, d)))) == expected, (a, b, c, d)
+        assert is_semisimple(f, (a, b, c, d)) == expected, (a, b, c, d)
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
@@ -318,13 +327,13 @@ def test_semisimple_iff_order_coprime_to_p(p, e, n):
     # over characteristic p, an invertible matrix is semisimple exactly when
     # its multiplicative order is prime to p
     f = field_make(p, e)
-    ident = identity_matrix(f, n)
+    ident = identity_matrix(n)
     for m in enumerate_invertible(n, f):
         x, order = m, 1
         while x != ident:
-            x = mat_mul(x, m)
+            x = mat_mul(f, x, m)
             order += 1
-        assert is_semisimple(m) == (order % p != 0)
+        assert is_semisimple(f, m) == (order % p != 0)
 
 
 def test_count_semisimple_elements():
@@ -373,7 +382,7 @@ def _perm_group(domain, *cycle_texts):
 def _gl2f2():
     f = field_make(2, 1)
     ctx = fforacle._group_context(f, 2)
-    return [FFMatrix(f, 2, m) for m in ctx.mats], mat_mul, ctx.centralizers, ctx.ss_set
+    return ctx.mats, functools.partial(mat_mul, f), ctx.centralizers, ctx.ss_set
 
 
 @pytest.mark.parametrize(
@@ -460,22 +469,22 @@ def test_oracle_matches_engine_at_gl3_f4():
 def test_per_commutant_flags_match_per_element_tests(n, q):
     f = field_make(*field_params(q))
     ctx = fforacle._group_context(f, n)
-    assert ctx.ss_set == frozenset(i for i, m in enumerate(ctx.mats) if is_semisimple(FFMatrix(f, n, m)))
+    assert ctx.ss_set == frozenset(i for i, m in enumerate(ctx.mats) if is_semisimple(f, m))
 
 
 def test_context_tests_semisimplicity_once_per_commutant(monkeypatch):
     f = field_make(3, 1)
     calls = []
 
-    def counting(m):
+    def counting(field, m):
         calls.append(m)
-        return is_semisimple(m)
+        return is_semisimple(field, m)
 
     monkeypatch.setattr(fforacle, "is_semisimple", counting)
     ctx = fforacle._GroupContext(f, 2)
     commutants = {fforacle._commutant_basis(f, m) for m in ctx.mats}
     assert (len(ctx.mats), len(commutants), len(calls)) == (48, 14, 14)
-    assert {fforacle._commutant_basis(f, m.entries) for m in calls} == commutants
+    assert {fforacle._commutant_basis(f, m) for m in calls} == commutants
 
 
 @functools.lru_cache(maxsize=None)
@@ -483,7 +492,7 @@ def _keyed_per_element(n, q):
     """Algebra ids from ``_algebra_key`` of every element, numbered in order of first element, and the keys in id order."""
     f = field_make(*field_params(q))
     by_algebra: dict = {}
-    ids = [by_algebra.setdefault(fforacle._algebra_key(f, m.entries), len(by_algebra))
+    ids = [by_algebra.setdefault(fforacle._algebra_key(f, m), len(by_algebra))
            for m in enumerate_invertible(n, f, override_budget=True)]
     return ids, tuple(by_algebra)
 
@@ -503,7 +512,7 @@ def test_algebra_key_partition_matches_commutant_partition(n, p, e):
     # the bicommutant of X is F_q[X]: numbering elements by algebra and by
     # commutant, each in order of first element, gives the same ids
     f = field_make(p, e)
-    mats = [m.entries for m in enumerate_invertible(n, f)]
+    mats = list(enumerate_invertible(n, f))
     by_commutant: dict = {}
     algebra_ids, keys = _keyed_per_element(n, f.size)
     commutant_ids = [by_commutant.setdefault(fforacle._commutant_basis(f, m), len(by_commutant)) for m in mats]
@@ -552,16 +561,16 @@ def test_brute_conj_matches_orbit_enumeration(n, p, ks):
     # of each unseen one by conjugating it with every group element
     f = field_make(p, 1)
     mats = list(enumerate_invertible(n, f))
-    semisimple = [m for m in mats if is_semisimple(m)]
-    with_inverses = [(g, mat_inv(g)) for g in mats]
+    semisimple = [m for m in mats if is_semisimple(f, m)]
+    with_inverses = [(g, mat_inv(f, g)) for g in mats]
     for k in ks:
         seen = set()
         orbits = 0
         for t in itertools.product(semisimple, repeat=k):
-            if t in seen or any(mat_mul(a, b) != mat_mul(b, a) for a, b in itertools.combinations(t, 2)):
+            if t in seen or any(mat_mul(f, a, b) != mat_mul(f, b, a) for a, b in itertools.combinations(t, 2)):
                 continue
             orbits += 1
-            seen.update(tuple(mat_mul(mat_mul(g, x), g_inv) for x in t) for g, g_inv in with_inverses)
+            seen.update(tuple(mat_mul(f, mat_mul(f, g, x), g_inv) for x in t) for g, g_inv in with_inverses)
         assert brute_conj_count(n, f, k) == orbits
 
 
@@ -597,15 +606,15 @@ def test_commuting_pairs_are_conjugation_stable():
     pairs = set()
     for a in mats:
         for b in mats:
-            if is_semisimple(a) and is_semisimple(b) and mat_mul(a, b) == mat_mul(b, a):
-                pairs.add((a.entries, b.entries))
+            if is_semisimple(f, a) and is_semisimple(f, b) and mat_mul(f, a, b) == mat_mul(f, b, a):
+                pairs.add((a, b))
     assert len(pairs) == 9
     for g in mats:
-        ginv = mat_inv(g)
-        for a_e, b_e in pairs:
-            ca = mat_mul(mat_mul(g, FFMatrix(f, 2, a_e)), ginv)
-            cb = mat_mul(mat_mul(g, FFMatrix(f, 2, b_e)), ginv)
-            assert (ca.entries, cb.entries) in pairs
+        ginv = mat_inv(f, g)
+        for a, b in pairs:
+            ca = mat_mul(f, mat_mul(f, g, a), ginv)
+            cb = mat_mul(f, mat_mul(f, g, b), ginv)
+            assert (ca, cb) in pairs
 
 
 def test_poly_type_census_small():

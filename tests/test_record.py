@@ -8,7 +8,7 @@ import pytest
 from monodromy import record
 from monodromy.engine import MODE_SEMISIMPLE, CountingPolynomial, DegreeReport
 from monodromy.exactpoly import LaurentPoly, UnivariatePoly
-from monodromy.fforacle import CensusRecord, FFMatrix, field_make
+from monodromy.fforacle import CensusRecord, field_make, is_semisimple
 from monodromy.groupdiv import CosetLemmaCheck, DivisibilityReport, PrimeValuation
 from monodromy.rational import RationalFunction
 from monodromy.typecomb import FactorizationType
@@ -26,7 +26,6 @@ SAMPLES = [
     CountingPolynomial(UnivariatePoly((0, 1)), 1, 1, MODE_SEMISIMPLE),
     DegreeReport(2, 2, 4, 4, True, True, True, True, True),
     TYPE,
-    FFMatrix(F3, 2, ((1, 2), (0, 1))),
     CensusRecord(TYPE, 12),
     VALUATION,
     DivisibilityReport("S3", 6, 1, (), 6, (VALUATION,), True),
@@ -109,8 +108,11 @@ def test_invalid_values_still_raise_from_post_init():
         FactorizationType((1, 2), ((2, (1,)), (1, (1,))))
     with pytest.raises(ValueError, match="refinements must cover"):
         FactorizationType((2, 1), ((2, (1,)),))
-    with pytest.raises(ValueError, match="not 2x2"):
-        FFMatrix(F3, 2, ((1, 2),))
+    # a matrix is a flat tuple, not a record: is_semisimple checks the one taken from a caller
+    with pytest.raises(ValueError, match="do not make a square matrix"):
+        is_semisimple(F3, (1, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        is_semisimple(F3, (1, 2, 0, 3))
     with pytest.raises(ZeroDivisionError):
         RationalFunction(Q, UnivariatePoly())
 
