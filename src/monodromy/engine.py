@@ -6,7 +6,7 @@ each one recurrence over n in Z[q], with no recursion over the tuple length.
 A commuting k-tuple of semisimple elements of GL_n(F_q) is a semisimple
 module of dimension n over the torus G_m^k.  It splits over the torus's
 closed points, of which there are M_d(k) of degree d, with d M_d(k) = sum
-over e | d of mu(d/e) (q^e - 1)^k (``typecomb._point_numerator``); a point
+over e | d of mu(d/e) (q^e - 1)^k (``exactpoly._point_numerator``); a point
 of degree d carries a block GL_s(F_{q^d}).  With G_m(x) = |GL_m(F_x)| and
 F(x; u) = sum over s of u^s / G_s(x), the generating functions are
 
@@ -33,7 +33,12 @@ IntegralityViolation instead of rounding, since it would mean a wrong term.
 
 ss(m, k) and conj(m, k) are kept per k, in lists filled bottom-up over m,
 because counts at one k share every lower n: after ss(5, 3), ss(m, 3) for
-m <= 5 is a lookup, and mixed(n, k) reuses the conj list at k - 1.
+m <= 5 is a lookup, and mixed(n, k) reuses the conj list at k - 1, times
+the factors of |GL_n(q)| one by one.  These memos (``_SEMISIMPLE``,
+``_CLASSES``, and the ``lru_cache`` tables of the Levi and descent indices,
+Lambda_m, P_j and the torus points) live as long as the process and grow
+with each distinct k and n it counts; nothing evicts them, and the
+``cache`` argument of every count is ignored.
 
 The rational views of these values (``gl_order``, and the per-block
 weights ``ss_weight``/``mixed_weight`` at a field power q^m) live in
@@ -51,8 +56,7 @@ from functools import lru_cache
 from typing import Literal
 
 from . import Refusal, record
-from .exactpoly import IntPoly, LaurentPoly, NotLaurent, UnivariatePoly, int_mul
-from .typecomb import _point_numerator
+from .exactpoly import IntPoly, LaurentPoly, NotLaurent, UnivariatePoly, _point_numerator, int_mul
 
 MODE_SEMISIMPLE = "all-semisimple"
 MODE_MIXED = "mixed"
@@ -136,10 +140,9 @@ def _sum(polys) -> IntPoly:
     return _strip([sum(column) for column in itertools.zip_longest(*polys, fillvalue=0)])
 
 
-@lru_cache(maxsize=None)
-def _gl_order_int(n: int) -> IntPoly:
-    """|GL_n(q)| = q^(n(n-1)/2) * prod (q^i - 1) for i <= n."""
-    result = [1]
+def _times_gl_order(p: IntPoly, n: int) -> IntPoly:
+    """p * |GL_n(q)|, with |GL_n(q)| = q^(n(n-1)/2) * prod (q^i - 1) for i <= n: one multiplication per factor."""
+    result = list(p)
     for i in range(1, n + 1):
         result = _times_qm_minus_1(result, i)
     return (0,) * (n * (n - 1) // 2) + tuple(result)
@@ -260,7 +263,7 @@ def count_mixed_tuples(n: int, k: int, cache: WeightCache | None = None) -> Coun
         raise InvalidArity("matrix size n must be >= 1")
     if k < 2:
         raise InvalidArity("mixed tuples need k >= 2")
-    return CountingPolynomial(UnivariatePoly(int_mul(_gl_order_int(n), _classes(n, k - 1))), n, k, MODE_MIXED)
+    return CountingPolynomial(UnivariatePoly(_times_gl_order(_classes(n, k - 1), n)), n, k, MODE_MIXED)
 
 
 def count_conjugacy_classes(n: int, k: int, cache: WeightCache | None = None) -> CountingPolynomial:
@@ -345,17 +348,23 @@ def check_laurent_quotient(cp: CountingPolynomial) -> LaurentPoly:
 
     |GL_n(q)| is q^(n(n-1)/2) times prod (q^i - 1) for i <= n, so the
     quotient is an exact division by that monic product followed by a shift.
-    Applies to all-semisimple and mixed counts.  A NotLaurent escape means
-    the computed count was wrong, so it propagates.
+    Each q^i - 1 is prime to q, so only the coefficients from the count's
+    lowest nonzero one up are divided, and q^low joins the shift.  Applies
+    to all-semisimple and mixed counts.  A NotLaurent escape means the
+    computed count was wrong, so it propagates.
     """
     if cp.mode not in (MODE_SEMISIMPLE, MODE_MIXED):
         raise ValueError("Laurent quotient applies to tuple counts, not class counts")
-    quotient = list(cp.poly.coeffs)
+    coeffs = cp.poly.coeffs
+    low = 0
+    while low < len(coeffs) and not coeffs[low]:
+        low += 1
+    quotient = list(coeffs[low:])
     for m in range(1, cp.n + 1):
         quotient = _over_qm_minus_1(quotient, m)
         if quotient is None:
             raise NotLaurent(f"{cp.poly} is not divisible by prod (q^i - 1) for i <= {cp.n}")
-    return LaurentPoly(-(cp.n * (cp.n - 1) // 2), quotient)
+    return LaurentPoly(low - cp.n * (cp.n - 1) // 2, quotient)
 
 
 # perfbench/spans.py wraps these names here, though they moved to ``rational``, and

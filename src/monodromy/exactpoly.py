@@ -9,10 +9,20 @@ form: an integer value as an ``int``, any other rational as a
 or hash.  The zero polynomial is the empty tuple, which makes equality and
 degree structural.  Everything here is exact; no floating point is ever
 involved.  The type counts and the engine's sums stay in Z[q] instead,
-as plain ``IntPoly`` coefficient tuples.  ``fractions`` is imported only
-inside the functions that can make a non-integer, so a run that never
-does (every ``poly``, ``verify`` and ``census`` request) never loads it,
-nor the ``decimal`` and ``numbers`` modules it imports.
+as plain ``IntPoly`` coefficient tuples, built from the closed-point counts
+``_point_numerator`` (with ``_mobius``) and the one schoolbook product
+``int_mul``.  ``fractions`` is imported only inside the functions that can
+make a non-integer, so a run that never does (every ``poly``, ``verify``
+and ``census`` request) never loads it, nor the ``decimal`` and ``numbers``
+modules it imports.
+
+A count's coefficients take an integer route from construction to the
+printed bytes: one scan of their types keeps an all-int tuple as it is,
+``to_json`` writes ``[c, 1]`` for an int in the signed 64-bit range, and
+``str`` prints an int below 640 digits with ``str()``.  Only a Fraction,
+or an int past either limit, takes the general route (``_encode_int`` of
+numerator and denominator, ``decimal_str``), chosen coefficient by
+coefficient, so both routes write the same bytes.
 
 Rational functions (``RationalFunction``, ``poly_gcd``, ``to_laurent``) live
 in ``monodromy.rational``, which no CLI path imports, so no subcommand
@@ -28,9 +38,10 @@ range are written as decimal strings, so no JSON reader rounds them.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import TYPE_CHECKING, Union
 
-from . import decimal_str, record
+from . import _STR_SAFE, decimal_str, record
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -47,6 +58,7 @@ NEG_INFINITY = float("-inf")
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
+_INT = frozenset({int})
 
 
 class NotDivisible(ArithmeticError):
@@ -69,11 +81,24 @@ def _scalar(value) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
-def _canonical(coeffs) -> list:
-    cs = [c if type(c) is int else _scalar(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+def _canonical(coeffs) -> tuple:
+    """The stored tuple: one type scan keeps an all-int tuple as it is; trailing zeros go by one slice."""
+    coeffs = tuple(coeffs)
+    if not {*map(type, coeffs)} <= _INT:
+        coeffs = tuple(c if type(c) is int else _scalar(c) for c in coeffs)
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return coeffs[:end]  # the tuple itself when nothing is stripped
+
+
+def _json_coeffs(coeffs: tuple) -> list:
+    """``[num, den]`` per coefficient: ``[c, 1]`` for an int in the signed 64-bit range, else each part encoded."""
+    return [
+        [c, 1] if type(c) is int and _I64_MIN <= c <= _I64_MAX
+        else [_encode_int(c.numerator), _encode_int(c.denominator)]
+        for c in coeffs
+    ]
 
 
 @record
@@ -89,7 +114,7 @@ class UnivariatePoly:
     coeffs: tuple[Scalar, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(_canonical(self.coeffs)))
+        object.__setattr__(self, "coeffs", _canonical(self.coeffs))
 
     # ---- constructors ----
 
@@ -138,7 +163,7 @@ class UnivariatePoly:
 
     def is_integer(self) -> bool:
         """True when every coefficient is an integer: in canonical form, an ``int``."""
-        return all(type(c) is int for c in self.coeffs)
+        return {*map(type, self.coeffs)} <= _INT
 
     # ---- arithmetic ----
 
@@ -258,13 +283,10 @@ class UnivariatePoly:
     # ---- serialization / display ----
 
     def to_json(self) -> dict:
-        return {
-            "var": "q",
-            "coeffs": [[_encode_int(c.numerator), _encode_int(c.denominator)] for c in self.coeffs],
-        }
+        return {"var": "q", "coeffs": _json_coeffs(self.coeffs)}
 
     def __str__(self) -> str:
-        return _render_terms(list(enumerate(self.coeffs)))
+        return _render_terms(self.coeffs, 0)
 
 
 def int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -279,6 +301,38 @@ def int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return tuple(out)  # the top coefficient is a product of nonzeros
 
 
+def _mobius(k: int) -> int:
+    if k < 1:
+        raise ValueError("mobius needs k >= 1")
+    result = 1
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            k //= d
+            if k % d == 0:
+                return 0
+            result = -result
+        d += 1
+    if k > 1:
+        result = -result
+    return result
+
+
+@lru_cache(maxsize=None)
+def _point_numerator(d: int, k: int) -> IntPoly:
+    """d M_d(k), d times the closed points of degree d on G_m^k: sum over e | d of mu(d/e) (q^e - 1)^k.
+
+    Each (q^e - 1)^k enters by its binomial expansion.  At k = 1 this is the
+    irreducible numerator without the root zero, (q - 1) at d = 1.
+    """
+    coeffs = [0] * (d * k + 1)
+    for e in range(1, d + 1):
+        if d % e == 0:
+            for i in range(k + 1):
+                coeffs[e * i] += _mobius(d // e) * (-1) ** (k - i) * math.comb(k, i)
+    return tuple(coeffs)
+
+
 def _as_poly(value) -> UnivariatePoly:
     from fractions import Fraction
 
@@ -289,26 +343,25 @@ def _as_poly(value) -> UnivariatePoly:
     return NotImplemented
 
 
-def _render_terms(terms: list[tuple[int, Scalar]]) -> str:
-    """Human form, highest degree first, e.g. ``q^2 - q - 1 + q^-1``."""
+def _render_terms(coeffs: tuple, low: int) -> str:
+    """Human form of ``coeffs`` ascending from degree ``low``, highest degree first, e.g. ``q^2 - q - 1 + q^-1``."""
     parts: list[str] = []
-    for deg, c in sorted(terms, reverse=True):
-        if c == 0:
+    deg = low + len(coeffs)
+    for c in reversed(coeffs):
+        deg -= 1
+        if not c:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if deg == 0:
-            body = decimal_str(mag)
+        if c < 0:
+            sign, mag = "- ", -c
         else:
-            var = "q" if deg == 1 else f"q^{deg}"
-            body = var if mag == 1 else f"{decimal_str(mag)}{var}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f"{sign} {body}")
+            sign, mag = "+ ", c
+        # str() prints any int below 640 digits; Fractions and longer ints go through decimal_str
+        digits = "" if mag == 1 and deg else str(mag) if type(mag) is int and mag < _STR_SAFE else decimal_str(mag)
+        parts.append(f"{sign}{digits}" if deg == 0 else f"{sign}{digits}q" if deg == 1 else f"{sign}{digits}q^{deg}")
     if not parts:
         return "0"
-    return " ".join(parts)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 @record
@@ -325,27 +378,20 @@ class LaurentPoly:
 
     def __post_init__(self) -> None:
         cs = _canonical(self.coeffs)
-        low = self.min_degree
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            low += 1
-        if not cs:
-            low = 0
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "min_degree", low)
+        start = 0
+        while start < len(cs) and cs[start] == 0:
+            start += 1
+        object.__setattr__(self, "coeffs", cs[start:])
+        object.__setattr__(self, "min_degree", self.min_degree + start if start < len(cs) else 0)
 
     def is_integer(self) -> bool:
-        return all(type(c) is int for c in self.coeffs)
+        return {*map(type, self.coeffs)} <= _INT
 
     def to_json(self) -> dict:
-        return {
-            "var": "q",
-            "minDegree": self.min_degree,
-            "coeffs": [[_encode_int(c.numerator), _encode_int(c.denominator)] for c in self.coeffs],
-        }
+        return {"var": "q", "minDegree": self.min_degree, "coeffs": _json_coeffs(self.coeffs)}
 
     def __str__(self) -> str:
-        return _render_terms([(self.min_degree + i, c) for i, c in enumerate(self.coeffs)])
+        return _render_terms(self.coeffs, self.min_degree)
 
 
 def __getattr__(name: str):

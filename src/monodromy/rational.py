@@ -23,9 +23,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import record
-from .engine import WeightCache, _classes, _gl_order_int, _semisimple
-from .exactpoly import IntPoly, LaurentPoly, NotDivisible, NotLaurent, Scalar, UnivariatePoly, _as_poly
-from .typecomb import FactorizationType, _mobius, _point_numerator, scaled_type_count
+from .engine import WeightCache, _classes, _semisimple, _times_gl_order
+from .exactpoly import (
+    IntPoly, LaurentPoly, NotDivisible, NotLaurent, Scalar, UnivariatePoly, _as_poly, _mobius, _point_numerator,
+)
+from .typecomb import FactorizationType, scaled_type_count
 
 # ---------------------------------------------------------------------------
 # rational functions
@@ -179,7 +181,7 @@ def gl_order(n: int) -> UnivariatePoly:
     """|GL_n(F_q)| as a polynomial in q: product of (q^n - q^j) for j < n."""
     if n < 1:
         raise ValueError("gl_order needs n >= 1")
-    return UnivariatePoly(_gl_order_int(n))
+    return UnivariatePoly(_times_gl_order((1,), n))
 
 
 @lru_cache(maxsize=None)

@@ -8,9 +8,9 @@ records how many distinct degree-i factors occur and with which exponents.
 
 The same combinatorics counts configurations of closed points.  The torus
 G_m^k over F_q has d M_d(k) = sum over e | d of mu(d/e) (q^e - 1)^k
-closed points of degree d, times d (``_point_numerator``, all the engine
-takes from here); at k = 1 these are the monic irreducibles of degree d
-with nonzero constant term.  A type then describes a choice of distinct
+closed points of degree d, times d (``exactpoly._point_numerator``, which
+the engine imports from there, so no count loads this module); at k = 1
+these are the monic irreducibles of degree d with nonzero constant term.  A type then describes a choice of distinct
 points, one per part of each refinement, taken with that part as
 multiplicity, and ``scaled_type_count(t, k)`` counts those choices in Z[q]
 over a known denominator.
@@ -35,7 +35,7 @@ import math
 from functools import lru_cache
 
 from . import record
-from .exactpoly import IntPoly, NotDivisible, int_mul
+from .exactpoly import IntPoly, NotDivisible, _point_numerator, int_mul
 
 Partition = tuple[int, ...]
 
@@ -144,38 +144,6 @@ def type_pairs(t: FactorizationType) -> tuple[tuple[int, int], ...]:
     ((3, 2), (3, 2), (3, 1), (1, 2)).
     """
     return tuple((v, r) for v, ref in t.refinements for r in ref)
-
-
-def _mobius(k: int) -> int:
-    if k < 1:
-        raise ValueError("mobius needs k >= 1")
-    result = 1
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            k //= d
-            if k % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if k > 1:
-        result = -result
-    return result
-
-
-@lru_cache(maxsize=None)
-def _point_numerator(d: int, k: int) -> IntPoly:
-    """d M_d(k), d times the closed points of degree d on G_m^k: sum over e | d of mu(d/e) (q^e - 1)^k.
-
-    Each (q^e - 1)^k enters by its binomial expansion.  At k = 1 this is the
-    irreducible numerator without the root zero, (q - 1) at d = 1.
-    """
-    coeffs = [0] * (d * k + 1)
-    for e in range(1, d + 1):
-        if d % e == 0:
-            for i in range(k + 1):
-                coeffs[e * i] += _mobius(d // e) * (-1) ** (k - i) * math.comb(k, i)
-    return tuple(coeffs)
 
 
 def aut_factor(ref: Partition) -> int:

@@ -1,5 +1,6 @@
 """The monodromy command line: subcommands, exit codes, determinism."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -29,6 +30,29 @@ def test_poly_table(capsys):
     assert "q^6 - 2q^5 - q^4 + 4q^3 - q^2 - 2q + 1" in out
     assert "degree bound 6: met" in out
     assert err == ""
+
+
+# sha256 of the concatenated stdout of ``poly --n N --k K --mode M --format F --q 2,3,4,5,7`` for every
+# n, k <= 5 and mode (mixed from k = 2), n slowest and mode fastest; recorded before the integer route
+POLY_STDOUT_DIGESTS = {
+    "json": "f88b7b3b663369c8aac7f0884429c83370b195ec3089cd1c9aa59bc4fcbadf95",
+    "table": "e5d6c9a16b7a55bf5e7bb1c15ab17796e3045323bfd96bfba5a65898326a337c",
+}
+
+
+@pytest.mark.parametrize("fmt", list(POLY_STDOUT_DIGESTS))
+def test_poly_stdout_bytes_are_pinned(capsys, fmt):
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for k in range(1, 6):
+            for mode in ("ss", "mixed", "conj"):
+                if mode == "mixed" and k < 2:
+                    continue
+                status, out, err = run(capsys, "poly", "--n", str(n), "--k", str(k), "--mode", mode,
+                                       "--format", fmt, "--q", "2,3,4,5,7")
+                assert status == 0 and err == ""
+                digest.update(out.encode())
+    assert digest.hexdigest() == POLY_STDOUT_DIGESTS[fmt]
 
 
 def test_poly_json_values(capsys):

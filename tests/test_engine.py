@@ -505,6 +505,19 @@ def test_laurent_check_refuses_a_count_off_by_one(count):
     assert check_laurent_quotient(shifted) == LaurentPoly(
         check_laurent_quotient(cp).min_degree + 1, check_laurent_quotient(cp).coeffs
     )
+    # the check divides only from the lowest nonzero coefficient up, so a change there or at the top still shows
+    for n in range(1, 5):
+        for k in (2, 3):
+            cp = count(n, k)
+            coeffs = list(cp.poly.coeffs)
+            low = next(i for i, c in enumerate(coeffs) if c)
+            for at in (low, len(coeffs) - 1):
+                for step in (1, -1):
+                    perturbed = coeffs.copy()
+                    perturbed[at] += step
+                    off = CountingPolynomial(UnivariatePoly(tuple(perturbed)), n, k, cp.mode)
+                    with pytest.raises(NotLaurent):
+                        check_laurent_quotient(off)
 
 
 def test_degree_check_even_k():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from monodromy import decimal_str
 from monodromy.exactpoly import NEG_INFINITY, LaurentPoly, NotDivisible, NotLaurent, UnivariatePoly
 from monodromy.rational import RationalFunction, poly_gcd, to_laurent
 
@@ -286,3 +287,83 @@ def test_to_laurent():
     assert lp2.coeffs == (Fraction(1), Fraction(1))
     with pytest.raises(NotLaurent):
         to_laurent(P.one(), Q + 1)
+
+
+# ---------------------------------------------------------------------------
+# the printed forms against the general route every coefficient once took
+
+
+def _reference_encode_int(value):
+    return value if -(2**63) <= value <= 2**63 - 1 else decimal_str(value)
+
+
+def _reference_render_terms(terms):
+    """Human form from (degree, coefficient) pairs, sorted highest degree first."""
+    parts = []
+    for deg, c in sorted(terms, reverse=True):
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if deg == 0:
+            body = decimal_str(mag)
+        else:
+            var = "q" if deg == 1 else f"q^{deg}"
+            body = var if mag == 1 else f"{decimal_str(mag)}{var}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f"{sign} {body}")
+    if not parts:
+        return "0"
+    return " ".join(parts)
+
+
+def _reference_poly_json(p):
+    return {
+        "var": "q",
+        "coeffs": [[_reference_encode_int(c.numerator), _reference_encode_int(c.denominator)] for c in p.coeffs],
+    }
+
+
+def _reference_laurent_json(lp):
+    return {
+        "var": "q",
+        "minDegree": lp.min_degree,
+        "coeffs": [[_reference_encode_int(c.numerator), _reference_encode_int(c.denominator)] for c in lp.coeffs],
+    }
+
+
+def _printed_form_cases():
+    rng = random.Random(30)
+    edge = 2**63
+    pool = [
+        0, 1, -1, 2, -7, edge - 1, edge, edge + 1, -edge, -edge - 1, -edge + 1, 2**64, -(2**80),
+        10**700 + 3, -(10**700) - 9, 10**639 + 1, 10**640, -(10**640), 7 * 10**5000 + 1,  # str() refuses the last
+        Fraction(1, 2), Fraction(-3, 7), Fraction(edge, 3), Fraction(1, edge), Fraction(-(10**700), 7),
+    ]
+    cases = [(), (0,), (0, 0, 0), (1,), (-1,), (0, 0, 5, 0), (0, 1, 0, 0)]
+    for _ in range(150):
+        size = rng.randint(0, 9)
+        cs = [rng.choice(pool) if rng.random() < 0.4 else rng.randint(-3, 3) for _ in range(size)]
+        if rng.random() < 0.3:
+            cs = [0] * rng.randint(1, 3) + cs
+        if rng.random() < 0.3:
+            cs = cs + [0] * rng.randint(1, 3)
+        cases.append(tuple(cs))
+    return [(cs, rng.randint(-12, 6)) for cs in cases]
+
+
+def test_printed_forms_match_the_general_route():
+    for cs, low in _printed_form_cases():
+        p = P(cs)
+        assert str(p) == _reference_render_terms(list(enumerate(p.coeffs))), cs
+        assert json.dumps(p.to_json()) == json.dumps(_reference_poly_json(p)), cs
+        lp = LaurentPoly(low, cs)
+        assert str(lp) == _reference_render_terms([(lp.min_degree + i, c) for i, c in enumerate(lp.coeffs)]), cs
+        assert json.dumps(lp.to_json()) == json.dumps(_reference_laurent_json(lp)), cs
+        # canonical form: zeros stripped from the top of a polynomial, from both ends of a Laurent polynomial
+        nonzero = [i for i, c in enumerate(cs) if c != 0]
+        assert p.coeffs == (tuple(cs[: nonzero[-1] + 1]) if nonzero else ()), cs
+        assert lp.coeffs == (tuple(cs[nonzero[0]: nonzero[-1] + 1]) if nonzero else ()), cs
+        assert lp.min_degree == (low + nonzero[0] if nonzero else 0), cs

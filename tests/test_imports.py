@@ -35,7 +35,8 @@ def test_poly_loads_neither_oracle_nor_group_lab():
     status, loaded = loaded_after("poly", "--n", "2", "--k", "2")
     assert status == 0
     assert "monodromy.engine" in loaded
-    assert not loaded & {"monodromy.fforacle", "monodromy.groupdiv"}
+    # the engine takes its closed-point counts from exactpoly, so no factorization-type code compiles
+    assert not loaded & {"monodromy.fforacle", "monodromy.groupdiv", "monodromy.typecomb"}
 
 
 def test_refused_poly_loads_neither_oracle_nor_group_lab():
@@ -121,7 +122,7 @@ def test_counting_commands_never_import_fractions(argv):
 # the package's modules each subcommand imports, as ``python -X importtime -m monodromy.cli`` logs them
 IMPORTED_BY_COMMAND = {
     ("poly", "--n", "3", "--k", "2", "--q", "2,3"): {
-        "monodromy", "monodromy.cli_engine", "monodromy.engine", "monodromy.exactpoly", "monodromy.typecomb",
+        "monodromy", "monodromy.cli_engine", "monodromy.engine", "monodromy.exactpoly",
     },
     ("verify", "--n", "2", "--k", "2", "--mode", "mixed", "--q", "2", "--format", "json"): {
         "monodromy", "monodromy.cli_engine", "monodromy.cli_oracle", "monodromy.commuting", "monodromy.engine",
