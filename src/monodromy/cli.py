@@ -10,11 +10,7 @@ monodromy.cli`` this file runs as ``__main__``, so importing
 
 Where no bytecode is cached (a fresh checkout, or ``PYTHONDONTWRITEBYTECODE``
 set), every process compiles each of the package's modules it imports, so
-each subcommand imports only its own front end and layers.  The
-rational-coefficient views live in ``monodromy.rational``, which no
-subcommand imports; ``engine``, ``exactpoly`` and ``typecomb`` forward seven
-of its names (PEP 562 ``__getattr__``) only because perfbench/spans.py looks
-them up in those modules.
+each subcommand imports only its own front end and layers.
 """
 
 from __future__ import annotations

@@ -39,14 +39,6 @@ the factors of |GL_n(q)| one by one.  These memos (``_SEMISIMPLE``,
 Lambda_m, P_j and the torus points) live as long as the process and grow
 with each distinct k and n it counts; nothing evicts them, and the
 ``cache`` argument of every count is ignored.
-
-The rational views of these values (``gl_order``, and the per-block
-weights ``ss_weight``/``mixed_weight`` at a field power q^m) live in
-``monodromy.rational``, which no count and no CLI path imports.  A PEP 562
-``__getattr__`` forwards six names that perfbench/spans.py wraps in this
-module: ``ss_weight``, ``mixed_weight``, ``to_laurent``,
-``_type_count_at_power`` and ``count_monic_with_type`` from ``rational``,
-``enumerate_types`` from ``typecomb``.
 """
 
 from __future__ import annotations
@@ -55,8 +47,8 @@ import itertools
 from functools import lru_cache
 from typing import Literal
 
-from . import Refusal, record
-from .exactpoly import IntPoly, LaurentPoly, NotLaurent, UnivariatePoly, _point_numerator, int_mul
+from . import Refusal, _retired, record
+from .exactpoly import IntPoly, LaurentPoly, NotLaurent, UnivariatePoly, _point_numerator, _strip, int_mul
 
 MODE_SEMISIMPLE = "all-semisimple"
 MODE_MIXED = "mixed"
@@ -90,12 +82,6 @@ class WeightCache(dict):
 
 # ---------------------------------------------------------------------------
 # integer polynomial arithmetic
-
-
-def _strip(coeffs: list[int]) -> IntPoly:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def _times_qm_minus_1(p: list[int], m: int) -> list[int]:
@@ -352,6 +338,13 @@ def check_laurent_quotient(cp: CountingPolynomial) -> LaurentPoly:
     lowest nonzero one up are divided, and q^low joins the shift.  Applies
     to all-semisimple and mixed counts.  A NotLaurent escape means the
     computed count was wrong, so it propagates.
+
+    On an all-semisimple count this is a certificate: the recurrence does
+    not build the count as a multiple of |GL_n(q)|, so the division checks
+    what the construction does not guarantee.  On a mixed count it is not:
+    ``count_mixed_tuples`` builds conj(n, k - 1) times |GL_n(q)| factor by
+    factor (``_times_gl_order``), so dividing the same factors back out
+    cannot fail on a count the engine built.
     """
     if cp.mode not in (MODE_SEMISIMPLE, MODE_MIXED):
         raise ValueError("Laurent quotient applies to tuple counts, not class counts")
@@ -367,19 +360,5 @@ def check_laurent_quotient(cp: CountingPolynomial) -> LaurentPoly:
     return LaurentPoly(low - cp.n * (cp.n - 1) // 2, quotient)
 
 
-# perfbench/spans.py wraps these names here, though they moved to ``rational``, and
-# ``enumerate_types`` of ``typecomb``; this hook leaves with the next change to the
-# benchmark (ROADMAP direction 1)
-_FORWARDED = frozenset({"ss_weight", "mixed_weight", "to_laurent", "_type_count_at_power", "count_monic_with_type"})
-
-
-def __getattr__(name: str):
-    if name == "enumerate_types":
-        from .typecomb import enumerate_types
-
-        return enumerate_types
-    if name in _FORWARDED:
-        from . import rational
-
-        return getattr(rational, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# perfbench/spans.py wraps these names; they leave with the next change to the benchmark
+ss_weight = mixed_weight = to_laurent = _type_count_at_power = count_monic_with_type = enumerate_types = _retired

@@ -20,12 +20,6 @@ nonzero constant term that factor as type t; summed over all types of
 weight n it recovers (q - 1) q^(n-1), the number of monic degree-n
 polynomials with nonzero constant term.  The census evaluates it at an
 integer q with ``count_monic_with_type_at``, in ints alone.
-
-The same counts as polynomials over Q (``count_irreducibles``,
-``count_monic_with_type``, ``total_monic_count``) live in
-``monodromy.rational``, which no CLI path imports.  ``count_monic_with_type``
-is still forwarded from here (PEP 562 ``__getattr__``), because
-perfbench/spans.py looks it up in this module.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from . import record
+from . import _retired, record
 from .exactpoly import IntPoly, NotDivisible, _point_numerator, int_mul
 
 Partition = tuple[int, ...]
@@ -197,11 +191,5 @@ def count_monic_with_type_at(t: FactorizationType, q: int) -> int:
     return count
 
 
-def __getattr__(name: str):
-    # perfbench/spans.py wraps typecomb.count_monic_with_type, which moved to ``rational``;
-    # this hook leaves with the next change to the benchmark (ROADMAP direction 1)
-    if name == "count_monic_with_type":
-        from . import rational
-
-        return rational.count_monic_with_type
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# perfbench/spans.py wraps this name; it leaves with the next change to the benchmark
+count_monic_with_type = _retired

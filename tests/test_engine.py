@@ -1,4 +1,4 @@
-"""The exact counting engine: weights, counts, and structural checks."""
+"""The exact counting engine: counts, their certificates, and structural checks."""
 
 import hashlib
 import json
@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import pytest
 
-from monodromy import engine, rational
+from monodromy import engine
 from monodromy.engine import (
     MODE_CONJUGACY,
     MODE_MIXED,
@@ -21,7 +21,6 @@ from monodromy.engine import (
     WeightCache,
     _certified_quotient,
     _over_qm_minus_1,
-    _strip,
     _times_qm_minus_1,
     check_degree_monic,
     check_laurent_quotient,
@@ -30,58 +29,27 @@ from monodromy.engine import (
     count_semisimple_tuples,
     hom_count,
 )
-from monodromy.exactpoly import LaurentPoly, NotLaurent, UnivariatePoly, int_mul
-from monodromy.rational import RationalFunction, count_monic_with_type, gl_order, mixed_weight, ss_weight
-from monodromy.typecomb import enumerate_types, scaled_type_count, type_pairs
+from monodromy.exactpoly import LaurentPoly, NotLaurent, UnivariatePoly, _strip, int_mul
+from monodromy.typecomb import count_monic_with_type_at, enumerate_types, scaled_type_count, type_pairs
 
-Q = UnivariatePoly.variable()
+Q = UnivariatePoly((0, 1))
 
 
 def ascending(*coeffs):
-    return UnivariatePoly(tuple(Fraction(c) for c in coeffs))
+    return UnivariatePoly(coeffs)
 
 
 def test_gl_order():
-    assert gl_order(1) == Q - 1
-    assert gl_order(2) == ascending(0, 1, -1, -1, 1)
-    assert gl_order(3) == ascending(0, 0, 0, -1, 1, 1, 0, -1, -1, 1)
-    assert gl_order(2).evaluate(2) == 6
-    assert gl_order(2).evaluate(3) == 48
-    assert gl_order(3).evaluate(2) == 168
-    with pytest.raises(ValueError):
-        gl_order(0)
-
-
-def test_ss_weight_leaves():
-    w = ss_weight(0, 2, 1)
-    assert w == RationalFunction(UnivariatePoly.one(), gl_order(2))
-    # leaf at field power m substitutes q^m
-    w3 = ss_weight(0, 1, 3)
-    assert w3 == RationalFunction(UnivariatePoly.one(), UnivariatePoly.monomial(1, 3) - 1)
-
-
-def test_ss_weight_level_one():
-    # one semisimple matrix on a 1-dim block: q - 1 choices, weight (q-1)/(q-1) = 1
-    assert ss_weight(1, 1, 1) == RationalFunction.one()
-    # the worked 2x2 value: (q^3 - q^2 - q + 1) / q
-    w = ss_weight(2, 2, 1)
-    assert w == RationalFunction(Q**3 - Q**2 - Q + 1, Q)
-
-
-def test_mixed_weight_leaves():
-    assert mixed_weight(0, 2, 1) == RationalFunction.from_poly(Q**2 - Q)
-    assert mixed_weight(0, 1, 2) == RationalFunction.from_poly(Q**2 - 1)
-    assert mixed_weight(1, 1, 1) == RationalFunction.from_poly((Q - 1) ** 2)
-    assert mixed_weight(1, 1, 1).evaluate(3) == 4
-
-
-def test_weight_validation():
-    with pytest.raises(ValueError):
-        ss_weight(-1, 2, 1)
-    with pytest.raises(ValueError):
-        ss_weight(0, 0, 1)
-    with pytest.raises(ValueError):
-        mixed_weight(0, 1, 0)
+    # |GL_n(q)| as the engine multiplies it in, one factor q^i - 1 at a time, against prod_{j<n} (q^n - q^j)
+    assert engine._times_gl_order((1,), 1) == (-1, 1)
+    assert engine._times_gl_order((1,), 2) == (0, 1, -1, -1, 1)
+    assert engine._times_gl_order((1,), 3) == (0, 0, 0, -1, 1, 1, 0, -1, -1, 1)
+    for n in range(1, 8):
+        order = engine._times_gl_order((1,), n)
+        assert order == _gl_order_reference(n), n
+        for q in (2, 3):
+            assert sum(c * q**i for i, c in enumerate(order)) == _gl_order_at(n, q), (n, q)
+    assert (_gl_order_at(2, 2), _gl_order_at(2, 3), _gl_order_at(3, 2)) == (6, 48, 168)
 
 
 def test_semisimple_pairs_2x2():
@@ -103,7 +71,7 @@ def test_semisimple_pairs_3x3():
 
 def test_semisimple_singletons():
     # k = 1 just counts semisimple elements
-    assert count_semisimple_tuples(1, 1).poly == Q - 1
+    assert count_semisimple_tuples(1, 1).poly == ascending(-1, 1)
     assert count_semisimple_tuples(2, 1).poly == ascending(-1, 2, 0, -2, 1)
     # over F_2 only the identity and the two order-3 elements are semisimple
     assert count_semisimple_tuples(2, 1).evaluate(2) == 3
@@ -112,7 +80,7 @@ def test_semisimple_singletons():
 
 def test_semisimple_k_zero_is_one():
     cp = count_semisimple_tuples(3, 0)
-    assert cp.poly == UnivariatePoly.one()
+    assert cp.poly == UnivariatePoly((1,))
     assert cp.k == 0
 
 
@@ -129,7 +97,7 @@ def test_conjugacy_classes_2x2():
     assert cp.poly == ascending(1, -2, 2, -2, 1)
     assert cp.evaluate(2) == 5
     assert cp.evaluate(3) == 40
-    assert count_conjugacy_classes(2, 1).poly == Q**2 - Q
+    assert count_conjugacy_classes(2, 1).poly == ascending(0, -1, 1)
     assert cp.mode == MODE_CONJUGACY
 
 
@@ -138,7 +106,7 @@ def test_conjugacy_matches_mixed_quotient(n, k):
     # orbit counting: class count of k-tuples * |GL_n| = mixed count of (k+1)-tuples
     classes = count_conjugacy_classes(n, k)
     mixed = count_mixed_tuples(n, k + 1)
-    assert classes.poly * gl_order(n) == mixed.poly
+    assert int_mul(classes.poly.coeffs, _gl_order_reference(n)) == mixed.poly.coeffs
 
 
 def test_arity_validation():
@@ -166,7 +134,7 @@ def test_counting_polynomial_rejects_fractions():
     with pytest.raises(IntegralityViolation):
         CountingPolynomial(UnivariatePoly((Fraction(1, 2),)), 1, 1, MODE_SEMISIMPLE)
     with pytest.raises(ValueError):
-        CountingPolynomial(UnivariatePoly.one(), 1, 1, "bogus")
+        CountingPolynomial(UnivariatePoly((1,)), 1, 1, "bogus")
 
 
 def test_counting_polynomial_json():
@@ -200,41 +168,37 @@ def test_deep_rank_does_not_recurse_per_level():
     assert count_semisimple_tuples(1, 1200).evaluate(3) == 2**1200
 
 
-# Reference: the per-block weight recursion over GCD-reduced rational
-# functions (leaf 1/|GL_r| for the semisimple kind, every field power q^m
-# kept apart), an independent formulation of what the engine's sums over
-# types compute.
+# Reference: the per-block weight recursion (leaf 1/|GL_r| for the
+# semisimple kind, every field power q^m kept apart), an independent
+# formulation of what the engine's recurrences compute.  It runs at an
+# integer q in Fraction arithmetic, with the type counts N_t at q^m, so a
+# count of degree d is pinned by its values at d + 1 points.
 
 
-def _reference_weight(kind, level, r, m, memo):
-    key = (kind, level, r, m)
+def _reference_weight(kind, level, r, x, memo):
+    """The weight of a block of size r over the field of size x = q^m, ``level`` tuple entries deep."""
+    key = (kind, level, r, x)
     if key in memo:
         return memo[key]
     if level == 0:
-        if kind == "ss":
-            value = RationalFunction(UnivariatePoly.one(), gl_order(r).compose_monomial(m))
-        else:
-            qm = UnivariatePoly.monomial(1, m)
-            value = RationalFunction.from_poly((qm - 1) * UnivariatePoly.monomial(1, m * (r - 1)))
+        value = Fraction(1, _gl_order_at(r, x)) if kind == "ss" else (x - 1) * x ** (r - 1)
     else:
-        value = RationalFunction.zero()
+        value = 0
         for t in enumerate_types(r):
-            term = RationalFunction.from_poly(count_monic_with_type(t).compose_monomial(m))
+            term = Fraction(count_monic_with_type_at(t, x))
             for degree, size in type_pairs(t):
-                term = term * _reference_weight(kind, level - 1, size, m * degree, memo)
-            value = value + term
+                term *= _reference_weight(kind, level - 1, size, x**degree, memo)
+            value += term
     memo[key] = value
     return value
 
 
-def _reference_count(n, k, mode, memo):
+def _reference_count_at(n, k, mode, q, memo):
     if mode == MODE_SEMISIMPLE:
-        w, prefix = _reference_weight("ss", k, n, 1, memo), gl_order(n)
-    elif mode == MODE_MIXED:
-        w, prefix = _reference_weight("mixed", k - 2, n, 1, memo), gl_order(n)
-    else:
-        w, prefix = _reference_weight("mixed", k - 1, n, 1, memo), UnivariatePoly.one()
-    return (prefix * w.num).exact_div(w.den)
+        return _gl_order_at(n, q) * _reference_weight("ss", k, n, q, memo)
+    if mode == MODE_MIXED:
+        return _gl_order_at(n, q) * _reference_weight("mixed", k - 2, n, q, memo)
+    return _reference_weight("mixed", k - 1, n, q, memo)
 
 
 _REFERENCE_MEMO: dict = {}
@@ -246,9 +210,15 @@ _REFERENCE_MEMO: dict = {}
      (MODE_CONJUGACY, count_conjugacy_classes)],
 )
 def test_matches_rational_function_reference(mode, count):
+    checked = 0
     for n in range(1, 6):
         for k in range(2 if mode == MODE_MIXED else 1, 5):
-            assert count(n, k).poly == _reference_count(n, k, mode, _REFERENCE_MEMO), (n, k)
+            cp = count(n, k)
+            for q in range(2, cp.poly.degree + 3):
+                assert cp.evaluate(q) == _reference_count_at(n, k, mode, q, _REFERENCE_MEMO), (n, k, q)
+                checked += 1
+    assert checked == sum(count(n, k).poly.degree + 1 for n in range(1, 6)
+                          for k in range(2 if mode == MODE_MIXED else 1, 5))
 
 
 # Reference: the zeta function of the torus G_m^k,
@@ -469,6 +439,13 @@ def _gl_order_reference(n):
     return result
 
 
+def _compose(p, d):
+    """p(q^d)."""
+    out = [0] * (d * (len(p) - 1) + 1)
+    out[::d] = p
+    return tuple(out)
+
+
 def test_cyclotomic_centralizer_index_matches_long_division():
     checked = 0
     for r in range(1, 11):
@@ -476,7 +453,7 @@ def test_cyclotomic_centralizer_index_matches_long_division():
             pairs = type_pairs(t)
             centralizer = (1,)
             for d, s in pairs:
-                centralizer = int_mul(centralizer, rational._compose(_gl_order_reference(s), d))
+                centralizer = int_mul(centralizer, _compose(_gl_order_reference(s), d))
             expected = _long_division(_gl_order_reference(r), centralizer)
             assert expected is not None
             assert _centralizer_index(r, pairs) == expected, pairs
@@ -497,11 +474,11 @@ def test_division_by_q_power_minus_one():
 @pytest.mark.parametrize("count", [count_semisimple_tuples, count_mixed_tuples])
 def test_laurent_check_refuses_a_count_off_by_one(count):
     cp = count(3, 2)
-    off = CountingPolynomial(cp.poly + 1, cp.n, cp.k, cp.mode)
+    off = CountingPolynomial(UnivariatePoly((cp.poly.coeffs[0] + 1,) + cp.poly.coeffs[1:]), cp.n, cp.k, cp.mode)
     with pytest.raises(NotLaurent):
         check_laurent_quotient(off)
     # q^(n(n-1)/2) is not a factor the check divides by: a shift keeps the quotient Laurent
-    shifted = CountingPolynomial(cp.poly * Q, cp.n, cp.k, cp.mode)
+    shifted = CountingPolynomial(UnivariatePoly((0,) + cp.poly.coeffs), cp.n, cp.k, cp.mode)
     assert check_laurent_quotient(shifted) == LaurentPoly(
         check_laurent_quotient(cp).min_degree + 1, check_laurent_quotient(cp).coeffs
     )
@@ -552,19 +529,19 @@ def test_degree_check_mode_guard():
 def test_laurent_quotient_semisimple():
     lp = check_laurent_quotient(count_semisimple_tuples(2, 2))
     assert lp.min_degree == -1
-    assert lp.coeffs == (Fraction(1), Fraction(-1), Fraction(-1), Fraction(1))
+    assert lp.coeffs == (1, -1, -1, 1)
     assert str(lp) == "q^2 - q - 1 + q^-1"
 
 
 def test_laurent_quotient_3x3():
     lp = check_laurent_quotient(count_semisimple_tuples(3, 2))
     assert lp.min_degree == -3
-    assert lp.coeffs == tuple(Fraction(c) for c in (-1, 1, -1, 2, -1, -1, 1))
+    assert lp.coeffs == (-1, 1, -1, 2, -1, -1, 1)
 
 
 def test_laurent_quotient_mixed_and_guard():
     lp = check_laurent_quotient(count_mixed_tuples(2, 2))
-    assert lp == LaurentPoly(1, (Fraction(-1), Fraction(1)))
+    assert lp == LaurentPoly(1, (-1, 1))
     with pytest.raises(ValueError):
         check_laurent_quotient(count_conjugacy_classes(2, 2))
 
@@ -576,4 +553,4 @@ def test_integrality_and_structure_bigger(n, k):
     assert cp.poly.is_integer()
     report = check_degree_monic(cp)
     assert report.bound_met
-    assert check_laurent_quotient(cp).is_integer()
+    assert {*map(type, check_laurent_quotient(cp).coeffs)} == {int}
