@@ -37,7 +37,9 @@ def record(cls):
     on assignment or deletion; ``__eq__`` over the field tuple, only between
     instances of one class; ``__hash__`` the hash of the field tuple, as a
     dataclass's; and the dataclass ``repr``.  It replaces any of these methods
-    the class body defines.
+    the class body defines.  ``__post_init__`` may set a field, or an
+    attribute that is not a field, with ``object.__setattr__``; attributes
+    that are not fields stay out of equality, hash and repr.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
@@ -102,11 +104,8 @@ def _bind(cls, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
 _STR_SAFE = 10**640  # ints below this have at most 640 digits, the least int-to-str limit that can be set
 
 
-def decimal_str(value) -> str:
-    """``str`` of an int or Fraction of any length; ``str`` refuses ints past 4300 digits by default."""
-    if value.denominator != 1:
-        return f"{decimal_str(value.numerator)}/{decimal_str(value.denominator)}"
-    value = value.numerator
+def decimal_str(value: int) -> str:
+    """``str`` of an int of any length; ``str`` refuses ints past 4300 digits by default."""
     if -_STR_SAFE < value < _STR_SAFE:
         return str(value)
     if value < 0:

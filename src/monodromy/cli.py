@@ -16,7 +16,6 @@ each subcommand imports only its own front end and layers.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import Refusal
@@ -88,6 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(doc: dict, fmt: str, table_lines) -> None:
     if fmt == "json":
+        import json  # here: table output, the default, never needs it
+
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         for line in table_lines(doc):

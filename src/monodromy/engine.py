@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Literal
 
 from . import Refusal, _retired, record
 from .exactpoly import IntPoly, LaurentPoly, NotLaurent, UnivariatePoly, _point_numerator, _strip, int_mul
@@ -53,7 +52,6 @@ from .exactpoly import IntPoly, LaurentPoly, NotLaurent, UnivariatePoly, _point_
 MODE_SEMISIMPLE = "all-semisimple"
 MODE_MIXED = "mixed"
 MODE_CONJUGACY = "conjugacy-classes"
-Mode = Literal["all-semisimple", "mixed", "conjugacy-classes"]
 
 
 class IntegralityViolation(ArithmeticError):
@@ -213,7 +211,7 @@ class CountingPolynomial:
     poly: UnivariatePoly
     n: int
     k: int
-    mode: Mode
+    mode: str
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_SEMISIMPLE, MODE_MIXED, MODE_CONJUGACY):

@@ -73,24 +73,20 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 _SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 
+@record
 class FieldSpec:
     """A small finite field with fully materialized arithmetic tables."""
 
-    __slots__ = ("p", "e", "modulus", "size", "add_table", "mul_table", "neg_table", "inv_table")
+    p: int
+    e: int
+    modulus: tuple[int, ...]
 
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.e = e
-        self.modulus = modulus
-        self.size = p**e
-        self._verify_modulus()
-        self._build_tables()
-
-    def _verify_modulus(self) -> None:
+    def __post_init__(self) -> None:
         mod = self.modulus
         if len(mod) != self.e + 1 or mod[-1] != 1 or any(not 0 <= c < self.p for c in mod):
             raise UnsupportedField(f"modulus {mod} is not monic of degree {self.e} over F_{self.p}")
         # _build_tables rejects a reducible modulus: its zero divisors have no inverse
+        self._build_tables()
 
     def _digits(self, value: int) -> list[int]:
         out = []
@@ -106,14 +102,14 @@ class FieldSpec:
         return value
 
     def _build_tables(self) -> None:
-        """Tables by Horner's rule over the digits: a * b = x * ((a // p) * b) + (a % p) * b.
+        """``size`` and the tables, by Horner's rule over the digits: a * b = x * ((a // p) * b) + (a % p) * b.
 
         Multiplying by x shifts the digits up and subtracts the lead digit
         times the modulus; a scalar c < p scales every digit.
         """
-        p, size = self.p, self.size
+        p, size = self.p, self.p**self.e
         digits = [self._digits(v) for v in range(size)]
-        add = self.add_table = tuple(
+        add = tuple(
             tuple(self._undigits((x + y) % p for x, y in zip(da, db)) for db in digits) for da in digits
         )
         scaled = [tuple(self._undigits(c * x % p for x in d) for d in digits) for c in range(p)]
@@ -123,46 +119,13 @@ class FieldSpec:
         mul = list(scaled)
         for a in range(p, size):
             mul.append(tuple(add[times_x[h]][c] for h, c in zip(mul[a // p], scaled[a % p])))
-        self.mul_table = tuple(mul)
-        self.neg_table = scaled[p - 1]
         try:
-            self.inv_table = (0,) + tuple(row.index(1) for row in mul[1:])
+            inv = (0,) + tuple(row.index(1) for row in mul[1:])
         except ValueError:
             raise UnsupportedField(f"modulus {self.modulus} is reducible: a zero divisor has no inverse") from None
-
-    # element arithmetic
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.inv_table[a]
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"FieldSpec(p={self.p}, e={self.e}, modulus={self.modulus})"
+        names = ("size", "add_table", "mul_table", "neg_table", "inv_table")
+        for name, value in zip(names, (size, add, tuple(mul), scaled[p - 1], inv)):
+            object.__setattr__(self, name, value)  # record allows it: these are not fields
 
 
 def _check_degree(e: int) -> None:

@@ -17,15 +17,12 @@ import functools
 import itertools
 import math
 import operator
+import os
 import re
-from importlib import resources
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import BudgetExceeded, Refusal, decimal_str, record
 from .commuting import count_commuting_tuples
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 CLOSURE_BUDGET = 10_000
 HOM_GROUP_BUDGET = 2_000
@@ -157,7 +154,7 @@ class FiniteGroupTable:
         """Element orders: the lcm of the cycle lengths."""
         return tuple(math.lcm(*map(len, _cycles(p))) for p in self.elements)
 
-    def subgroup_closure(self, gens: Iterable[int], base: Optional[frozenset[int]] = None) -> frozenset[int]:
+    def subgroup_closure(self, gens: Iterable[int], base: frozenset[int] | None = None) -> frozenset[int]:
         """Indices of the subgroup generated by the given element indices.
 
         It grows from ``base``, a subgroup H whose generators are among
@@ -376,12 +373,6 @@ class DivisibilityReport:
     checks: tuple[PrimeValuation, ...]
     passed: bool
 
-    @property
-    def quotient(self) -> Fraction:
-        from fractions import Fraction  # here: to_json writes the quotient without it, so the CLI never loads it
-
-        return Fraction(self.hom_count, self.group_order)
-
     def to_json(self) -> dict:
         common = math.gcd(self.hom_count, self.group_order)
         num, den = self.hom_count // common, self.group_order // common
@@ -423,7 +414,8 @@ def divisibility_report(table: FiniteGroupTable, k: int, primes: Iterable[int]) 
 # subgroup sweep for the coset check
 
 
-class SubgroupEntry(NamedTuple):
+@record
+class SubgroupEntry:
     """A subgroup's generators, and how it arises from its conjugacy class representative H."""
 
     gens: tuple[int, ...]
@@ -467,7 +459,7 @@ def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], Subgrou
                 known[image] = SubgroupEntry(tuple(map(conj.__getitem__, gens)), subgroup, y, normalizer)
         reps.append(subgroup)
 
-    generated: list[Optional[frozenset[int]]] = [None] * len(table)
+    generated: list[frozenset[int] | None] = [None] * len(table)
     for i in range(len(table)):
         if generated[i] is None:
             powers = [identity]  # i^0, i^1, ..., up to the order of i
@@ -621,11 +613,10 @@ def parse_corpus(text: str) -> tuple[FiniteGroupTable, ...]:
     return tuple(groups)
 
 
-def load_corpus(path: Optional[str] = None) -> tuple[FiniteGroupTable, ...]:
+def load_corpus(path: str | None = None) -> tuple[FiniteGroupTable, ...]:
     """Groups from a corpus file, or the packaged default corpus."""
     if path is None:
-        text = resources.files("monodromy.data").joinpath("corpus.txt").read_text(encoding="utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        path = os.path.join(os.path.dirname(__file__), "data", "corpus.txt")
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     return parse_corpus(text)

@@ -9,11 +9,12 @@ from monodromy.groupdiv import FiniteGroupTable
 def mat_vec(f, m, v):
     """Apply the flat row-major matrix m over the field f to a column vector."""
     n = len(v)
+    add, mul = f.add_table, f.mul_table
     out = []
     for i in range(0, n * n, n):
         acc = 0
         for x, y in zip(m[i:i + n], v):
-            acc = f.add(acc, f.mul(x, y))
+            acc = add[acc][mul[x][y]]
         out.append(acc)
     return tuple(out)
 

@@ -96,26 +96,24 @@ def test_field_tables_match_long_division(p, e):
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
 def test_field_axioms_exhaustive(p, e):
     f = field_make(p, e)
-    els = list(f.elements())
+    add, mul = f.add_table, f.mul_table
+    els = range(f.size)
     for a in els:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
+        assert add[a][0] == a
+        assert mul[a][1] == a
+        assert add[a][f.neg_table[a]] == 0
         if a != 0:
-            assert f.mul(a, f.inv(a)) == 1
+            assert mul[a][f.inv_table[a]] == 1
     for a in els:
         for b in els:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            assert f.sub(a, b) == f.add(a, f.neg(b))
+            assert add[a][b] == add[b][a]
+            assert mul[a][b] == mul[b][a]
     rng = random.Random(7)
     for _ in range(200):
         a, b, c = rng.choice(els), rng.choice(els), rng.choice(els)
-        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 def test_field_multiplicative_order():
@@ -125,7 +123,7 @@ def test_field_multiplicative_order():
     for a in range(1, f.size):
         x, order = a, 1
         while x != 1:
-            x = f.mul(x, a)
+            x = f.mul_table[x][a]
             order += 1
         orders.append(order)
     assert max(orders) == 8
@@ -135,10 +133,11 @@ def test_field_multiplicative_order():
 def test_frobenius_is_additive():
     # (a + b)^p = a^p + b^p in characteristic p
     f = field_make(2, 3)
-    frob = {a: f.mul(a, a) for a in f.elements()}
-    for a in f.elements():
-        for b in f.elements():
-            assert frob[f.add(a, b)] == f.add(frob[a], frob[b])
+    add = f.add_table
+    frob = {a: f.mul_table[a][a] for a in range(f.size)}
+    for a in range(f.size):
+        for b in range(f.size):
+            assert frob[add[a][b]] == add[frob[a]][frob[b]]
 
 
 def test_gl_order_int():
@@ -153,6 +152,7 @@ def test_gl_order_int():
 def _reference_det(f, m):
     """Determinant of a flat matrix by elimination over the field tables, kept as an independent invertibility test."""
     n = math.isqrt(len(m))
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
     a = [list(m[i:i + n]) for i in range(0, n * n, n)]
     det = 1
     for col in range(n):
@@ -161,13 +161,13 @@ def _reference_det(f, m):
             return 0
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            det = f.neg(det)
-        det = f.mul(det, a[col][col])
-        inv_p = f.inv(a[col][col])
+            det = neg[det]
+        det = mul[det][a[col][col]]
+        inv_p = f.inv_table[a[col][col]]
         for r in range(col + 1, n):
             if a[r][col]:
-                factor = f.mul(a[r][col], inv_p)
-                a[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[r], a[col])]
+                factor = mul[a[r][col]][inv_p]
+                a[r] = [add[x][neg[mul[factor][y]]] for x, y in zip(a[r], a[col])]
     return det
 
 
@@ -308,16 +308,17 @@ def test_is_semisimple_matches_trace_determinant_2x2(p, e):
     # a 2x2 matrix is semisimple iff it is scalar or its characteristic
     # polynomial x^2 - tx + d is separable: t^2 != 4d for odd p, t != 0 for p = 2
     f = field_make(p, e)
-    four = f.add(f.add(1, 1), f.add(1, 1))
+    add, mul = f.add_table, f.mul_table
+    four = add[add[1][1]][add[1][1]]
     for a, b, c, d in itertools.product(range(f.size), repeat=4):
-        t = f.add(a, d)
-        det = f.sub(f.mul(a, d), f.mul(b, c))
+        t = add[a][d]
+        det = add[mul[a][d]][f.neg_table[mul[b][c]]]
         if b == c == 0 and a == d:
             expected = True
         elif p == 2:
             expected = t != 0
         else:
-            expected = f.mul(t, t) != f.mul(four, det)
+            expected = mul[t][t] != mul[four][det]
         assert is_semisimple(f, (a, b, c, d)) == expected, (a, b, c, d)
 
 
@@ -659,16 +660,18 @@ def test_census_budget():
 def _reference_census(f, n):
     """The trial-division factorizer the sieve replaced, kept as a reference."""
 
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
+
     def divmod_poly(a, b):
-        inv_lead = f.inv(b[-1])
+        inv_lead = f.inv_table[b[-1]]
         rem = list(a)
         quo = [0] * max(len(a) - len(b) + 1, 0)
         while len(rem) >= len(b):
-            factor = f.mul(rem[-1], inv_lead)
+            factor = mul[rem[-1]][inv_lead]
             shift = len(rem) - len(b)
             quo[shift] = factor
             for i, c in enumerate(b):
-                rem[shift + i] = f.sub(rem[shift + i], f.mul(factor, c))
+                rem[shift + i] = add[rem[shift + i]][neg[mul[factor][c]]]
             while rem and rem[-1] == 0:
                 rem.pop()
         while quo and quo[-1] == 0:
@@ -731,6 +734,8 @@ def test_census_rejects_a_ring_with_zero_divisors():
         (a1, a0), (b1, b0) = divmod(a, 2), divmod(b, 2)
         return a0 * b0 % 2 + 2 * ((a0 * b1 + a1 * b0) % 2)
 
-    f.mul_table = tuple(tuple(dual(a, b) for b in range(4)) for a in range(4))
+    # mul_table is not a field of the FieldSpec record, so it can be replaced without changing equality
+    object.__setattr__(f, "mul_table", tuple(tuple(dual(a, b) for b in range(4)) for a in range(4)))
+    assert f == field_make(2, 2)
     with pytest.raises(ValueError, match="not a field"):
         poly_type_census(f, 2)

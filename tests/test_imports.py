@@ -60,10 +60,7 @@ def test_oracle_commands_load_the_oracle_but_not_the_group_lab(argv):
 def test_divisibility_loads_only_the_group_lab():
     status, loaded = loaded_after("divisibility", "--group", "S3", "--k", "1")
     assert status == 0
-    # monodromy.data is the namespace package that holds the packaged corpus; it has no code to compile
-    assert loaded == {
-        "monodromy.cli", "monodromy.cli_grouplab", "monodromy.commuting", "monodromy.data", "monodromy.groupdiv",
-    }
+    assert loaded == {"monodromy.cli", "monodromy.cli_grouplab", "monodromy.commuting", "monodromy.groupdiv"}
 
 
 def test_oracle_and_group_lab_share_the_package_counter():
@@ -138,27 +135,29 @@ IMPORTED_BY_COMMAND = {
     },
 }
 
-# loaded through importlib, which the log does not show: importlib.resources opens the namespace
-# package that holds the packaged corpus, which has no code to compile
-LOADED_OUTSIDE_THE_LOG = {"divisibility": {"monodromy.data"}}
-
-# ``python -m monodromy.cli`` through the same runpy call, listing the package's modules in sys.modules at exit
+# ``python -m monodromy.cli`` through the same runpy call, listing the modules in sys.modules at exit
 RUN_AS_MAIN = """
 import atexit, runpy, sys
-atexit.register(lambda: print("loaded at exit:", *sorted(m for m in sys.modules if m.split(".")[0] == "monodromy"),
-                              file=sys.stderr))
+atexit.register(lambda: print("loaded at exit:", *sorted(sys.modules), file=sys.stderr))
 runpy.run_module("monodromy.cli", run_name="__main__", alter_sys=True)
 """
+
+
+def run_as_main(flags, argv):
+    """The stderr lines of one ``python <flags> -m monodromy.cli <argv>``, and the modules loaded at its exit."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *flags, "-c", RUN_AS_MAIN, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    (at_exit,) = [line.split(":", 1)[1].split() for line in lines if line.startswith("loaded at exit:")]
+    return lines, set(at_exit)
 
 
 @pytest.mark.parametrize("argv", list(IMPORTED_BY_COMMAND), ids=[argv[0] for argv in IMPORTED_BY_COMMAND])
 def test_each_command_imports_only_its_front_end_and_layers(argv):
     # without bytecode on disk a process compiles every module it imports, so this set is what it compiles
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", RUN_AS_MAIN, *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stderr.splitlines()
+    lines, at_exit = run_as_main(("-X", "importtime"), argv)
     names = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")]
     ours = [name for name in names if name.split(".")[0] == "monodromy"]
     # run as __main__, cli.py would compile and run a second time if a front end imported it by name
@@ -166,8 +165,27 @@ def test_each_command_imports_only_its_front_end_and_layers(argv):
     assert len(ours) == len(set(ours)), ours
     assert set(ours) == IMPORTED_BY_COMMAND[argv]
     # a module loaded through importlib, such as a lazy package export, is missing from the log but not from sys.modules
-    (at_exit,) = [line.split(":", 1)[1].split() for line in lines if line.startswith("loaded at exit:")]
-    assert set(at_exit) == IMPORTED_BY_COMMAND[argv] | LOADED_OUTSIDE_THE_LOG.get(argv[0], set())
+    assert {name for name in at_exit if name.split(".")[0] == "monodromy"} == IMPORTED_BY_COMMAND[argv]
+
+
+# typing and importlib.resources, and what importing importlib.resources loads; no command needs any of them
+SITE_HOOK_MODULES = {"typing", "importlib.resources", "pathlib", "zipfile", "tempfile"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("poly", "--n", "3", "--k", "2", "--q", "2,3"),
+    ("poly", "--n", "3", "--k", "2", "--format", "json"),
+    ("verify", "--n", "2", "--k", "2", "--q", "2,3"),
+    ("census", "--n", "3", "--q", "2"),
+    ("divisibility", "--group", "S3", "--k", "1"),
+    ("divisibility", "--group", "S3", "--k", "1", "--format", "json"),
+], ids=["poly", "poly-json", "verify", "census", "divisibility", "divisibility-json"])
+def test_commands_on_a_clean_host_load_no_site_hook_module_and_json_only_for_json(argv):
+    # without site, no site hook can have imported these modules first
+    _, at_exit = run_as_main(("-S",), argv)
+    assert not at_exit & SITE_HOOK_MODULES, sorted(at_exit & SITE_HOOK_MODULES)
+    # table output, the default, never needs json
+    assert ("json" in at_exit) == ("--format" in argv)
 
 
 RETIRED = {

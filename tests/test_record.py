@@ -8,7 +8,7 @@ from monodromy import record
 from monodromy.engine import MODE_SEMISIMPLE, CountingPolynomial, DegreeReport
 from monodromy.exactpoly import LaurentPoly, UnivariatePoly
 from monodromy.fforacle import CensusRecord, field_make, is_semisimple
-from monodromy.groupdiv import CosetLemmaCheck, DivisibilityReport, PrimeValuation
+from monodromy.groupdiv import CosetLemmaCheck, DivisibilityReport, PrimeValuation, SubgroupEntry
 from monodromy.typecomb import FactorizationType
 
 F3 = field_make(3, 1)
@@ -26,6 +26,8 @@ SAMPLES = [
     VALUATION,
     DivisibilityReport("S3", 6, 1, (), 6, (VALUATION,), True),
     CosetLemmaCheck(2, 2, 0, 2, 2, True),
+    F3,
+    SubgroupEntry((1,), frozenset({0, 1}), 0, (0, 1)),
 ]
 
 
@@ -49,6 +51,8 @@ def test_repr_and_hash_match_a_frozen_dataclass(obj):
 def test_repr_literals():
     assert repr(VALUATION) == "PrimeValuation(prime=2, count_valuation=3, order_valuation=1, ok=True)"
     assert repr(UnivariatePoly((1, 0))) == "UnivariatePoly(coeffs=(1,))"
+    # the census error text names a field by this repr; its tables are not fields
+    assert repr(field_make(2, 2)) == "FieldSpec(p=2, e=2, modulus=(1, 1, 1))"
 
 
 @pytest.mark.parametrize("obj", SAMPLES, ids=lambda obj: type(obj).__name__)
