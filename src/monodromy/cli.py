@@ -85,11 +85,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the two-character escapes of json's ensure_ascii output; other code points outside 0x20-0x7E become \uXXXX
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _json_char(ch: str) -> str:
+    if ch in _JSON_ESCAPES:
+        return _JSON_ESCAPES[ch]
+    if " " <= ch <= "~":
+        return ch
+    n = ord(ch)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000  # an astral code point: a UTF-16 surrogate pair
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _json_str(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_json_char, s)) + '"'
+
+
+# how json writes each scalar type; only these exact types, so a subclass such as an IntEnum is refused
+_JSON_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(value, newline: str, put) -> None:
+    """Put the pieces of ``json.dumps(value, sort_keys=True, indent=2)``, nested at ``newline``'s indent.
+
+    The json package is not imported.  Anything it would write differently,
+    such as a float or a non-str key, raises ``TypeError`` rather than print
+    wrongly.
+    """
+    kind = type(value)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        put(scalar(value))
+        return
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            put("{}")
+            return
+        sep = "{"
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            put(sep + inner + _json_str(key) + ": ")
+            _write_json(value[key], inner, put)
+            sep = ","
+        put(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        sep = "["
+        for item in value:
+            put(sep + inner)
+            _write_json(item, inner, put)
+            sep = ","
+        put(newline + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, fmt: str, table_lines) -> None:
     if fmt == "json":
-        import json  # here: table output, the default, never needs it
-
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        pieces: list[str] = []
+        _write_json(doc, "\n", pieces.append)
+        print("".join(pieces))
     else:
         for line in table_lines(doc):
             print(line)

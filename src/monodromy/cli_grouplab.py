@@ -19,7 +19,7 @@ def _parse_prime_sets(text: str | None) -> list[tuple[int, ...]]:
         primes = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
     except ValueError as exc:
         raise Refusal(f"bad --S list {text!r}") from exc
-    if any(not groupdiv._is_prime(p) for p in primes):
+    if not primes or any(not groupdiv._is_prime(p) for p in primes):  # only 'none' means the empty set
         raise Refusal(f"--S needs primes, got {text!r}")
     return [primes]
 

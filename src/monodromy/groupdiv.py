@@ -22,7 +22,8 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 
 from . import BudgetExceeded, Refusal, decimal_str, record
-from .commuting import count_commuting_tuples
+# the hom counts resume commuting_tuple_counts; groupdiv.count_commuting_tuples names the counter the oracle shares
+from .commuting import commuting_tuple_counts, count_commuting_tuples  # noqa: F401
 
 CLOSURE_BUDGET = 10_000
 HOM_GROUP_BUDGET = 2_000
@@ -113,23 +114,48 @@ class FiniteGroupTable:
         self.domain = domain
         self._index = {p: i for i, p in enumerate(elems)}
         self.identity_index = self._index[identity]
+        # per deleted-prime set: the hom counts for k = 1, 2, ... found so far, and the walk that finds more
+        self._hom_walks: dict[frozenset[int], tuple[list[int], Iterator[int]]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
 
     @functools.cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        """The Cayley table by columns: ``columns[j][i]`` indexes ``compose(elements[i], elements[j])``."""
+        """The Cayley table by columns: ``columns[j][i]`` indexes ``compose(elements[i], elements[j])``.
+
+        Only a generator's column is looked up in the element index, after
+        one C-level getter of its permutation per element; a generator is
+        the first element with no column yet.  The column of w·g is the
+        column of w read through that of g, since e_i(e_w g) = (e_i e_w)g:
+        one C-level getter of w's column (at least two entries, so the
+        getter returns a tuple).  Each generator's column checks e_i·g for
+        every i, and every element is a product of generators, so a list
+        that is not closed under composition raises ``ValueError``.
+        """
         if len(self) > HOM_GROUP_BUDGET:
             raise BudgetExceeded(f"group order {len(self)} exceeds {HOM_GROUP_BUDGET}")
-        if self.domain == 1:  # itemgetter of one point returns a scalar; the only element is the identity
-            return ((self.identity_index,),)
-        # one C-level getter per column
         lookup = self._index.__getitem__
-        try:
-            return tuple(tuple(map(lookup, map(operator.itemgetter(*b), self.elements))) for b in self.elements)
-        except KeyError:
-            raise ValueError("element list is not closed under composition") from None
+        columns: list[tuple[int, ...] | None] = [None] * len(self)
+        columns[self.identity_index] = tuple(range(len(self)))
+        reached = [self.identity_index]
+        gens: list[int] = []
+        for g, perm in enumerate(self.elements):
+            if columns[g] is not None:
+                continue
+            try:
+                columns[g] = tuple(map(lookup, map(operator.itemgetter(*perm), self.elements)))
+            except KeyError:
+                raise ValueError("element list is not closed under composition") from None
+            gens.append(g)
+            reached.append(g)
+            for w in reached:  # grows while products with the generators reach new elements
+                for h in gens:
+                    x = columns[h][w]  # w·h
+                    if columns[x] is None:
+                        columns[x] = operator.itemgetter(*columns[w])(columns[h])
+                        reached.append(x)
+        return tuple(columns)
 
     @functools.cached_property
     def products(self) -> tuple[tuple[int, ...], ...]:
@@ -331,7 +357,9 @@ def hom_count_profinite_abelian(table: FiniteGroupTable, k: int, primes: Iterabl
     """Commuting k-tuples whose element orders avoid every prime in the set.
 
     These are exactly the homomorphisms from a free profinite-abelian group
-    of rank k with the given primes deleted.
+    of rank k with the given primes deleted.  The table keeps one walk per
+    prime set (``commuting_tuple_counts``), so asking k = 1, 2, 3 in any
+    order costs one walk to level 2.
     """
     if k < 1:
         raise ValueError("rank must be >= 1")
@@ -339,10 +367,13 @@ def hom_count_profinite_abelian(table: FiniteGroupTable, k: int, primes: Iterabl
     prime_set = frozenset(primes)
     if any(not _is_prime(p) for p in prime_set):
         raise ValueError(f"prime set {sorted(prime_set)} contains a non-prime")
-    eligible = frozenset(
-        i for i, order in enumerate(table.orders) if all(order % p for p in prime_set)
-    )
-    return count_commuting_tuples(table.centralizers, eligible, k)
+    walk = table._hom_walks.get(prime_set)
+    if walk is None:
+        eligible = frozenset(i for i, order in enumerate(table.orders) if all(order % p for p in prime_set))
+        walk = table._hom_walks[prime_set] = ([], commuting_tuple_counts(table.centralizers, eligible))
+    counts, pending = walk
+    counts.extend(itertools.islice(pending, max(0, k - len(counts))))
+    return counts[k - 1]
 
 
 @record

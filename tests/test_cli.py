@@ -54,6 +54,45 @@ def test_poly_stdout_bytes_are_pinned(capsys, fmt):
     assert digest.hexdigest() == POLY_STDOUT_DIGESTS[fmt]
 
 
+# the S5, A5 and D12 lines of the generated benchmark corpus, unrelabelled
+GENERATED_CORPUS = (
+    "S5 5 (1 2); (1 2 3 4 5)\n"
+    "A5 5 (1 2 3); (3 4 5)\n"
+    "D12 12 (1 2 3 4 5 6 7 8 9 10 11 12); (1 12)(2 11)(3 10)(4 9)(5 8)(6 7)\n"
+)
+
+# sha256 of the ``--format json`` stdout of each command, recorded while ``_emit`` still wrote through
+# ``json.dumps(doc, sort_keys=True, indent=2)``; ``{corpus}`` names a file holding GENERATED_CORPUS
+JSON_STDOUT_DIGESTS = {
+    "divisibility-packaged": (("divisibility",),
+                              "c459a6157aea678919ad3f495c6558cc65b1654a7714ad67be5dcc91879363fe"),
+    "divisibility-generated": (("divisibility", "--corpus", "{corpus}"),
+                               "b20171ccd2a41d6f2ad47bf4fc42846522c1cb3c9f80a1792ff22c4876d74453"),
+    "census": (("census", "--n", "5", "--q", "2,3,4,5"),
+               "5ca31bebbaf6e2991110ed0ba09a1bb0b4693cb5017c0ad3eb2c708a3e7fb844"),
+    "verify-ss-2-2": (("verify", "--n", "2", "--k", "2", "--mode", "ss", "--q", "2,3,4,5,7"),
+                      "6a821cfc103d3738b3d4433f8a3da82825b65eef2fb1237ab5600239ce378e18"),
+    "verify-mixed-2-3": (("verify", "--n", "2", "--k", "3", "--mode", "mixed", "--q", "2,3,4,5"),
+                         "933130bd77629a7f345373bd541ca99a5a5af10d22a88a55138b069c0d546423"),
+    "verify-conj-2-2": (("verify", "--n", "2", "--k", "2", "--mode", "conj", "--q", "2,3,4,5"),
+                        "56050513e20360d4b77be9805989a3958437cefaf396387d570fc41be872fa88"),
+    "verify-ss-3-2": (("verify", "--n", "3", "--k", "2", "--mode", "ss", "--q", "2"),
+                      "feebbfc43364cfee1042db1b8e626ef5059247062722ae3c9c0d2e2fc4e65d7a"),
+    "verify-conj-3-2": (("verify", "--n", "3", "--k", "2", "--mode", "conj", "--q", "2"),
+                        "778f52960b7a7386322b980ee7b7afa445779437df8254b8a927d16fd025d98d"),
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_STDOUT_DIGESTS))
+def test_json_stdout_bytes_are_pinned(capsys, tmp_path, name):
+    corpus = tmp_path / "generated.txt"
+    corpus.write_text(GENERATED_CORPUS, encoding="utf-8")
+    argv, expected = JSON_STDOUT_DIGESTS[name]
+    status, out, err = run(capsys, *(arg.format(corpus=corpus) for arg in argv), "--format", "json")
+    assert status == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def test_poly_json_values(capsys):
     status, out, _ = run(capsys, "poly", "--n", "2", "--g", "1", "--q", "2,3", "--format", "json")
     assert status == 0
@@ -222,11 +261,48 @@ def test_divisibility_domain_above_ceiling_exit_two(capsys, monkeypatch, tmp_pat
     assert err.startswith("error:") and "corpus line 2: domain 1000000000 is not a number of points" in err
 
 
-@pytest.mark.parametrize("primes", ["4", "0", "2,9"])
+@pytest.mark.parametrize("primes", ["4", "0", "2,9", ",", ""])
 def test_divisibility_non_prime_s_exit_two(capsys, primes):
     status, out, err = run(capsys, "divisibility", "--group", "S3", "--S", primes)
     assert status == 2 and err.startswith("error:") and "--S needs primes" in err
     assert out == ""
+
+
+def test_json_writer_escapes_names_as_json_does(capsys, tmp_path):
+    # one group per awkward name: non-ASCII, astral, a quote, a backslash and DEL
+    names = ["caf\u00e9", "\U0001d516", 'q"uote', "back\\slash", "del\x7f", "mixed\u00e9\U0001d516\"\\\x7f"]
+    path = tmp_path / "names.txt"
+    path.write_text("".join(f"{name} 2 (1 2)\n" for name in names), encoding="utf-8")
+    status, out, err = run(capsys, "divisibility", "--format", "json", "--corpus", str(path))
+    assert status == 0 and err == ""
+    doc = json.loads(out)
+    assert [g["name"] for g in doc["groups"]] == names
+    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
+
+
+def test_json_writer_matches_json_dumps():
+    strings = ["", "plain", "\x00\x1f\b\f\n\r\t", "\u00ff\u0100\uffff", "\U00010000\U0010ffff", '"\\/', "\x7f~ "]
+    doc = {
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        "ints": [0, -1, 10**200, True, False, None],
+        "nested": [[{"b": 1, "a": [2, (3,)]}], {}],
+        "strings": strings,
+        **{s: s for s in strings},
+    }
+    pieces = []
+    cli._write_json(doc, "\n", pieces.append)
+    assert "".join(pieces) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{"x": 1.5}, {"x": [0.5]}, {1: "one"}, {"x": {2: "two"}}, {"x": {"set"}}],
+                         ids=["float", "nested-float", "int-key", "nested-int-key", "set"])
+def test_json_writer_refuses_what_json_would_write_differently(capsys, monkeypatch, doc):
+    with pytest.raises(TypeError):
+        cli._emit(doc, "json", None)
+    # from a command, the refusal is an internal failure: exit 3, nothing printed
+    monkeypatch.setattr(cli, "_command", lambda name: lambda args: (doc, None, True))
+    status, out, err = run(capsys, "divisibility", "--format", "json")
+    assert (status, out) == (3, "") and err.startswith("internal invariant violated:")
 
 
 def test_internal_value_error_exits_three(capsys, monkeypatch):

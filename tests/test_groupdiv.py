@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from monodromy import cli, groupdiv
+from monodromy.commuting import count_commuting_tuples
 from monodromy.fforacle import MODE_ALL_SEMISIMPLE, brute_hom_count, field_make
 from monodromy.groupdiv import (
     CORPUS_DOMAIN_CEILING,
@@ -521,12 +522,37 @@ def test_normalizers_read_off_class_construction(name):
         assert sorted(map(conjugate, entry.normalizer)) == scanned
 
 
-@pytest.mark.parametrize("name", ["S5", "GL2F3"])
-def test_products_match_compose_perms(name):
+def _shuffled(table, seed):
+    """The same group with its elements in a random order: the identity need not come first."""
+    elems = list(table.elements)
+    random.Random(seed).shuffle(elems)
+    return FiniteGroupTable(elems, name=table.name)
+
+
+@pytest.mark.parametrize("name,seed", [("S5", None), ("GL2F3", None), ("S5", 1), ("GL2F3", 2)],
+                         ids=["S5", "GL2F3", "S5-shuffled", "GL2F3-shuffled"])
+def test_products_match_compose_perms(name, seed):
     table = next(t for t in _sweep_tables() if t.name == name)
+    if seed is not None:
+        table = _shuffled(table, seed)
+        assert table.identity_index != 0
     elems = table.elements
     assert table.products == tuple(tuple(index_of(table, compose_perms(a, b)) for b in elems) for a in elems)
     assert table.columns == tuple(zip(*table.products))
+
+
+def test_columns_look_up_only_the_generator_columns():
+    table = next(t for t in _sweep_tables() if t.name == "S5")  # closure order: (), (1 2), (1 2 3 4 5), ...
+    lookups = []
+
+    class CountingIndex(dict):
+        def __getitem__(self, perm):
+            lookups.append(perm)
+            return super().__getitem__(perm)
+
+    table._index = CountingIndex(table._index)
+    table.columns
+    assert len(lookups) == 2 * len(table)
 
 
 @pytest.mark.parametrize("name", ["S5", "A5", "GL2F3"])
@@ -551,6 +577,16 @@ def test_hom_count_profinite_abelian_s3():
         hom_count_profinite_abelian(g, 0, ())
     with pytest.raises(ValueError):
         hom_count_profinite_abelian(g, 1, (4,))
+
+
+def test_hom_counts_resume_one_walk_per_prime_set_in_any_order():
+    for table in _sweep_tables():
+        for primes in ((), (2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)):
+            fresh = next(t for t in _sweep_tables() if t.name == table.name)
+            eligible = frozenset(i for i, order in enumerate(fresh.orders) if all(order % p for p in primes))
+            for k in (3, 1, 5, 2):
+                expected = count_commuting_tuples(fresh.centralizers, eligible, k)
+                assert hom_count_profinite_abelian(table, k, primes) == expected, (table.name, primes, k)
 
 
 def test_hom_count_cyclic():
