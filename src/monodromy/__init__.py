@@ -4,9 +4,9 @@ The engine computes the counting polynomials; the oracle recomputes small
 cases by brute force over explicit finite fields; the group module checks
 the divisibility phenomena the counts exhibit in arbitrary finite groups.
 
-``Refusal``, ``record`` and ``decimal_str`` are defined here for every
-layer, and so is ``BudgetExceeded``, which the oracle and the group lab
-share; they share ``count_commuting_tuples`` too, from the small
+``Refusal``, ``record``, ``decimal_str`` and ``prime_factors`` are defined
+here for every layer, and so is ``BudgetExceeded``, which the oracle and the
+group lab share; they share ``count_commuting_tuples`` too, from the small
 ``commuting`` module.  The other names load on first use (PEP 562), so
 importing the package, or one of its modules, compiles only what that use
 needs.
@@ -113,6 +113,21 @@ def decimal_str(value: int) -> str:
     half = value.bit_length() * 3 // 20  # 3/10 < log10(2), so value // 10**half >= 1
     high, low = divmod(value, 10**half)
     return decimal_str(high) + decimal_str(low).zfill(half)
+
+
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing ``n >= 1``, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def _retired(*args, **kwargs):

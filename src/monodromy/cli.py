@@ -85,26 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the two-character escapes of json's ensure_ascii output; other code points outside 0x20-0x7E become \uXXXX
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
-
-
-def _json_char(ch: str) -> str:
-    if ch in _JSON_ESCAPES:
-        return _JSON_ESCAPES[ch]
-    if " " <= ch <= "~":
-        return ch
-    n = ord(ch)
-    if n < 0x10000:
-        return f"\\u{n:04x}"
-    n -= 0x10000  # an astral code point: a UTF-16 surrogate pair
-    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-
-
 def _json_str(s: str) -> str:
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    return '"' + "".join(map(_json_char, s)) + '"'
+    import json  # only a string that needs an escape loads json, so the escapes are json's own
+    return json.dumps(s)
 
 
 # how json writes each scalar type; only these exact types, so a subclass such as an IntEnum is refused
@@ -119,9 +104,11 @@ _JSON_SCALARS = {
 def _write_json(value, newline: str, put) -> None:
     """Put the pieces of ``json.dumps(value, sort_keys=True, indent=2)``, nested at ``newline``'s indent.
 
-    The json package is not imported.  Anything it would write differently,
-    such as a float or a non-str key, raises ``TypeError`` rather than print
-    wrongly.
+    The json package is imported only to write a string that needs an
+    escape (``_json_str``).  Every string of the packaged corpus and of the
+    benchmark's requests is printable ASCII with no quote or backslash, so
+    those runs never load it.  Anything json would write differently, such as
+    a float or a non-str key, raises ``TypeError`` rather than print wrongly.
     """
     kind = type(value)
     scalar = _JSON_SCALARS.get(kind)

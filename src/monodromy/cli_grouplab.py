@@ -41,16 +41,19 @@ def divisibility(args):
     prime_sets = _parse_prime_sets(args.S)
     for k in ks:  # before any group's Frobenius counts and coset sweep
         groupdiv.check_hom_rank(k)
+    for table in groups:
+        groupdiv.check_sweep_order(len(table))
     group_docs = []
     all_ok = True
     for table in groups:
-        exponents = [args.n] if args.n is not None else list(groupdiv._divisors(len(table)))
+        order = len(table)
+        exponents = [args.n] if args.n is not None else [d for d in range(1, order + 1) if order % d == 0]
         frob_rows = []
         for n in exponents:
             if n < 1:
                 raise Refusal("--n must be >= 1")
             count, divides = groupdiv.frobenius_count(table, n)
-            binding = len(table) % n == 0
+            binding = order % n == 0
             if binding and not divides:
                 all_ok = False
             frob_rows.append({"n": n, "count": count, "divides": divides, "binding": binding})
@@ -67,7 +70,7 @@ def divisibility(args):
                 reports.append(report.to_json())
         group_docs.append({
             "name": table.name,
-            "order": len(table),
+            "order": order,
             "frobenius": frob_rows,
             "cosetLemma": {"checked": len(sweep), "failures": failures},
             "homReports": reports,

@@ -71,11 +71,7 @@ class MonicViolation(AssertionError):
 
 
 class WeightCache(dict):
-    """Unused: the counts keep their memo in this module, per k.
-
-    This class and the trailing ``cache`` parameter of every count stay
-    accepted only because perfbench/child.py passes a WeightCache to each count.
-    """
+    """Ignored, like each count's ``cache`` parameter; kept because perfbench/child.py passes one to every count."""
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ formal variable is always printed as ``q``.  The zero polynomial is the
 empty tuple, which makes equality and degree structural.  Everything here is
 exact; no floating point is ever involved.  The type counts and the
 engine's sums are plain ``IntPoly`` coefficient tuples, built from the
-closed-point counts ``_point_numerator`` (with ``_mobius``) and the one
-schoolbook product ``int_mul``; ``UnivariatePoly`` and ``LaurentPoly`` only
-hold, certify and print them.  A coefficient that is not an ``int`` is kept
-as given, so ``is_integer`` reports it and a count refuses it.
+closed-point counts ``_point_numerator`` (with ``_mobius``, read off the
+package's ``prime_factors``) and the one schoolbook product ``int_mul``;
+``UnivariatePoly`` and ``LaurentPoly`` only hold, certify and print them.
+A coefficient that is not an ``int`` is kept as given, so ``is_integer``
+reports it and a count refuses it.
 
 A count's coefficients go from construction to the printed bytes without a
 conversion: ``to_json`` writes ``[c, 1]`` for an int in the signed 64-bit
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from . import _STR_SAFE, _retired, decimal_str, record
+from . import _STR_SAFE, _retired, decimal_str, prime_factors, record
 
 #: Integer polynomial: ascending coefficients with no trailing zeros.
 IntPoly = tuple[int, ...]
@@ -112,20 +113,9 @@ def int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _mobius(k: int) -> int:
-    if k < 1:
-        raise ValueError("mobius needs k >= 1")
-    result = 1
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            k //= d
-            if k % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if k > 1:
-        result = -result
-    return result
+    """mu(k): k is squarefree exactly when it is the product of its distinct primes."""
+    ps = prime_factors(k)
+    return (-1) ** len(ps) if math.prod(ps) == k else 0
 
 
 @lru_cache(maxsize=None)

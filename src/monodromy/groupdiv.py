@@ -21,9 +21,8 @@ import os
 import re
 from collections.abc import Iterable, Iterator, Sequence
 
-from . import BudgetExceeded, Refusal, decimal_str, record
-# the hom counts resume commuting_tuple_counts; groupdiv.count_commuting_tuples names the counter the oracle shares
-from .commuting import commuting_tuple_counts, count_commuting_tuples  # noqa: F401
+from . import BudgetExceeded, Refusal, decimal_str, prime_factors, record
+from .commuting import commuting_tuple_counts
 
 CLOSURE_BUDGET = 10_000
 HOM_GROUP_BUDGET = 2_000
@@ -164,7 +163,8 @@ class FiniteGroupTable:
 
     @functools.cached_property
     def inverses(self) -> tuple[int, ...]:
-        return tuple(self._index[tuple(_invert(p))] for p in self.elements)
+        """For each element, the index of its inverse: where its column holds the identity."""
+        return tuple(column.index(self.identity_index) for column in self.columns)
 
     @functools.cached_property
     def centralizers(self) -> tuple[frozenset[int], ...]:
@@ -204,13 +204,6 @@ class FiniteGroupTable:
         return frozenset(seen)
 
 
-def _invert(perm: tuple[int, ...]) -> list[int]:
-    out = [0] * len(perm)
-    for i, x in enumerate(perm):
-        out[x] = i
-    return out
-
-
 def group_generate(gens: Sequence[tuple[int, ...]], name: str = "", budget: int = CLOSURE_BUDGET) -> FiniteGroupTable:
     """Breadth-first closure of the generators, identity first."""
     if not gens:
@@ -239,18 +232,6 @@ def group_generate(gens: Sequence[tuple[int, ...]], name: str = "", budget: int 
 # number-theory helpers
 
 
-def _divisors(n: int) -> tuple[int, ...]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
-
-
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases above decide every n below it
 
@@ -268,20 +249,6 @@ def _is_prime(n: int) -> bool:
         if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(s)):
             return False
     return True
-
-
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def _valuation(n: int, p: int) -> int:
@@ -345,6 +312,12 @@ def _coset_count(table: FiniteGroupTable, subgroup: frozenset[int], x: int, p: i
     orders, products = table.orders, table.products
     count = sum(1 for h in subgroup if _is_prime_power_or_one(orders[products[h][x]], p))
     return count, p ** _valuation(len(subgroup), p)
+
+
+def check_sweep_order(order: int) -> None:
+    """Refuse a subgroup sweep past SWEEP_GROUP_BUDGET; the front end calls it before any group is swept."""
+    if order > SWEEP_GROUP_BUDGET:
+        raise BudgetExceeded(f"subgroup sweep on order {order} exceeds {SWEEP_GROUP_BUDGET}")
 
 
 def check_hom_rank(k: int) -> None:
@@ -424,7 +397,7 @@ def divisibility_report(table: FiniteGroupTable, k: int, primes: Iterable[int]) 
     prime_set = tuple(sorted(frozenset(primes)))
     hom = hom_count_profinite_abelian(table, k, prime_set)
     checks = []
-    for ell in _prime_factors(len(table)):
+    for ell in prime_factors(len(table)):
         if ell in prime_set:
             continue
         cv = _valuation(hom, ell)
@@ -471,8 +444,7 @@ def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], Subgrou
     N-orbit, since <H, c^x> = <H, c>^x for x in N and a new join brings in
     its whole class.
     """
-    if len(table) > SWEEP_GROUP_BUDGET:
-        raise BudgetExceeded(f"subgroup sweep on order {len(table)} exceeds {SWEEP_GROUP_BUDGET}")
+    check_sweep_order(len(table))
     products, columns, inverses, identity = table.products, table.columns, table.inverses, table.identity_index
     # conjugators[y][h] indexes y^-1 h y
     conjugators = [tuple(map(columns[y].__getitem__, products[inverses[y]])) for y in range(len(table))]
@@ -602,7 +574,7 @@ def coset_lemma_sweep(table: FiniteGroupTable) -> CosetSweep:
     """
     subgroups = enumerate_subgroups(table)  # refuses past the ceiling before the Cayley table is built
     columns = table.columns
-    primes = _prime_factors(len(table))
+    primes = prime_factors(len(table))
     # p_power[p][i]: whether element i has p-power order (1 counts)
     p_power = {p: [_is_prime_power_or_one(order, p) for order in table.orders] for p in primes}
     # the coset Hx is columns[x][h] over h in H; its p-power elements are counted at C level
@@ -623,17 +595,24 @@ def coset_lemma_sweep(table: FiniteGroupTable) -> CosetSweep:
 
 
 def parse_corpus(text: str) -> tuple[FiniteGroupTable, ...]:
-    """Corpus lines: ``name domain gens`` with generators ';'-separated.
+    """Corpus lines: ``name domain gens`` with generators ';'-separated, each name on one line only.
 
     Example: ``S3 3 (1 2); (1 2 3)``.  Blank lines and ``#`` comments skipped.
     """
     groups = []
+    first_line: dict[str, int] = {}  # group name -> the line that defines it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            name, domain_text, rest = line.split(None, 2)
+            fields = line.split(None, 2)
+            if len(fields) < 3:
+                raise ValueError("expected a name, a domain and generators")
+            name, domain_text, rest = fields
+            if name in first_line:
+                raise ValueError(f"group name {name!r} repeats line {first_line[name]}")
+            first_line[name] = line_no
             domain = int(domain_text)
             if not 1 <= domain <= CORPUS_DOMAIN_CEILING:
                 raise ValueError(f"domain {domain} is not a number of points in 1..{CORPUS_DOMAIN_CEILING}")

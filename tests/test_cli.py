@@ -261,6 +261,25 @@ def test_divisibility_domain_above_ceiling_exit_two(capsys, monkeypatch, tmp_pat
     assert err.startswith("error:") and "corpus line 2: domain 1000000000 is not a number of points" in err
 
 
+def test_divisibility_short_corpus_line_exit_two(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("X 3\n", encoding="utf-8")
+    status, out, err = run(capsys, "divisibility", "--corpus", str(path))
+    assert (status, out) == (2, "")
+    assert err == f"error: {path}: corpus line 1: expected a name, a domain and generators\n"
+
+
+@pytest.mark.parametrize("group", [None, "G"], ids=["all", "by-name"])
+def test_divisibility_repeated_group_name_exit_two(capsys, tmp_path, group):
+    # --group restricts to one group by name, so a name must not stand for two groups
+    path = tmp_path / "corpus.txt"
+    path.write_text("G 3 (1 2)\nG 3 (1 2 3)\n", encoding="utf-8")
+    argv = ["divisibility", "--corpus", str(path)] + (["--group", group] if group else [])
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err == f"error: {path}: corpus line 2: group name 'G' repeats line 1\n"
+
+
 @pytest.mark.parametrize("primes", ["4", "0", "2,9", ",", ""])
 def test_divisibility_non_prime_s_exit_two(capsys, primes):
     status, out, err = run(capsys, "divisibility", "--group", "S3", "--S", primes)
@@ -396,6 +415,21 @@ def test_divisibility_rank_refused_before_any_group_work(capsys, monkeypatch, tm
     corpus.write_text("S6 6 (1 2); (1 2 3 4 5 6)\nC2 2 (1 2)\n", encoding="utf-8")
     status, out, err = run(capsys, "divisibility", "--corpus", str(corpus), "--k", k)
     assert (status, out, err) == (2, "", f"error: hom rank {k} exceeds the ceiling 10000\n")
+
+
+@pytest.mark.parametrize("group", [None, "S7"], ids=["all", "by-name"])
+def test_divisibility_sweep_refused_before_any_group_work(capsys, monkeypatch, tmp_path, group):
+    # C2 and S6 first: their Frobenius counts and coset sweeps would run before S7's sweep refused
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("group work started before every sweep order was checked")
+
+    monkeypatch.setattr(groupdiv, "coset_lemma_sweep", must_not_run)
+    monkeypatch.setattr(groupdiv, "frobenius_count", must_not_run)
+    corpus = tmp_path / "s7.txt"
+    corpus.write_text("C2 2 (1 2)\nS6 6 (1 2); (1 2 3 4 5 6)\nS7 7 (1 2); (1 2 3 4 5 6 7)\n", encoding="utf-8")
+    argv = ["divisibility", "--corpus", str(corpus)] + (["--group", group] if group else [])
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == (2, "", "error: subgroup sweep on order 5040 exceeds 720\n")
 
 
 def test_divisibility_long_malformed_cycle_exits_two_at_once(tmp_path):

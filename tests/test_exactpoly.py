@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from monodromy import decimal_str
+from monodromy import decimal_str, prime_factors
 from monodromy.engine import MODE_SEMISIMPLE, CountingPolynomial, IntegralityViolation
-from monodromy.exactpoly import NEG_INFINITY, LaurentPoly, UnivariatePoly, int_mul
+from monodromy.exactpoly import NEG_INFINITY, LaurentPoly, UnivariatePoly, _mobius, int_mul
 
 P = UnivariatePoly
 Q = P((0, 1))
@@ -240,3 +240,11 @@ def test_printed_forms_match_the_general_route():
         assert p.coeffs == (tuple(cs[: nonzero[-1] + 1]) if nonzero else ()), cs
         assert lp.coeffs == (tuple(cs[nonzero[0]: nonzero[-1] + 1]) if nonzero else ()), cs
         assert lp.min_degree == (low + nonzero[0] if nonzero else 0), cs
+
+
+def test_prime_factors_and_mobius_match_brute_force():
+    for n in range(1, 1001):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+        assert prime_factors(n) == tuple(primes), n
+        squarefree = all(n % (p * p) for p in primes)
+        assert _mobius(n) == ((-1) ** len(primes) if squarefree else 0), n

@@ -12,13 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from monodromy import cli, groupdiv
+from monodromy import cli, groupdiv, prime_factors
 from monodromy.commuting import count_commuting_tuples
 from monodromy.fforacle import MODE_ALL_SEMISIMPLE, brute_hom_count, field_make
 from monodromy.groupdiv import (
     CORPUS_DOMAIN_CEILING,
     CYCLES_PATTERN,
     HOM_RANK_CEILING,
+    SWEEP_GROUP_BUDGET,
     BudgetExceeded,
     ClosureBudgetExceeded,
     CosetLemmaCheck,
@@ -29,7 +30,7 @@ from monodromy.groupdiv import (
     _is_prime,
     _is_prime_power_or_one,
     _normalizes,
-    _prime_factors,
+    check_sweep_order,
     compose_perms,
     coset_lemma_sweep,
     coset_p_power_count,
@@ -428,7 +429,7 @@ def _reference_sweep(table):
     results = []
     for subgroup, entry in enumerate_subgroups(table).items():
         normalizer = [x for x in range(len(table)) if _normalizes(table, x, entry.gens, subgroup)]
-        for p in _prime_factors(len(table)):
+        for p in prime_factors(len(table)):
             for x in normalizer:
                 if _is_prime_power_or_one(table.orders[x], p):
                     count, required = _coset_count(table, subgroup, x, p)
@@ -634,10 +635,20 @@ def test_parse_corpus():
     groups = parse_corpus("S3 3 (1 2); (1 2 3)\n# comment\n\nC2 2 (1 2)\n")
     assert [g.name for g in groups] == ["S3", "C2"]
     assert [len(g) for g in groups] == [6, 2]
-    with pytest.raises(ValueError):
-        parse_corpus("broken 3\n")
+    for short in ("broken 3\n", "X\n", "X 3 # (1 2)\n"):
+        with pytest.raises(ValueError, match=r"^corpus line 1: expected a name, a domain and generators$"):
+            parse_corpus(short)
     with pytest.raises(ValueError):
         parse_corpus("X 3 (1 9)\n")
+
+
+def test_parse_corpus_refuses_a_repeated_name():
+    # divisibility --group G picks one group by name, so a second G would be checked with the first
+    with pytest.raises(ValueError) as exc:
+        parse_corpus("G 3 (1 2)\nG 3 (1 2 3)\n")
+    assert str(exc.value) == "corpus line 2: group name 'G' repeats line 1"
+    with pytest.raises(ValueError, match=r"^corpus line 4: group name 'C2' repeats line 2$"):
+        parse_corpus("S3 3 (1 2); (1 2 3)\nC2 2 (1 2)\n# comment\nC2 4 (1 2)(3 4)\n")
 
 
 def test_parse_corpus_domain_ceiling():
@@ -716,6 +727,12 @@ def test_hom_count_deep_rank():
     assert hom_count_profinite_abelian(c12, 1500, (2,)) == 3**1500
 
 
+def test_sweep_order_ceiling():
+    check_sweep_order(SWEEP_GROUP_BUDGET)
+    with pytest.raises(BudgetExceeded, match=r"^subgroup sweep on order 721 exceeds 720$"):
+        check_sweep_order(SWEEP_GROUP_BUDGET + 1)
+
+
 def test_hom_rank_ceiling():
     c2 = make("C2", 2, "(1 2)")
     assert hom_count_profinite_abelian(c2, HOM_RANK_CEILING, ()) == 2**HOM_RANK_CEILING
@@ -723,6 +740,14 @@ def test_hom_rank_ceiling():
         hom_count_profinite_abelian(c2, HOM_RANK_CEILING + 1, ())
     with pytest.raises(BudgetExceeded):  # named in the message although str() refuses its 5001 digits
         hom_count_profinite_abelian(c2, 10**5000, ())
+
+
+def test_inverses_read_off_the_columns():
+    for table in (*_sweep_tables(), make("Z", 1, "()")):
+        products, inverses, e = table.products, table.inverses, table.identity_index
+        for i, inv in enumerate(inverses):
+            assert products[i][inv] == products[inv][i] == e, (table.name, i)
+        assert sorted(inverses) == list(range(len(table))), table.name
 
 
 def test_is_prime_matches_trial_division():

@@ -64,10 +64,11 @@ def test_divisibility_loads_only_the_group_lab():
 
 
 def test_oracle_and_group_lab_share_the_package_counter():
-    from monodromy import fforacle, groupdiv
+    from monodromy import commuting, fforacle, groupdiv
 
     assert fforacle.BudgetExceeded is groupdiv.BudgetExceeded is monodromy.BudgetExceeded
-    assert fforacle.count_commuting_tuples is groupdiv.count_commuting_tuples is monodromy.count_commuting_tuples
+    assert groupdiv.commuting_tuple_counts is commuting.commuting_tuple_counts
+    assert fforacle.count_commuting_tuples is commuting.count_commuting_tuples is monodromy.count_commuting_tuples
 
 
 @pytest.mark.parametrize("argv", [
@@ -144,20 +145,20 @@ runpy.run_module("monodromy.cli", run_name="__main__", alter_sys=True)
 
 
 def run_as_main(flags, argv):
-    """The stderr lines of one ``python <flags> -m monodromy.cli <argv>``, and the modules loaded at its exit."""
+    """One ``python <flags> -m monodromy.cli <argv>``: its stderr lines, the modules loaded at exit, its stdout."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, *flags, "-c", RUN_AS_MAIN, *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
     (at_exit,) = [line.split(":", 1)[1].split() for line in lines if line.startswith("loaded at exit:")]
-    return lines, set(at_exit)
+    return lines, set(at_exit), proc.stdout
 
 
 @pytest.mark.parametrize("argv", list(IMPORTED_BY_COMMAND), ids=[argv[0] for argv in IMPORTED_BY_COMMAND])
 def test_each_command_imports_only_its_front_end_and_layers(argv):
     # without bytecode on disk a process compiles every module it imports, so this set is what it compiles
-    lines, at_exit = run_as_main(("-X", "importtime"), argv)
+    lines, at_exit, _ = run_as_main(("-X", "importtime"), argv)
     names = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")]
     ours = [name for name in names if name.split(".")[0] == "monodromy"]
     # run as __main__, cli.py would compile and run a second time if a front end imported it by name
@@ -182,10 +183,21 @@ SITE_HOOK_MODULES = {"typing", "importlib.resources", "pathlib", "zipfile", "tem
 ], ids=["poly", "poly-json", "verify", "census", "divisibility", "divisibility-json"])
 def test_commands_on_a_clean_host_load_no_site_hook_module_and_no_json(argv):
     # without site, no site hook can have imported these modules first
-    _, at_exit = run_as_main(("-S",), argv)
+    _, at_exit, _ = run_as_main(("-S",), argv)
     assert not at_exit & SITE_HOOK_MODULES, sorted(at_exit & SITE_HOOK_MODULES)
-    # cli writes --format json output itself, so no command needs the json package
+    # cli writes --format json output itself and needs the json package only for a string that needs an escape
     assert "json" not in at_exit
+
+
+def test_a_name_that_needs_an_escape_loads_json_and_prints_its_bytes(tmp_path):
+    name = 'G"\u00e9\U0001d516'  # a quote, a BMP code point and an astral one
+    corpus = tmp_path / "names.txt"
+    corpus.write_text(f"{name} 2 (1 2)\n", encoding="utf-8")
+    _, at_exit, out = run_as_main(("-S",), ("divisibility", "--corpus", str(corpus), "--k", "1", "--format", "json"))
+    assert "json" in at_exit
+    doc = json.loads(out)
+    assert [g["name"] for g in doc["groups"]] == [name]
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 RETIRED = {
