@@ -1,10 +1,12 @@
 """The one commuting-tuple counter that the oracle and the group lab share.
 
-The count runs level by level: level j maps each (allowed, free) subproblem
-reached by the partial j-tuples to the number of partial tuples that reach
-it.  ``_levels`` is the one level step.  ``count_commuting_tuples`` walks it
-to one k; ``commuting_tuple_counts`` yields the counts for k = 1, 2, 3, ...
-from one walk, for a caller that asks several k of the same allowed set.
+A free entry commutes with every other entry, so it is drawn first: each y
+in ``free`` leaves the subproblem ``allowed & cents[y]``.  From then on the
+count runs level by level, and level j maps each subproblem (one set) reached
+by the partial j-tuples to the number of partial tuples that reach it.
+``_step`` is the one level step and ``_counts`` the one walk, which yields
+the counts for k = 0, 1, 2, ...: ``count_commuting_tuples`` reads one k off
+it, and ``commuting_tuple_counts`` is the same walk from k = 1.
 """
 
 from collections import Counter
@@ -12,27 +14,27 @@ from collections.abc import Iterator
 from itertools import islice
 
 
-def _levels(cents, allowed: frozenset, free: frozenset | None) -> Iterator[dict]:
-    """Level 0, 1, 2, ... of the walk; a level is built only when asked for, and only the last is kept.
+def _step(cents, level: dict, source: frozenset | None = None) -> dict:
+    """The next level: each subproblem a draws one entry x from ``source`` (a itself if None) and leaves a & cents[x].
 
-    Within a subproblem the candidates are grouped by centralizer set (equal
-    sets group together, the same object or not), so each distinct set is
-    intersected once and weighted by its group's size.
+    The candidates are grouped by centralizer set (equal sets group together,
+    the same object or not), so each distinct set is intersected once and
+    weighted by its group's size.
     """
-    level = {(allowed, free): 1}
+    nxt: dict = {}
+    for a, ways in level.items():
+        for c, size in Counter(map(cents.__getitem__, a if source is None else source)).items():
+            key = a & c
+            nxt[key] = nxt.get(key, 0) + ways * size
+    return nxt
+
+
+def _counts(cents, level: dict) -> Iterator[int]:
+    """The tuple counts for k = 0, 1, 2, ... from level 0; the count at k + 1 is read off level k, built only when asked."""
+    yield sum(level.values())
     while True:
-        yield level
-        nxt: dict = {}
-        for (a, f), ways in level.items():
-            for c, size in Counter(map(cents.__getitem__, a)).items():
-                key = (a & c, None if f is None else f & c)
-                nxt[key] = nxt.get(key, 0) + ways * size
-        level = nxt
-
-
-def _tuples_from(level: dict) -> int:
-    """The k-tuples that extend the partial (k - 1)-tuples of level k - 1, with no free slot."""
-    return sum(ways * len(a) for (a, _), ways in level.items())
+        yield sum(ways * len(a) for a, ways in level.items())
+        level = _step(cents, level)
 
 
 def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | None = None) -> int:
@@ -40,25 +42,15 @@ def count_commuting_tuples(cents, allowed: frozenset, k: int, free: frozenset | 
 
     ``cents`` holds, per index, the set of indices of the elements commuting
     with it.  Partial tuples are extended through intersections of
-    centralizer sets, never by raw enumeration of every candidate tuple.  Each
-    (allowed, free) subproblem of a level is counted once, with the number of
-    partial tuples that reach it, and no call recurses k deep.
+    centralizer sets, never by raw enumeration of every candidate tuple, and
+    no call recurses k deep.
     """
-    if k == 0:
-        return 1 if free is None else len(free)
-    level = next(islice(_levels(cents, allowed, free), k - 1, None))
-    if free is None:
-        return _tuples_from(level)
-    return sum(
-        ways * sum(size * len(f & c) for c, size in Counter(map(cents.__getitem__, a)).items())
-        for (a, f), ways in level.items()
-    )
+    if k < 0:
+        raise ValueError("tuple length k must be >= 0")
+    level = {allowed: 1} if free is None else _step(cents, {allowed: 1}, free)
+    return next(islice(_counts(cents, level), k, None))
 
 
 def commuting_tuple_counts(cents, allowed: frozenset) -> Iterator[int]:
-    """``count_commuting_tuples(cents, allowed, k)`` for k = 1, 2, 3, ..., from one walk that resumes.
-
-    The count at k is read off level k - 1, so the walk steps to level k - 1
-    only when the count at k is asked for.
-    """
-    return map(_tuples_from, _levels(cents, allowed, None))
+    """``count_commuting_tuples(cents, allowed, k)`` for k = 1, 2, 3, ..., from one walk that resumes."""
+    return islice(_counts(cents, {allowed: 1}), 1, None)

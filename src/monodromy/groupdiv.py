@@ -446,8 +446,10 @@ def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], Subgrou
     """
     check_sweep_order(len(table))
     products, columns, inverses, identity = table.products, table.columns, table.inverses, table.identity_index
-    # conjugators[y][h] indexes y^-1 h y
-    conjugators = [tuple(map(columns[y].__getitem__, products[inverses[y]])) for y in range(len(table))]
+    # conjugators[y][h] indexes y^-1 h y; the trivial group stands apart, since an itemgetter of one index returns a scalar
+    conjugators = [(identity,)]
+    if len(table) > 1:
+        conjugators = [operator.itemgetter(*products[inverses[y]])(columns[y]) for y in range(len(table))]
     known: dict[frozenset[int], SubgroupEntry] = {}
     reps: list[frozenset[int]] = []
 

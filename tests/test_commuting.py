@@ -1,9 +1,11 @@
 """The shared commuting-tuple counter against the per-element counter it replaced."""
 
+from itertools import islice
+
 import pytest
 
 from monodromy import fforacle
-from monodromy.commuting import count_commuting_tuples
+from monodromy.commuting import commuting_tuple_counts, count_commuting_tuples
 from monodromy.groupdiv import group_generate, parse_cycles
 
 
@@ -64,3 +66,15 @@ def test_grouped_count_matches_the_per_element_count(name):
                 assert count_commuting_tuples(cents, allowed, k, free) == expected, (k, free is None)
                 if not large:
                     assert count_commuting_tuples(copies, allowed, k, free) == expected, (k, free is None)
+        # the resumable walk gives the same counts for k = 1, 2, 3
+        expected = [_reference_count(cents, allowed, k) for k in (1, 2, 3)]
+        assert list(islice(commuting_tuple_counts(cents, allowed), 3)) == expected
+        if not large:
+            assert list(islice(commuting_tuple_counts(copies, allowed), 3)) == expected
+
+
+@pytest.mark.parametrize("free", [None, frozenset({0})])
+def test_negative_tuple_length_is_refused(free):
+    # no centralizer sets at all: any level step would raise IndexError first
+    with pytest.raises(ValueError, match=r"^tuple length k must be >= 0$"):
+        count_commuting_tuples((), frozenset({0}), -1, free)

@@ -251,6 +251,8 @@ def test_enumerate_subgroups():
     assert len(enumerate_subgroups(a4)) == 10
     q8 = make("Q8", 8, "(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)")
     assert len(enumerate_subgroups(q8)) == 6
+    # the trivial group: its one conjugator is a 1-tuple, not the scalar a one-index itemgetter returns
+    assert enumerate_subgroups(make("Z", 1, "()")) == {frozenset({0}): groupdiv.SubgroupEntry((0,), frozenset({0}), 0, (0,))}
     # orders partition correctly (Lagrange)
     for sub in enumerate_subgroups(s4()):
         assert 24 % len(sub) == 0
