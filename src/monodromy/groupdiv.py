@@ -93,7 +93,11 @@ def _cycles(perm: tuple[int, ...]) -> Iterator[list[int]]:
 
 
 class FiniteGroupTable:
-    """A finite permutation group with a fixed, deterministic element order."""
+    """A finite permutation group with a fixed, deterministic element order.
+
+    Its one Cayley table is ``columns``: g·h is ``columns[h][g]``, and the
+    conjugate y^-1 h y is ``columns[y][columns[h][inverses[y]]]``.
+    """
 
     def __init__(self, elements: Sequence[tuple[int, ...]], name: str = ""):
         elems = tuple(tuple(p) for p in elements)
@@ -157,11 +161,6 @@ class FiniteGroupTable:
         return tuple(columns)
 
     @functools.cached_property
-    def products(self) -> tuple[tuple[int, ...], ...]:
-        """The Cayley table: ``products[i][j]`` indexes ``compose(elements[i], elements[j])``."""
-        return tuple(zip(*self.columns))
-
-    @functools.cached_property
     def inverses(self) -> tuple[int, ...]:
         """For each element, the index of its inverse: where its column holds the identity."""
         return tuple(column.index(self.identity_index) for column in self.columns)
@@ -172,7 +171,7 @@ class FiniteGroupTable:
         everything = range(len(self))
         return tuple(
             frozenset(itertools.compress(everything, map(operator.eq, row, col)))
-            for row, col in zip(self.products, self.columns)
+            for row, col in zip(zip(*self.columns), self.columns)  # the rows, one at a time, of a transient transpose
         )
 
     @functools.cached_property
@@ -188,16 +187,15 @@ class FiniteGroupTable:
         time, until every coset representative times every generator lies in
         a coset already added (Dimino's algorithm).
         """
-        gen_list = list(gens)
+        columns = self.columns
+        gen_columns = [columns[g] for g in gens]
         if base is None:
             base = (self.identity_index,)
-        products, columns = self.products, self.columns
         seen = set(base)
         reps = [self.identity_index]
         for t in reps:  # grows while new cosets are found
-            row = products[t]
-            for g in gen_list:
-                y = row[g]
+            for column in gen_columns:
+                y = column[t]  # t·g
                 if y not in seen:
                     seen.update(map(columns[y].__getitem__, base))
                     reps.append(y)
@@ -293,25 +291,24 @@ def coset_p_power_count(
     if not _is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
     subgroup = table.subgroup_closure(h_gens)
-    if not _is_prime_power_or_one(table.orders[x], p):
+    p_power = [_is_prime_power_or_one(order, p) for order in table.orders]
+    if not p_power[x]:
         raise PreconditionViolated(f"element {x} has order {table.orders[x]}, not a power of {p}")
     if not _normalizes(table, x, h_gens, subgroup):
         raise PreconditionViolated(f"element {x} does not normalize the subgroup")
-    count, required = _coset_count(table, subgroup, x, p)
-    return count, count % required == 0
+    count = _coset_count(table.columns[x], subgroup, p_power)
+    return count, count % p ** _valuation(len(subgroup), p) == 0
 
 
 def _normalizes(table: FiniteGroupTable, x: int, gens: Iterable[int], subgroup: frozenset[int]) -> bool:
     """Whether x conjugates every generator of the subgroup back into it."""
-    products, x_inv = table.products, table.inverses[x]
-    return all(products[products[x][g]][x_inv] in subgroup for g in gens)
+    columns, x_inv = table.columns, table.inverses[x]
+    return all(columns[x][columns[g][x_inv]] in subgroup for g in gens)
 
 
-def _coset_count(table: FiniteGroupTable, subgroup: frozenset[int], x: int, p: int) -> tuple[int, int]:
-    """p-power-order elements of the coset Hx, and the p-part of |H| that should divide their number."""
-    orders, products = table.orders, table.products
-    count = sum(1 for h in subgroup if _is_prime_power_or_one(orders[products[h][x]], p))
-    return count, p ** _valuation(len(subgroup), p)
+def _coset_count(column: Sequence[int], subgroup: frozenset[int], p_power: Sequence[bool]) -> int:
+    """p-power-order elements of the coset Hx: x's Cayley column read at H, through the flags ``p_power``."""
+    return sum(map(p_power.__getitem__, map(column.__getitem__, subgroup)))
 
 
 def check_sweep_order(order: int) -> None:
@@ -432,46 +429,48 @@ def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], Subgrou
     """Every subgroup, as an index set mapped to its generators and class data, by size then members.
 
     Cyclic subgroups closed under joins, one conjugacy class at a time (the
-    cyclic extension method); a^y means y^-1 a y.  Each element's cyclic
-    subgroup is read off its powers, once for all the generators i^m of it
-    with m prime to the order of i.  A new class representative H has
-    normalizer N, the y conjugating each generator of H into H.  The image
-    H^y depends only on the right coset Ny, so H is conjugated once per
-    coset, by its least element: the images are the class, each kept with
-    the first y that reaches it.  Only representatives are joined with
-    cyclic subgroups, since <H^y, c> = <H, c^(y^-1)>^y and the known set is
-    closed under conjugation; and H is joined with one cyclic subgroup per
-    N-orbit, since <H, c^x> = <H, c>^x for x in N and a new join brings in
-    its whole class.
+    cyclic extension method); a^y means y^-1 a y, read off the Cayley columns.
+    Each element's cyclic subgroup is read off its powers, once for all the
+    generators i^m of it with m prime to the order of i.  A new class
+    representative H has normalizer N, the y conjugating each generator of H
+    into H: one C-level map over the columns per generator.  The image H^y
+    depends only on the right coset Ny, so H is conjugated once per coset, by
+    its least element: the images are the class, each kept with the first y
+    that reaches it.  Only representatives are joined with cyclic subgroups,
+    since <H^y, c> = <H, c^(y^-1)>^y and the known set is closed under
+    conjugation; and H is joined with one cyclic subgroup per N-orbit, since
+    <H, c^x> = <H, c>^x for x in N and a new join brings in its whole class.
     """
     check_sweep_order(len(table))
-    products, columns, inverses, identity = table.products, table.columns, table.inverses, table.identity_index
-    # conjugators[y][h] indexes y^-1 h y; the trivial group stands apart, since an itemgetter of one index returns a scalar
-    conjugators = [(identity,)]
-    if len(table) > 1:
-        conjugators = [operator.itemgetter(*products[inverses[y]])(columns[y]) for y in range(len(table))]
+    columns, inverses, identity = table.columns, table.inverses, table.identity_index
     known: dict[frozenset[int], SubgroupEntry] = {}
     reps: list[frozenset[int]] = []
 
     def add_class(subgroup: frozenset[int], gens: tuple[int, ...]) -> None:
-        normalizer = tuple(y for y, conj in enumerate(conjugators) if subgroup.issuperset(map(conj.__getitem__, gens)))
+        normalizer: Sequence[int] = range(len(table))
+        for g in gens:  # keep the y with g^y in H, by one C-level map over the columns
+            g_at = map(columns[g].__getitem__, map(inverses.__getitem__, normalizer))  # y^-1 g
+            conjugates = map(operator.getitem, map(columns.__getitem__, normalizer), g_at)
+            normalizer = tuple(itertools.compress(normalizer, map(subgroup.__contains__, conjugates)))
         known[subgroup] = SubgroupEntry(gens, subgroup, identity, normalizer)
         reached = set(normalizer)  # the cosets Ny already conjugated by their least element
-        for y, conj in enumerate(conjugators):
+        for y in range(len(table)):
             if y not in reached:
                 reached.update(map(columns[y].__getitem__, normalizer))
-                image = frozenset(map(conj.__getitem__, subgroup))
-                known[image] = SubgroupEntry(tuple(map(conj.__getitem__, gens)), subgroup, y, normalizer)
+                times_y, y_inv = columns[y], inverses[y]
+                image = frozenset([times_y[columns[h][y_inv]] for h in subgroup])
+                image_gens = tuple([times_y[columns[a][y_inv]] for a in gens])
+                known[image] = SubgroupEntry(image_gens, subgroup, y, normalizer)
         reps.append(subgroup)
 
     generated: list[frozenset[int] | None] = [None] * len(table)
     for i in range(len(table)):
         if generated[i] is None:
             powers = [identity]  # i^0, i^1, ..., up to the order of i
-            at = i
+            at, column = i, columns[i]
             while at != identity:
                 powers.append(at)
-                at = products[at][i]
+                at = column[at]  # at·i
             cyc = frozenset(powers)
             order = len(powers)
             for m, power in enumerate(powers):
@@ -494,7 +493,8 @@ def enumerate_subgroups(table: FiniteGroupTable) -> dict[frozenset[int], Subgrou
             joined = table.subgroup_closure(gens, current)
             if joined not in known:
                 add_class(joined, gens)
-            covered.update(cyclic_of[conjugators[x][c]] for x in entry.normalizer)
+            c_column = columns[c]
+            covered.update([cyclic_of[columns[x][c_column[inverses[x]]]] for x in entry.normalizer])
     return {s: known[s] for s in sorted(known, key=lambda s: (len(s), sorted(s)))}
 
 
@@ -552,10 +552,10 @@ class CosetSweep:
 
     def _checks(self, subgroup: frozenset[int], entry: SubgroupEntry) -> Iterator[CosetLemmaCheck]:
         """One subgroup's checks: its representative's, with each x replaced by y^-1 x y."""
-        table, order = self._table, len(subgroup)
-        y_inv_times, times_y = table.products[table.inverses[entry.conjugator]], table.columns[entry.conjugator]
+        columns, order = self._table.columns, len(subgroup)
+        times_y, y_inv = columns[entry.conjugator], self._table.inverses[entry.conjugator]
         for p, required, rep_checks in self._class_checks[entry.rep]:
-            for x, count in sorted((times_y[y_inv_times[x]], count) for x, count in rep_checks):
+            for x, count in sorted((times_y[columns[x][y_inv]], count) for x, count in rep_checks):
                 yield CosetLemmaCheck(order, p, x, count, required, count % required == 0)
 
 
@@ -579,12 +579,10 @@ def coset_lemma_sweep(table: FiniteGroupTable) -> CosetSweep:
     primes = prime_factors(len(table))
     # p_power[p][i]: whether element i has p-power order (1 counts)
     p_power = {p: [_is_prime_power_or_one(order, p) for order in table.orders] for p in primes}
-    # the coset Hx is columns[x][h] over h in H; its p-power elements are counted at C level
     class_checks = {
         entry.rep: [
             (p, p ** _valuation(len(entry.rep), p),
-             [(x, sum(map(p_power[p].__getitem__, map(columns[x].__getitem__, entry.rep))))
-              for x in entry.normalizer if p_power[p][x]])
+             [(x, _coset_count(columns[x], entry.rep, p_power[p])) for x in entry.normalizer if p_power[p][x]])
             for p in primes
         ]
         for subgroup, entry in subgroups.items() if subgroup == entry.rep

@@ -25,7 +25,6 @@ from monodromy.groupdiv import (
     CosetLemmaCheck,
     FiniteGroupTable,
     PreconditionViolated,
-    _coset_count,
     _cycles,
     _is_prime,
     _is_prime_power_or_one,
@@ -55,6 +54,15 @@ def make(name, domain, *cycle_texts):
 
 def index_of(table, perm):
     return table.elements.index(perm)
+
+
+def _products(table):
+    """The Cayley table by rows, from compose_perms rather than the table's columns.
+
+    ``products[i][j]`` indexes ``compose(elements[i], elements[j])``.
+    """
+    index = {perm: i for i, perm in enumerate(table.elements)}
+    return [[index[compose_perms(a, b)] for b in table.elements] for a in table.elements]
 
 
 def cycle_string(perm):
@@ -127,7 +135,7 @@ def test_group_table_validation():
     # not closed: {e, (1 2 3)} misses its square
     table = FiniteGroupTable([(0, 1, 2), (1, 2, 0)])
     with pytest.raises(ValueError):
-        table.products
+        table.columns
 
 
 def test_closure_orders():
@@ -251,7 +259,7 @@ def test_enumerate_subgroups():
     assert len(enumerate_subgroups(a4)) == 10
     q8 = make("Q8", 8, "(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)")
     assert len(enumerate_subgroups(q8)) == 6
-    # the trivial group: its one conjugator is a 1-tuple, not the scalar a one-index itemgetter returns
+    # the trivial group: its one element generates it, normalizes it and conjugates it to itself
     assert enumerate_subgroups(make("Z", 1, "()")) == {frozenset({0}): groupdiv.SubgroupEntry((0,), frozenset({0}), 0, (0,))}
     # orders partition correctly (Lagrange)
     for sub in enumerate_subgroups(s4()):
@@ -261,12 +269,12 @@ def test_enumerate_subgroups():
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "C6", "C8"])
 def test_enumerate_subgroups_matches_brute_force(name):
     table = next(t for t in load_corpus() if t.name == name)
-    size = len(table)
+    size, products = len(table), _products(table)
     closed = {
         frozenset(sub)
         for r in range(1, size + 1)
         for sub in itertools.combinations(range(size), r)
-        if all(table.products[a][b] in sub for a in sub for b in sub)
+        if all(products[a][b] in sub for a in sub for b in sub)
     }
     subgroups = enumerate_subgroups(table)
     assert set(subgroups) == closed
@@ -286,13 +294,13 @@ def test_enumerate_subgroups_counts_and_generators():
             assert table.subgroup_closure(entry.gens) == subgroup
 
 
-def _reference_closure(table, gens):
+def _reference_closure(table, products, gens):
     """Breadth-first closure of the generators, independent of the table's own.
 
-    It stops at more than half the group: by Lagrange only the whole group is
-    that large.
+    It reads ``products``, the rows ``_products(table)`` builds.  It stops at
+    more than half the group: by Lagrange only the whole group is that large.
     """
-    products, order = table.products, len(table)
+    order = len(table)
     seen = {table.identity_index}
     queue = [table.identity_index]
     while queue:
@@ -322,6 +330,7 @@ CLOSURE_GROUPS = ["S4", "GL2F3", "A5", "D12"]
 def test_closure_from_a_base_matches_reference(name):
     # Dimino's join, from the class representative H one coset at a time, against a closure from the identity
     table = _closure_table(name)
+    products = _products(table)
     subgroups = enumerate_subgroups(table)
     cyclic_gens = [entry.gens for entry in subgroups.values() if len(entry.gens) == 1]
     joins = 0
@@ -330,7 +339,8 @@ def test_closure_from_a_base_matches_reference(name):
             continue
         for (c,) in cyclic_gens:
             gens = entry.gens + (c,)
-            assert table.subgroup_closure(gens, subgroup) == _reference_closure(table, gens), (table.name, gens)
+            expected = _reference_closure(table, products, gens)
+            assert table.subgroup_closure(gens, subgroup) == expected, (table.name, gens)
             joins += 1
     assert joins > len(subgroups)
 
@@ -338,8 +348,9 @@ def test_closure_from_a_base_matches_reference(name):
 @pytest.mark.parametrize("name", CLOSURE_GROUPS)
 def test_closure_of_one_element_matches_reference(name):
     table = _closure_table(name)
+    products = _products(table)
     for i in range(len(table)):
-        assert table.subgroup_closure([i]) == _reference_closure(table, [i])
+        assert table.subgroup_closure([i]) == _reference_closure(table, products, [i])
 
 
 def _reference_subgroups(table):
@@ -348,9 +359,9 @@ def _reference_subgroups(table):
     Every known subgroup, not only a class representative, is joined with
     every cyclic subgroup.
     """
-    known = {}
+    known, products = {}, _products(table)
     for i in range(len(table)):
-        known.setdefault(_reference_closure(table, [i]), (i,))
+        known.setdefault(_reference_closure(table, products, [i]), (i,))
     cyclics = sorted(known, key=lambda s: (len(s), sorted(s)))
     queue = list(cyclics)
     while queue:
@@ -359,7 +370,7 @@ def _reference_subgroups(table):
             if cyc <= current:
                 continue
             gens = known[current] + known[cyc]
-            joined = _reference_closure(table, gens)
+            joined = _reference_closure(table, products, gens)
             if joined not in known:
                 known[joined] = gens
                 queue.append(joined)
@@ -399,7 +410,7 @@ def test_enumerate_subgroups_matches_reference_join_loop():
         for subgroup, entry in subgroups.items():
             assert table.subgroup_closure(entry.gens) == subgroup, table.name
         # closed under conjugation by every element
-        products, inverses = table.products, table.inverses
+        products, inverses = _products(table), table.inverses
         for x in range(len(table)):
             for subgroup in subgroups:
                 assert frozenset(products[products[inverses[x]][h]][x] for h in subgroup) in subgroups
@@ -426,15 +437,19 @@ def _reference_sweep(table):
     """The per-subgroup sweep the per-class one replaced, kept as a reference.
 
     Each subgroup's normalizer is found by testing every element, and each
-    subgroup takes its own coset counts.
+    subgroup counts its own cosets, composing permutations.
     """
+    elements, orders = table.elements, table.orders
+    index = {perm: i for i, perm in enumerate(elements)}
     results = []
     for subgroup, entry in enumerate_subgroups(table).items():
         normalizer = [x for x in range(len(table)) if _normalizes(table, x, entry.gens, subgroup)]
         for p in prime_factors(len(table)):
+            required = p ** groupdiv._valuation(len(subgroup), p)
             for x in normalizer:
-                if _is_prime_power_or_one(table.orders[x], p):
-                    count, required = _coset_count(table, subgroup, x, p)
+                if _is_prime_power_or_one(orders[x], p):
+                    coset = (index[compose_perms(elements[h], elements[x])] for h in subgroup)  # Hx
+                    count = sum(_is_prime_power_or_one(orders[hx], p) for hx in coset)
                     results.append(CosetLemmaCheck(len(subgroup), p, x, count, required, count % required == 0))
     return tuple(results)
 
@@ -447,7 +462,9 @@ def _assert_sweep_matches_reference(table):
 
 
 def test_coset_lemma_sweep_matches_reference_sweep():
-    for table in (*_sweep_tables(), _a6()):
+    # the shuffled tables put the identity elsewhere than index 0, and Z is the trivial group
+    shuffled = (_shuffled(_closure_table("S5"), 1), _shuffled(_closure_table("GL2F3"), 2))
+    for table in (*_sweep_tables(), _a6(), *shuffled, make("Z", 1, "()")):
         _assert_sweep_matches_reference(table)
 
 
@@ -511,7 +528,7 @@ def test_enumerate_subgroups_digests_are_pinned():
 @pytest.mark.parametrize("name", ["S4", "GL2F3", "D12"])
 def test_normalizers_read_off_class_construction(name):
     table = next(t for t in _sweep_tables() if t.name == name)
-    products, inverses = table.products, table.inverses
+    products, inverses = _products(table), table.inverses
     for subgroup, entry in enumerate_subgroups(table).items():
         y = entry.conjugator
 
@@ -534,14 +551,14 @@ def _shuffled(table, seed):
 
 @pytest.mark.parametrize("name,seed", [("S5", None), ("GL2F3", None), ("S5", 1), ("GL2F3", 2)],
                          ids=["S5", "GL2F3", "S5-shuffled", "GL2F3-shuffled"])
-def test_products_match_compose_perms(name, seed):
+def test_columns_match_compose_perms(name, seed):
     table = next(t for t in _sweep_tables() if t.name == name)
     if seed is not None:
         table = _shuffled(table, seed)
         assert table.identity_index != 0
     elems = table.elements
-    assert table.products == tuple(tuple(index_of(table, compose_perms(a, b)) for b in elems) for a in elems)
-    assert table.columns == tuple(zip(*table.products))
+    # columns[j][i] indexes compose(elements[i], elements[j])
+    assert table.columns == tuple(tuple(index_of(table, compose_perms(a, b)) for a in elems) for b in elems)
 
 
 def test_columns_look_up_only_the_generator_columns():
@@ -714,7 +731,7 @@ def test_cayley_table_budget_spares_table_free_checks():
     table = matrix_group_table(field_make(7, 1), 2)
     assert len(table) == 2016
     with pytest.raises(BudgetExceeded):
-        table.products
+        table.columns
     with pytest.raises(BudgetExceeded):
         hom_count_profinite_abelian(table, 1, ())
     # orders come from cycle types, so Frobenius needs no table
@@ -746,7 +763,7 @@ def test_hom_rank_ceiling():
 
 def test_inverses_read_off_the_columns():
     for table in (*_sweep_tables(), make("Z", 1, "()")):
-        products, inverses, e = table.products, table.inverses, table.identity_index
+        products, inverses, e = _products(table), table.inverses, table.identity_index
         for i, inv in enumerate(inverses):
             assert products[i][inv] == products[inv][i] == e, (table.name, i)
         assert sorted(inverses) == list(range(len(table))), table.name
