@@ -24,9 +24,12 @@ that takes a matrix from a caller, so it alone checks the length and codes.
 
 A matrix is semisimple here when its order is prime to p, the
 characteristic: ``is_semisimple`` tests m^(r+1) == m, with r the lcm of
-q^i - 1 for i <= n, which every semisimple order divides.  X is semisimple
-exactly when F_q[X] has no nonzero nilpotent, so one test per algebra
-flags all of it.
+q^i - 1 for i <= n, which every semisimple order divides.  The group
+context reads it off each algebra's unit count instead: with f_i^e_i the
+prime-power factors of X's minimal polynomial and d_i = deg f_i, F_q[X] is
+the product of the F_q[x]/(f_i^e_i) (Chinese remainder theorem), so
+|F_q[X]^x| = prod q^(d_i (e_i - 1)) (q^d_i - 1), which is prime to p exactly
+when every e_i = 1, that is when X is semisimple.
 
 The factorization census is built by multiplication, never by division:
 every product of irreducible powers is formed once, degree by degree, and
@@ -46,7 +49,6 @@ from functools import lru_cache
 from math import isqrt, lcm, prod
 
 from . import BudgetExceeded, Refusal, record
-from .commuting import count_commuting_tuples
 from .exactpoly import NotDivisible
 from .typecomb import FactorizationType, enumerate_types, type_pairs
 
@@ -245,8 +247,8 @@ def _span(f: FieldSpec, basis) -> list[tuple[int, ...]]:
     add_t, mul_t = f.add_table, f.mul_table
     vectors = [(0,) * len(basis[0])]
     for b in basis:
-        multiples = [tuple(mul_t[c][v] for v in b) for c in range(1, f.size)]
-        vectors += [tuple(add_t[v][w] for v, w in zip(u, m)) for u in vectors for m in multiples]
+        multiples = [tuple([mul_t[c][v] for v in b]) for c in range(1, f.size)]
+        vectors += [tuple([add_t[v][w] for v, w in zip(u, m)]) for u in vectors for m in multiples]
     return vectors
 
 
@@ -256,7 +258,7 @@ def enumerate_invertible(n: int, f: FieldSpec, override_budget: bool = False):
     Each matrix is built row by row: the next row is every vector, in
     ``itertools.product`` order, outside the span of the rows chosen so far.
     So the stream has exactly |GL_n(F_q)| entries, in lexicographic order,
-    and no singular candidate is ever formed.
+    and no singular candidate is ever formed.  The last row streams flat.
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
@@ -264,13 +266,9 @@ def enumerate_invertible(n: int, f: FieldSpec, override_budget: bool = False):
     vectors = tuple(itertools.product(range(f.size), repeat=n))
 
     def extend(prefix: tuple):
-        if len(prefix) == n * n:
-            yield prefix
-            return
         span = set(_span(f, [prefix[i:i + n] for i in range(0, len(prefix), n)])) if prefix else {vectors[0]}
-        for v in vectors:
-            if v not in span:
-                yield from extend(prefix + v)
+        rows = (prefix + v for v in vectors if v not in span)
+        return rows if len(prefix) == n * n - n else itertools.chain.from_iterable(map(extend, rows))
 
     return extend(())
 
@@ -369,9 +367,9 @@ class _GroupContext:
     its algebra is new, gets the next id, and is spanned once
     (``_claim_generators``), which gives that id to every element of the
     span that generates the algebra.  So ids are numbered in order of first
-    element, as keying every element would number them.  ``is_semisimple``
-    runs on the first element of each algebra, and the flag holds for all
-    of it.
+    element, as keying every element would number them.  The span visits
+    every unit of the algebra, so it is semisimple exactly when their count
+    is prime to p (the rule in the module docstring); no element is tested.
     """
 
     def __init__(self, f: FieldSpec, n: int):
@@ -381,14 +379,14 @@ class _GroupContext:
         self._index = {m: i for i, m in enumerate(self.mats)}
         self._algebra_ids: list = [None] * len(self.mats)
         self._firsts: list[int] = []  # first element of each algebra, in id order
+        self._semisimple: list[bool] = []  # whether each algebra is semisimple, in id order
         self._own_centralizers: dict[int, frozenset] = {}  # id -> A^x, for the algebras of dimension n
         keys: dict[int, tuple] = {}  # element -> key of its algebra, where one was computed
         for first, x in enumerate(self.mats):
             if self._algebra_ids[first] is None:
                 keys[first] = keys.get(first) or _algebra_key(f, x)
                 self._claim_generators(first, keys)
-        flags = [is_semisimple(f, self.mats[i]) for i in self._firsts]
-        self.ss_set = frozenset(i for i, c in enumerate(self._algebra_ids) if flags[c])
+        self.ss_set = frozenset(i for i, c in enumerate(self._algebra_ids) if self._semisimple[c])
         self._centralizers: tuple[frozenset, ...] | None = None
 
     def _claim_generators(self, first: int, keys: dict[int, tuple]) -> None:
@@ -426,8 +424,7 @@ class _GroupContext:
                 i = index.get(tuple(row))
                 if i is not None:
                     found.append(i)
-            if dim == n:
-                units += found
+            units += found
             if not found or any(ids[i] is not None for i in found):
                 continue
             if dim == 1:
@@ -447,6 +444,7 @@ class _GroupContext:
             if generates:
                 for i in found:
                     ids[i] = c
+        self._semisimple.append(len(units) % f.p != 0)
         if dim == n:
             self._own_centralizers[c] = frozenset(units)
 
@@ -495,6 +493,7 @@ def brute_hom_count(n: int, f: FieldSpec, k: int, mode: str, override_budget: bo
     ctx = _group_context(f, n)
     if k == 1:  # a single entry commutes with itself: no centralizer scan needed
         return len(ctx.ss_set if mode == MODE_ALL_SEMISIMPLE else ctx.mats)
+    from .commuting import count_commuting_tuples  # imported here, so ``census`` never compiles it
     if mode == MODE_ALL_SEMISIMPLE:
         return count_commuting_tuples(ctx.centralizers, ctx.ss_set, k)
     return count_commuting_tuples(ctx.centralizers, ctx.ss_set, k - 1, free=frozenset(range(len(ctx.mats))))
@@ -511,6 +510,7 @@ def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False
     if k < 1:
         raise ValueError("tuple length must be >= 1")
     check_gl_budget(f.size, n, override_budget)
+    from .commuting import count_commuting_tuples
     ctx = _group_context(f, n)
     order = len(ctx.mats)
     weighted = count_commuting_tuples(ctx.centralizers, ctx.ss_set, k, free=frozenset(range(order)))

@@ -3,12 +3,12 @@
 import functools
 import itertools
 import math
-import os
 import random
 
 import pytest
 
 from monodromy import cli, fforacle
+from monodromy.commuting import count_commuting_tuples
 from monodromy.engine import count_conjugacy_classes, count_mixed_tuples, count_semisimple_tuples
 from monodromy.exactpoly import NotDivisible
 from monodromy.fforacle import (
@@ -20,7 +20,6 @@ from monodromy.fforacle import (
     UnsupportedField,
     brute_conj_count,
     brute_hom_count,
-    count_commuting_tuples,
     enumerate_invertible,
     field_make,
     field_params,
@@ -452,7 +451,7 @@ def test_oracle_matches_engine_at_gl4_f2():
     assert brute_hom_count(4, f, 2, MODE_LAST_FREE) == count_mixed_tuples(4, 2).evaluate(2)
 
 
-@pytest.mark.skipif(not os.environ.get("MONODROMY_REACH"), reason="opt-in: set MONODROMY_REACH=1 (about 6 s)")
+@pytest.mark.reach
 def test_oracle_matches_engine_at_gl3_f4():
     # |GL_3(F_4)| = 181440 is past the ceiling; one test, so the context is built once for all three counts
     f = field_make(2, 2)
@@ -472,19 +471,47 @@ def test_per_commutant_flags_match_per_element_tests(n, q):
     assert ctx.ss_set == frozenset(i for i, m in enumerate(ctx.mats) if is_semisimple(f, m))
 
 
-def test_context_tests_semisimplicity_once_per_commutant(monkeypatch):
-    f = field_make(3, 1)
-    calls = []
+@pytest.mark.reach
+def test_per_commutant_flags_match_per_element_tests_at_gl4_f2():
+    # about 4 s: per-element tests on the 20160 elements
+    f = field_make(2, 1)
+    ctx = fforacle._group_context(f, 4)
+    assert ctx.ss_set == frozenset(i for i, m in enumerate(ctx.mats) if is_semisimple(f, m))
 
-    def counting(field, m):
-        calls.append(m)
-        return is_semisimple(field, m)
 
-    monkeypatch.setattr(fforacle, "is_semisimple", counting)
-    ctx = fforacle._GroupContext(f, 2)
-    commutants = {fforacle._commutant_basis(f, m) for m in ctx.mats}
-    assert (len(ctx.mats), len(commutants), len(calls)) == (48, 14, 14)
-    assert {fforacle._commutant_basis(f, m) for m in calls} == commutants
+def test_context_reads_semisimplicity_off_unit_counts(monkeypatch):
+    def refuse(field, m):
+        raise AssertionError("the context tests no element")
+
+    monkeypatch.setattr(fforacle, "is_semisimple", refuse)
+    for (p, n), semisimple in {(3, 2): 32, (2, 3): 105}.items():
+        assert len(fforacle._GroupContext(field_make(p, 1), n).ss_set) == semisimple
+
+
+def _two_by_two_cases(f):
+    """(matrix, |F_q[X]^x|, semisimple) for a scalar, a Jordan block, a non-split companion and a split diagonal."""
+    q, add_t, mul_t, neg_t = f.size, f.add_table, f.mul_table, f.neg_table
+    # x^2 + a x + b with no root in F_q
+    a, b = next((a, b) for a in range(q) for b in range(1, q)
+                if all(add_t[add_t[mul_t[x][x]][mul_t[a][x]]][b] for x in range(q)))
+    cases = [((1, 0, 0, 1), q - 1, True), ((1, 1, 0, 1), q * (q - 1), False),
+             ((0, neg_t[b], 1, neg_t[a]), q * q - 1, True)]
+    if q > 2:  # F_2 has one unit, so no diagonal with two distinct eigenvalues
+        cases.append(((1, 0, 0, 2), (q - 1) ** 2, True))
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_unit_count_rule_on_two_by_two_algebras(q):
+    # |F_q[X]^x| = prod q^(d_i (e_i - 1)) (q^d_i - 1) is prime to p exactly when X is semisimple
+    f = field_make(*field_params(q))
+    ctx = fforacle._group_context(f, 2)
+    mats = set(ctx.mats)
+    for m, units, semisimple in _two_by_two_cases(f):
+        span = fforacle._span(f, fforacle._algebra_key(f, m))
+        assert sum(v in mats for v in span) == units, m
+        assert (units % f.p != 0) == semisimple, m
+        assert is_semisimple(f, m) == (ctx.mats.index(m) in ctx.ss_set) == semisimple, m
 
 
 @functools.lru_cache(maxsize=None)

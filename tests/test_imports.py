@@ -63,12 +63,16 @@ def test_divisibility_loads_only_the_group_lab():
     assert loaded == {"monodromy.cli", "monodromy.cli_grouplab", "monodromy.commuting", "monodromy.groupdiv"}
 
 
-def test_oracle_and_group_lab_share_the_package_counter():
+def test_oracle_and_group_lab_share_the_package_counter(monkeypatch):
     from monodromy import commuting, fforacle, groupdiv
 
     assert fforacle.BudgetExceeded is groupdiv.BudgetExceeded is monodromy.BudgetExceeded
     assert groupdiv.commuting_tuple_counts is commuting.commuting_tuple_counts
-    assert fforacle.count_commuting_tuples is commuting.count_commuting_tuples is monodromy.count_commuting_tuples
+    assert commuting.count_commuting_tuples is monodromy.count_commuting_tuples
+    # the oracle imports the counter inside each count, so a patch of commuting's binding reaches it
+    monkeypatch.setattr(commuting, "count_commuting_tuples", lambda *args, **kwargs: 42)
+    assert fforacle.brute_hom_count(2, fforacle.field_make(2, 1), 2, fforacle.MODE_ALL_SEMISIMPLE) == 42
+    assert fforacle.brute_conj_count(2, fforacle.field_make(2, 1), 2) == 42 // 6  # |GL_2(F_2)| = 6
 
 
 @pytest.mark.parametrize("argv", [
@@ -128,8 +132,8 @@ IMPORTED_BY_COMMAND = {
         "monodromy.exactpoly", "monodromy.fforacle", "monodromy.typecomb",
     },
     ("census", "--n", "3", "--q", "2"): {
-        "monodromy", "monodromy.cli_engine", "monodromy.cli_oracle", "monodromy.commuting", "monodromy.exactpoly",
-        "monodromy.fforacle", "monodromy.typecomb",
+        "monodromy", "monodromy.cli_engine", "monodromy.cli_oracle", "monodromy.exactpoly", "monodromy.fforacle",
+        "monodromy.typecomb",
     },
     ("divisibility", "--group", "S3", "--k", "1"): {
         "monodromy", "monodromy.cli_grouplab", "monodromy.commuting", "monodromy.groupdiv",
