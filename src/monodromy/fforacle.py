@@ -5,16 +5,16 @@ matrix enumeration, centralizers as the invertible elements of each
 commutant ker(Y -> XY - YX).  All linear algebra is one span (``_span``)
 and one elimination (``_rref``): GL_n(F_q) is built row by row from
 vectors outside the span of the rows before, and every element X is
-keyed by its algebra F_q[X], the reduced span of
-I, X, ..., X^(n-1).  Each algebra is spanned once, from the first element
-that generates it, and every element of that span that generates it takes
-its id, so the elimination runs once per algebra rather than once per
-element.  The bicommutant of X is F_q[X], so equal algebras mean equal
-commutants: each distinct commutant is F_q[X] itself when that has
-dimension n, and is otherwise solved once by elimination.  Commuting
-tuples are counted once per distinct centralizer set (``commuting``).  The
-point is to be an independent check on the polynomial engine, so nothing
-is shared with it beyond the factorization-type vocabulary.
+keyed by its algebra F_q[X], the reduced span of I, X, ..., X^(n-1).
+F_q[aX + sI] = F_q[X] for every a != 0 (each holds the other's
+generator), so the elimination runs once per affine class {aX + sI}, not
+once per element, and each algebra is spanned once.  The bicommutant of
+X is F_q[X], so equal algebras mean equal commutants: each distinct
+commutant is F_q[X] itself when that has dimension n, and is otherwise
+solved once by elimination.  Commuting tuples are counted once per
+distinct centralizer set (``commuting``).  The point is to be an
+independent check on the polynomial engine, so nothing is shared with it
+beyond the factorization-type vocabulary.
 
 A matrix has one form throughout: a flat row-major tuple of its n^2
 field-element codes.  ``enumerate_invertible`` yields it, the element
@@ -343,6 +343,11 @@ def _commutant_basis(f: FieldSpec, x: tuple[int, ...]) -> tuple[tuple[int, ...],
     return tuple(basis)
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> tuple[int, ...]:
+    return tuple(int(i % (n + 1) == 0) for i in range(n * n))
+
+
 def _algebra_key(f: FieldSpec, x: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of F_q[X]: the nonzero reduced-echelon rows of the flat I, X, ..., X^(n-1).
 
@@ -351,7 +356,7 @@ def _algebra_key(f: FieldSpec, x: tuple[int, ...]) -> tuple[tuple[int, ...], ...
     the same key; when the key has n rows, F_q[X] is that commutant.
     """
     n = isqrt(len(x))
-    powers = [tuple(int(i % (n + 1) == 0) for i in range(n * n)), x]
+    powers = [_identity(n), x]
     while len(powers) < n:
         powers.append(_mat_mul_raw(f.add_table, f.mul_table, powers[-1], x))
     rows = [list(m) for m in powers[:n]]
@@ -363,90 +368,60 @@ class _GroupContext:
 
     Every element X is keyed by its algebra F_q[X]; equal algebras mean
     equal commutants.  The elements are walked in enumeration order, and
-    only one that no earlier algebra has claimed is keyed (``_algebra_key``):
-    its algebra is new, gets the next id, and is spanned once
-    (``_claim_generators``), which gives that id to every element of the
-    span that generates the algebra.  So ids are numbered in order of first
-    element, as keying every element would number them.  The span visits
-    every unit of the algebra, so it is semisimple exactly when their count
-    is prime to p (the rule in the module docstring); no element is tested.
+    each one that no earlier class has claimed is keyed (``_algebra_key``):
+    a known key gives its id, a new key the next id, so ids are numbered in
+    order of first element, as keying every element would number them.
+    That id goes to X's affine class {aX + sI : a != 0}, which has the same
+    algebra.  A new algebra A is spanned once, as F_q I + T with T the span
+    of the key's rows after the first (zero in column 0, the first row's
+    pivot), so T holds t = X - X_00 I, and the walk claims X's class as the
+    translates of the nonzero multiples of t.  It visits every unit of A, so
+    A is semisimple exactly when their count is prime to p (the rule in the
+    module docstring); when dim A = n, A is the commutant of X, and its units
+    are the centralizer of every Y with F_q[Y] = A.  A known A is not spanned.
     """
 
     def __init__(self, f: FieldSpec, n: int):
         self.field = f
         self.n = n
         self.mats = tuple(enumerate_invertible(n, f, override_budget=True))
-        self._index = {m: i for i, m in enumerate(self.mats)}
+        self._index = index = {m: i for i, m in enumerate(self.mats)}
         self._algebra_ids: list = [None] * len(self.mats)
         self._firsts: list[int] = []  # first element of each algebra, in id order
         self._semisimple: list[bool] = []  # whether each algebra is semisimple, in id order
         self._own_centralizers: dict[int, frozenset] = {}  # id -> A^x, for the algebras of dimension n
-        keys: dict[int, tuple] = {}  # element -> key of its algebra, where one was computed
-        for first, x in enumerate(self.mats):
-            if self._algebra_ids[first] is None:
-                keys[first] = keys.get(first) or _algebra_key(f, x)
-                self._claim_generators(first, keys)
-        self.ss_set = frozenset(i for i, c in enumerate(self._algebra_ids) if self._semisimple[c])
-        self._centralizers: tuple[frozenset, ...] | None = None
-
-    def _claim_generators(self, first: int, keys: dict[int, tuple]) -> None:
-        """Give the next id to every invertible generator of A = F_q[X], X the element ``first``.
-
-        A is spanned once as F_q I + T, with T the span of the key's rows
-        after the first: they are zero in column 0, where the first row has
-        its pivot, so T is a complement of the scalars.  Y = c I + t
-        generates A exactly when t does, and t exactly when ct does for any
-        c != 0, so one answer holds for the q translates of t and for its
-        multiples.  The generator rule is exact: when dim A <= 2, t
-        generates A exactly when it is nonzero (Y is not scalar); otherwise
-        when F_q[t], keyed by ``_algebra_key``, has dim A rows.  A translate
-        that an earlier algebra claimed generates that algebra, so none of
-        its translates generates A.  Every key computed for a non-generator
-        is kept in ``keys``, so no element is keyed twice.  When dim A = n,
-        A is its own commutant, and its invertible part is kept as the
-        centralizer of every element that generates it.
-        """
-        f, n, ids, index = self.field, self.n, self._algebra_ids, self._index
-        add_t, mul_t = f.add_table, f.mul_table
-        c = len(self._firsts)
-        self._firsts.append(first)
-        key = keys[first]
-        dim = len(key)
+        ids, add_t, mul_t, neg_t = self._algebra_ids, f.add_table, f.mul_table, f.neg_table
         diagonal = range(0, n * n, n + 1)
-        by_direction: dict[tuple, tuple] = {}  # t scaled to lead with 1 -> key of F_q[t]
-        units = []
-        for t in _span(f, key[1:]) if dim > 1 else [(0,) * (n * n)]:
-            found = []
-            row = list(t)
-            for s in range(f.size):  # the translates t + s I
-                for d in diagonal:
-                    row[d] = add_t[t[d]][s]
-                i = index.get(tuple(row))
-                if i is not None:
-                    found.append(i)
-            units += found
-            if not found or any(ids[i] is not None for i in found):
+        by_key: dict[tuple, int] = {}  # algebra key -> id
+        for pos, x in enumerate(self.mats):
+            if ids[pos] is not None:
                 continue
-            if dim == 1:
-                generates = True
-            elif dim == 2 or not any(t):
-                generates = any(t)
-            else:
-                lead = mul_t[f.inv_table[next(filter(None, t))]]
-                direction = tuple(lead[v] for v in t)
-                sub = next((keys[i] for i in found if i in keys), None) or by_direction.get(direction)
-                if sub is None:
-                    sub = _algebra_key(f, t)
-                by_direction[direction] = sub
-                generates = len(sub) == dim
-                if not generates:
-                    keys.update(dict.fromkeys(found, sub))
-            if generates:
-                for i in found:
-                    ids[i] = c
-        self._semisimple.append(len(units) % f.p != 0)
-        if dim == n:
-            self._own_centralizers[c] = frozenset(units)
+            key = _algebra_key(f, x)
+            c = by_key.setdefault(key, len(by_key))
+            t_x = [add_t[v][mul_t[e][neg_t[x[0]]]] for v, e in zip(x, _identity(n))]  # X - X_00 I
+            line = {tuple([mul_t[a][v] for v in t_x]) for a in range(1, f.size)}  # X's class is line + F_q I
+            new = c == len(self._firsts)
+            units = []
+            for t in _span(f, key[1:]) if new and len(key) > 1 else line:  # T = {0} = line when A = F_q
+                found = []
+                row = list(t)
+                for s in range(f.size):  # the translates t + s I
+                    for d in diagonal:
+                        row[d] = add_t[t[d]][s]
+                    i = index.get(tuple(row))
+                    if i is not None:
+                        found.append(i)
+                if t in line:
+                    for i in found:
+                        ids[i] = c
+                units += found
+            if new:
+                self._firsts.append(pos)
+                self._semisimple.append(len(units) % f.p != 0)
+                if len(key) == n:
+                    self._own_centralizers[c] = frozenset(units)
+        self.ss_set = frozenset(i for i, c in enumerate(ids) if self._semisimple[c])
+        self._centralizers: tuple[frozenset, ...] | None = None
 
     @property
     def centralizers(self) -> tuple[frozenset, ...]:

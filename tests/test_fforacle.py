@@ -527,10 +527,34 @@ def _keyed_per_element(n, q):
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3), (4, 2)],
                          ids=str)
 def test_span_marked_ids_match_per_element_keys(n, q):
-    # the context keys one element per algebra and marks the rest of it from
-    # its span; keying every element gives the same ids
+    # the context keys one element per affine class and marks the rest of
+    # the class; keying every element gives the same ids
     f = field_make(*field_params(q))
     assert fforacle._group_context(f, n)._algebra_ids == _keyed_per_element(n, q)[0]
+
+
+@pytest.mark.parametrize("n,q,classes", [(2, 7, 58), (3, 2, 144), (3, 3, 3047)], ids=["GL2F7", "GL3F2", "GL3F3"])
+def test_context_keys_each_affine_class_once(monkeypatch, n, q, classes):
+    # F_q[aX + sI] = F_q[X] for a != 0, so one key serves the class {aX + sI};
+    # each of the 58 algebras of GL_2(F_7) is one class
+    f = field_make(*field_params(q))
+    calls = []
+    algebra_key = fforacle._algebra_key
+
+    def counting(field, x):
+        calls.append(x)
+        return algebra_key(field, x)
+
+    monkeypatch.setattr(fforacle, "_algebra_key", counting)
+    ctx = fforacle._GroupContext(f, n)
+    identity = fforacle._identity(n)
+
+    def affine_class(x):
+        return min(tuple(f.add_table[f.mul_table[a][v]][f.mul_table[s][e]] for v, e in zip(x, identity))
+                   for a in range(1, q) for s in range(q))
+
+    assert len({affine_class(x) for x in calls}) == len(calls) == classes
+    assert len({affine_class(x) for x in ctx.mats}) == classes
 
 
 @pytest.mark.parametrize("n,p,e", [(2, 2, 3), (2, 3, 2), (3, 3, 1), (4, 2, 1)],
