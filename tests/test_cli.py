@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import random
@@ -697,8 +698,97 @@ def test_poly_n9_beyond_ceiling(capsys):
     assert all(den == 1 for _, den in doc["checks"]["laurentQuotient"]["coeffs"])
 
 
-def test_entry_raises_system_exit(capsys, monkeypatch):
-    monkeypatch.setattr("sys.argv", ["monodromy", "poly", "--n", "1", "--k", "1"])
-    with pytest.raises(SystemExit) as exc:
-        cli.entry()
-    assert exc.value.code == 0
+def _mismatch(*args, **kwargs):
+    return 999
+
+
+def _broken(n, k):
+    raise ValueError("inconsistent memo entry")
+
+
+# argv, the patch of test_verify_mismatch_exits_one or test_internal_value_error_exits_three, exit code
+ENTRY_CASES = {
+    "ok": (("poly", "--n", "1", "--k", "1"), None, 0),
+    "refused": (("poly", "--n", "2", "--k", "0"), None, 2),
+    "mismatch": (("verify", "--n", "2", "--k", "2", "--mode", "ss", "--q", "2"),
+                 ("fforacle", "brute_hom_count", _mismatch), 1),
+    "internal": (("poly", "--n", "2", "--k", "2"), ("engine", "count_semisimple_tuples", _broken), 3),
+}
+
+
+def entry_process(script, argv, **kwargs):
+    """One child process that ends through ``cli.entry()``: ``python -c <script>``, or ``-m monodromy.cli`` if None."""
+    env = kwargs.pop("env", dict(os.environ))
+    env["PYTHONPATH"] = str(ROOT / "src")
+    launch = ["-m", "monodromy.cli"] if script is None else ["-c", script]
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *launch, *argv], env=env, stderr=subprocess.PIPE,
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("name", list(ENTRY_CASES))
+def test_entry_exit_code_and_output_match_main(capsys, monkeypatch, name):
+    # the command ends without the interpreter's teardown, so compare it with an in-process ``main``
+    argv, patch, code = ENTRY_CASES[name]
+    script = None
+    if patch is not None:
+        module, attr, replacement = patch
+        monkeypatch.setattr(importlib.import_module(f"monodromy.{module}"), attr, replacement)
+        script = (f"from monodromy import cli, {module}\n{inspect.getsource(replacement)}\n"
+                  f"{module}.{attr} = {replacement.__name__}\ncli.entry()\n")
+    status, out, err = run(capsys, *argv)
+    proc = entry_process(script, argv)
+    assert status == proc.returncode == code
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode()
+
+
+@pytest.mark.parametrize("name", ["ok", "refused"])
+def test_entry_under_a_profiler_raises_system_exit(capsys, monkeypatch, name):
+    # a trace or profile function keeps the normal exit, so its report can still print
+    argv, _, code = ENTRY_CASES[name]
+    monkeypatch.setattr("sys.argv", ["monodromy", *argv])
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+    finally:
+        sys.setprofile(previous)
+    assert exc.value.code == code
+
+
+def test_entry_runs_atexit_callbacks_before_it_ends(capsys):
+    status, out, _ = run(capsys, "poly", "--n", "1", "--k", "1")
+    script = "import atexit\nfrom monodromy import cli\natexit.register(print, 'callback ran')\ncli.entry()\n"
+    proc = entry_process(script, ("poly", "--n", "1", "--k", "1"))
+    assert proc.returncode == status == 0
+    assert proc.stdout == (out + "callback ran\n").encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_exits_two():
+    # buffered stdout, so the write fails only when the output is flushed after main returns
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        proc = entry_process(None, ("poly", "--n", "2", "--k", "2", "--format", "json"), env=env, stdout=full)
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 28] No space left on device\n")
+
+
+def test_closed_stdout_exits_zero():
+    # fd 1 closed before the interpreter starts, as ``>&-`` does, so sys.stdout is None
+    proc = entry_process(None, ("poly", "--n", "2", "--k", "2"), stdout=None, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("flags, stdin, marker", [
+    (("-m", "cProfile"), "", "ncalls"),  # the profiler's report
+    (("-i",), "print('prompt reached')\n", "prompt reached"),  # the interactive prompt
+], ids=["cProfile", "inspect"])
+def test_normal_exit_under_a_profiler_or_python_i(flags, stdin, marker):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *flags, "-m", "monodromy.cli", "poly", "--n", "2", "--k", "2"],
+                          env=env, input=stdin, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "q^6 - 2q^5 - q^4 + 4q^3 - q^2 - 2q + 1" in proc.stdout
+    assert marker in proc.stdout

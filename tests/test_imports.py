@@ -1,5 +1,6 @@
 """Each subcommand loads only its own layers; the package exports its names lazily."""
 
+import ast
 import importlib
 import json
 import os
@@ -241,3 +242,15 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         monodromy.no_such_name  # noqa: B018
     assert not hasattr(monodromy, "NonIntegerCoefficient")
+
+
+def test_sources_parse_with_the_python_3_10_grammar():
+    """Every ``.py`` file under ``src/`` and ``tests/`` parses as Python 3.10, the floor pyproject.toml declares.
+
+    This checks grammar only (``ast.parse`` with ``feature_version``), not
+    library APIs: a call that exists on 3.11 alone still passes here.
+    """
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
