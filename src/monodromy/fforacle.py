@@ -11,8 +11,10 @@ generator), so the elimination runs once per affine class {aX + sI}, not
 once per element, and each algebra is spanned once.  The bicommutant of
 X is F_q[X], so equal algebras mean equal commutants: each distinct
 commutant is F_q[X] itself when that has dimension n, and is otherwise
-solved once by elimination.  Commuting tuples are counted once per
-distinct centralizer set (``commuting``).  The point is to be an
+solved once by elimination; the group context keeps one record per
+algebra.  Commuting tuples are counted once per distinct centralizer set
+(``commuting``), and conjugacy classes of k-tuples are the last-free count
+of k + 1 entries divided by |G|.  The point is to be an
 independent check on the polynomial engine, so nothing is shared with it
 beyond the factorization-type vocabulary.
 
@@ -45,7 +47,7 @@ and one under this encoding.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt, lcm, prod
 
 from . import BudgetExceeded, Refusal, record
@@ -379,17 +381,17 @@ class _GroupContext:
     A is semisimple exactly when their count is prime to p (the rule in the
     module docstring); when dim A = n, A is the commutant of X, and its units
     are the centralizer of every Y with F_q[Y] = A.  A known A is not spanned.
+    The context keeps one record per algebra, in id order: its first element,
+    and its units when dim A = n, else None.
     """
 
     def __init__(self, f: FieldSpec, n: int):
         self.field = f
-        self.n = n
         self.mats = tuple(enumerate_invertible(n, f, override_budget=True))
         self._index = index = {m: i for i, m in enumerate(self.mats)}
         self._algebra_ids: list = [None] * len(self.mats)
-        self._firsts: list[int] = []  # first element of each algebra, in id order
-        self._semisimple: list[bool] = []  # whether each algebra is semisimple, in id order
-        self._own_centralizers: dict[int, frozenset] = {}  # id -> A^x, for the algebras of dimension n
+        self._algebras: list[tuple[int, frozenset | None]] = []  # (first element, A^x when dim A = n), in id order
+        semisimple: list[bool] = []  # whether each algebra is semisimple, in id order
         ids, add_t, mul_t, neg_t = self._algebra_ids, f.add_table, f.mul_table, f.neg_table
         diagonal = range(0, n * n, n + 1)
         by_key: dict[tuple, int] = {}  # algebra key -> id
@@ -400,7 +402,7 @@ class _GroupContext:
             c = by_key.setdefault(key, len(by_key))
             t_x = [add_t[v][mul_t[e][neg_t[x[0]]]] for v, e in zip(x, _identity(n))]  # X - X_00 I
             line = {tuple([mul_t[a][v] for v in t_x]) for a in range(1, f.size)}  # X's class is line + F_q I
-            new = c == len(self._firsts)
+            new = c == len(self._algebras)
             units = []
             for t in _span(f, key[1:]) if new and len(key) > 1 else line:  # T = {0} = line when A = F_q
                 found = []
@@ -416,14 +418,11 @@ class _GroupContext:
                         ids[i] = c
                 units += found
             if new:
-                self._firsts.append(pos)
-                self._semisimple.append(len(units) % f.p != 0)
-                if len(key) == n:
-                    self._own_centralizers[c] = frozenset(units)
-        self.ss_set = frozenset(i for i, c in enumerate(ids) if self._semisimple[c])
-        self._centralizers: tuple[frozenset, ...] | None = None
+                self._algebras.append((pos, frozenset(units) if len(key) == n else None))
+                semisimple.append(len(units) % f.p != 0)
+        self.ss_set = frozenset(i for i, c in enumerate(ids) if semisimple[c])
 
-    @property
+    @cached_property
     def centralizers(self) -> tuple[frozenset, ...]:
         """C(X) as the invertible part of X's commutant, enumerated once per distinct algebra.
 
@@ -432,21 +431,18 @@ class _GroupContext:
         first element.  A commutant of dimension n^2 (the scalars') is all of
         M_n(F_q), so its invertible part is the whole group, not spanned.
         """
-        if self._centralizers is None:
-            f, index, order = self.field, self._index, len(self.mats)
-            cents = []
-            for c, first in enumerate(self._firsts):
-                own = self._own_centralizers.get(c)
-                if own is None:
-                    basis = _commutant_basis(f, self.mats[first])
-                    if len(basis) == len(basis[0]):
-                        own = frozenset(range(order))
-                    else:
-                        own = frozenset(i for i in map(index.get, _span(f, basis)) if i is not None)
-                cents.append(own)
-            self._centralizers = tuple(cents[c] for c in self._algebra_ids)
-            self._index = None  # no span needs it any more
-        return self._centralizers
+        f, index, order = self.field, self._index, len(self.mats)
+        cents = []
+        for first, own in self._algebras:
+            if own is None:
+                basis = _commutant_basis(f, self.mats[first])
+                if len(basis) == len(basis[0]):
+                    own = frozenset(range(order))
+                else:
+                    own = frozenset(i for i in map(index.get, _span(f, basis)) if i is not None)
+            cents.append(own)
+        self._index = None  # no span needs it any more
+        return tuple(cents[c] for c in self._algebra_ids)
 
 
 @lru_cache(maxsize=None)
@@ -478,17 +474,14 @@ def brute_conj_count(n: int, f: FieldSpec, k: int, override_budget: bool = False
     """Orbit count of commuting all-semisimple k-tuples under conjugation.
 
     The stabilizer of a tuple is the intersection of its entries'
-    centralizers, so counting each tuple with one more commuting element
-    from the whole group gives sum |Stab(t)| = |G| * #orbits
+    centralizers, so the last-free count of k + 1 entries, which adds one
+    commuting element from the whole group, is sum |Stab(t)| = |G| * #orbits
     (orbit-stabilizer).  The division by |G| must be exact.
     """
     if k < 1:
         raise ValueError("tuple length must be >= 1")
-    check_gl_budget(f.size, n, override_budget)
-    from .commuting import count_commuting_tuples
-    ctx = _group_context(f, n)
-    order = len(ctx.mats)
-    weighted = count_commuting_tuples(ctx.centralizers, ctx.ss_set, k, free=frozenset(range(order)))
+    weighted = brute_hom_count(n, f, k + 1, MODE_LAST_FREE, override_budget)
+    order = gl_order_int(f.size, n)
     orbits, remainder = divmod(weighted, order)
     if remainder:
         raise NotDivisible(f"stabilizer sum {weighted} is not a multiple of |GL_{n}(F_{f.size})| = {order}")

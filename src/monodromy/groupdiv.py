@@ -202,7 +202,7 @@ class FiniteGroupTable:
         return frozenset(seen)
 
 
-def group_generate(gens: Sequence[tuple[int, ...]], name: str = "", budget: int = CLOSURE_BUDGET) -> FiniteGroupTable:
+def group_generate(gens: Sequence[tuple[int, ...]], name: str = "") -> FiniteGroupTable:
     """Breadth-first closure of the generators, identity first."""
     if not gens:
         raise ValueError("need at least one generator")
@@ -219,8 +219,8 @@ def group_generate(gens: Sequence[tuple[int, ...]], name: str = "", budget: int 
         for g in gens:
             y = compose_perms(x, g)
             if y not in seen:
-                if len(order) >= budget:
-                    raise ClosureBudgetExceeded(f"closure exceeded {budget} elements")
+                if len(order) >= CLOSURE_BUDGET:
+                    raise ClosureBudgetExceeded(f"closure exceeded {CLOSURE_BUDGET} elements")
                 seen.add(y)
                 order.append(y)
     return FiniteGroupTable(order, name=name)
@@ -259,12 +259,6 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-def _is_prime_power_or_one(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 # ---------------------------------------------------------------------------
 # counting checks
 
@@ -291,7 +285,7 @@ def coset_p_power_count(
     if not _is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
     subgroup = table.subgroup_closure(h_gens)
-    p_power = [_is_prime_power_or_one(order, p) for order in table.orders]
+    p_power = [pow(p, order, order) == 0 for order in table.orders]  # order | p^order: no prime but p
     if not p_power[x]:
         raise PreconditionViolated(f"element {x} has order {table.orders[x]}, not a power of {p}")
     if not _normalizes(table, x, h_gens, subgroup):
@@ -577,8 +571,8 @@ def coset_lemma_sweep(table: FiniteGroupTable) -> CosetSweep:
     subgroups = enumerate_subgroups(table)  # refuses past the ceiling before the Cayley table is built
     columns = table.columns
     primes = prime_factors(len(table))
-    # p_power[p][i]: whether element i has p-power order (1 counts)
-    p_power = {p: [_is_prime_power_or_one(order, p) for order in table.orders] for p in primes}
+    # p_power[p][i]: whether element i has p-power order (1 counts), that is, its order divides p^order
+    p_power = {p: [pow(p, order, order) == 0 for order in table.orders] for p in primes}
     class_checks = {
         entry.rep: [
             (p, p ** _valuation(len(entry.rep), p),

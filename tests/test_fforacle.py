@@ -633,12 +633,23 @@ def test_brute_conj_certifies_the_division(monkeypatch):
     cents = list(ctx.centralizers)
     x = min(i for i in ctx.ss_set if len(cents[i]) > 1)
     cents[x] = cents[x] - {max(cents[x] - {x})}
-    ctx._centralizers = tuple(cents)
+    ctx.centralizers = tuple(cents)
     monkeypatch.setattr(fforacle, "_group_context", lambda field, n: ctx)
     with pytest.raises(NotDivisible):
         brute_conj_count(2, f, 1)
     # the command line reports it as an internal invariant violation
     assert cli.main(["verify", "--n", "2", "--k", "1", "--mode", "conj", "--q", "2"]) == 3
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)], ids=["GL2F2", "GL2F3", "GL3F2"])
+def test_brute_conj_is_the_last_free_count_over_the_group_order(monkeypatch, n, p):
+    f = field_make(p, 1)
+    order = gl_order_int(p, n)
+    for k in (1, 2, 3):
+        assert brute_conj_count(n, f, k) * order == brute_hom_count(n, f, k + 1, MODE_LAST_FREE)
+    monkeypatch.setattr(fforacle, "brute_hom_count", lambda *args: order + 1)
+    with pytest.raises(NotDivisible, match=f"is not a multiple of .* = {order}$"):
+        brute_conj_count(n, f, 1)
 
 
 def test_k_one_hom_counts_skip_the_centralizer_scan(monkeypatch):
@@ -647,7 +658,7 @@ def test_k_one_hom_counts_skip_the_centralizer_scan(monkeypatch):
     monkeypatch.setattr(fforacle, "_group_context", lambda field, n: ctx)
     assert brute_hom_count(2, f, 1, MODE_ALL_SEMISIMPLE) == 32
     assert brute_hom_count(2, f, 1, MODE_LAST_FREE) == 48
-    assert ctx._centralizers is None
+    assert "centralizers" not in vars(ctx)
 
 
 def test_commuting_pairs_are_conjugation_stable():

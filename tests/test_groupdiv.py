@@ -27,7 +27,6 @@ from monodromy.groupdiv import (
     PreconditionViolated,
     _cycles,
     _is_prime,
-    _is_prime_power_or_one,
     _normalizes,
     check_sweep_order,
     compose_perms,
@@ -168,9 +167,10 @@ def test_orders_match_power_walk():
         assert table.orders == tuple(walk(p) for p in table.elements), table.name
 
 
-def test_closure_budget():
+def test_closure_budget(monkeypatch):
+    monkeypatch.setattr(groupdiv, "CLOSURE_BUDGET", 100)
     with pytest.raises(ClosureBudgetExceeded):
-        group_generate([parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)], budget=100)
+        group_generate([parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)])
 
 
 def test_matrix_group_table():
@@ -431,6 +431,13 @@ def test_sweep_reaches_a6_and_s6(corpus, subgroups, checked):
     assert len(checks) == checked and all(c.ok for c in checks)
     # the identity normalizes every subgroup and has 2-power order: one such check per subgroup
     assert sum(c.prime == 2 and c.coset_rep == table.identity_index for c in checks) == subgroups
+
+
+def _is_prime_power_or_one(n, p):
+    """The reference sweep's own p-power test, kept apart from ``groupdiv`` and its ``_valuation``."""
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def _reference_sweep(table):
